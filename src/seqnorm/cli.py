@@ -1,7 +1,8 @@
 """Command-line surface: norms, seminorms, verification suites, constructions.
 
 Exit codes: 0 all asserted checks pass, 1 an asserted check failed (or a
-certificate failed self-evaluation), 2 usage or input error.  Reports are
+certificate failed self-evaluation), 2 usage or input error, or an arithmetic
+error such as a result beyond the double range.  Reports are
 JSON on stdout (or --out); all randomness is seeded and the seed is echoed,
 so identical inputs produce byte-identical reports apart from the "timings"
 field.
@@ -291,7 +292,7 @@ def main(argv=None) -> int:
     except (InputError, SupportLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

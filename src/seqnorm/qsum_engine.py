@@ -16,9 +16,32 @@ closed form (asserted, not hidden).
 
 Partition suprema are searched over consecutive runs of support points, which
 is exact here: there is no cardinality budget, so enlarging a piece never
-costs anything at any level.  A piece equal to the whole vector is dominated
-by any two-way split (triangle inequality), keeping the recursion on support
-size well founded.
+costs anything at any level.  Every piece is then a run p[s:s+L] of the
+root's coefficient pattern p.  By length L and start s the engine tabulates
+the run norms N[L, s], the best sums C_m[L, s] of run norms over partitions
+into at most m runs, and back-pointers to the splits attaining them.
+C_1 = N, C_m = l1 once m >= L, and for 2 <= m < L
+
+    C_m[L, s] = max_{0<t<L}  C_{ceil(m/2)}[t, s] + C_{floor(m/2)}[L-t, s+t].
+
+Proof: a single piece is dominated by any two-way split (triangle
+inequality), so C_m is the best sum over r-run partitions, 2 <= r <= m, and
+each right-hand term is one.  Conversely, cut an r-run partition after its
+run j = max(1, r - floor(m/2)): if r > floor(m/2) the left part has
+j <= ceil(m/2) runs and the right part floor(m/2); otherwise the left part has
+one run and the right r - 1 < floor(m/2).  Only subadditivity of the piece
+values is used, and every level of the inductive construction is a norm, so
+`iterate_levels` and `fixed_point_residual` run the same fill on given values.
+
+Only the counts reachable from {n_k < n} (and from a count asked of `norm_k`
+or `best_partition_sum`) under m -> (ceil(m/2), floor(m/2)) get a table:
+O(log n) tables when the scales grow geometrically, as in both presets.  With
+one numpy reduction over starts, split points and counts per length, an
+n-point root costs O(n^3 log n) additions and O(n^2 log n) memory.  Only the
+last root's tables are kept, which a witness right after the norm reuses.
+They hold p scaled by the power of two that puts max(p) in [0.5, 1): exact,
+free of overflow in the squares and homogeneous over the whole double range.
+A value beyond that range raises OverflowError.
 
 Presets:
 
@@ -33,18 +56,16 @@ Presets:
 from __future__ import annotations
 
 import math
-import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 
+import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import zeta as _hurwitz_zeta
 
 from .core import CoefficientPattern, EQ_TOL, FiniteVector, IndexSet, INEQ_TOL, f
 from .family_engine import IterationCapError
 from .witness import PartitionWitness, QuadraticWitness, SupWitness, Witness
-
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 50_000))
-
-_NEG = float("-inf")
 
 
 class ConfigError(ValueError):
@@ -157,23 +178,114 @@ class QSumConfig:
         raise ConfigError(f"cannot parse config {obj!r}")
 
 
+class _Tables:
+    """Interval tables of root pattern p: entry [L, s] is for p[s:s+L].
+    The run sums and maxima are built here; `fill` adds the norm tables."""
+
+    def __init__(self, engine: "QSumEngine", p: CoefficientPattern, count: int | None = None):
+        n = len(p)
+        self.p, self.exp = p, math.frexp(max(p))[1]
+        self.scales = engine._scales(n)
+        self.nks = [nk for nk, _ in self.scales]
+        self.tails = [engine.cfg.tail(c + 1) for c in range(len(self.scales) + 1)]
+        self.q = engine.cfg.q if engine.use_closed_form else None
+        todo, ms = self.nks + ([count] if count else []), {1}
+        while todo:  # close under m -> (ceil(m/2), floor(m/2))
+            m = todo.pop()
+            if m not in ms:
+                ms.add(m)
+                todo += [(m + 1) // 2, m // 2]
+        self.ms = sorted(ms)
+        self.row = {m: i for i, m in enumerate(self.ms)}
+        z = np.ldexp(np.array(p), -self.exp)
+        self.l1, self.sup = np.zeros((n + 1, n)), np.zeros((n + 1, n))
+        for L in range(1, n + 1):
+            self.l1[L, : n - L + 1] = self.l1[L - 1, : n - L + 1] + z[L - 1 :]
+            self.sup[L, : n - L + 1] = np.maximum(self.sup[L - 1, : n - L + 1], z[L - 1 :])
+
+    def fill(self, piece: np.ndarray | None = None) -> np.ndarray:
+        """Fill C[i] = C_{ms[i]} by increasing length; return the run values.
+
+        Without `piece` these are the norms, kept with C and back-pointers bp.
+        With it, C[0] holds the given piece values and the result is one
+        application of the fixed-point map to them."""
+        n = len(self.p)
+        C = np.empty((len(self.ms),) + self.l1.shape)
+        C[:] = self.l1
+        if piece is None:
+            self.C, self.N, values = C, C[0], C[0]
+            self.bp = np.zeros(C.shape, dtype=np.int32)
+        else:
+            C[0], values = piece, self.sup.copy()
+        up = np.array([self.row[(m + 1) // 2] for m in self.ms[1:]], dtype=np.intp)
+        down = np.array([self.row[m // 2] for m in self.ms[1:]], dtype=np.intp)
+        s0, s1, s2 = C.strides
+        for L in range(2, n + 1):
+            cnt = n - L + 1
+            j = bisect_left(self.ms, L)  # ms[1:j] are the counts 2 <= m < L
+            if j > 1:
+                left = C[up[: j - 1], 1:L, :cnt]  # [., t-1, s] = C_a[t, s]
+                # [., t-1, s] = C_b[L-t, s+t]: one row up, one column right per t
+                right = as_strided(C[:, L - 1, 1:], (len(self.ms), L - 1, cnt),
+                                   (s0, s2 - s1, s2), writeable=False)[down[: j - 1]]
+                np.add(left, right, out=left)
+                t = left.argmax(axis=1)
+                C[1:j, L, :cnt] = np.take_along_axis(left, t[:, None, :], axis=1)[:, 0, :]
+                if piece is None:
+                    self.bp[1:j, L, :cnt] = t + 1
+            l1, sup = self.l1[L, :cnt], self.sup[L, :cnt]
+            c = bisect_left(self.nks, L)  # scales 1..c split runs of length L
+            if c == 0 and self.q is not None:
+                values[L, :cnt] = np.maximum(sup, self.q * l1)
+                continue
+            ssq = 0.0
+            for nk, f_nk in self.scales[:c]:
+                ssq = ssq + (C[self.row[nk], L, :cnt] / f_nk) ** 2
+            values[L, :cnt] = np.maximum(sup, np.sqrt(ssq + l1 * l1 * self.tails[c]))
+        return values
+
+    def bps(self, m: int) -> float:
+        """C_m of the whole root, scaled."""
+        n = len(self.p)
+        return self.l1[n, 0] if m >= n else self.C[self.row[m], n, 0]
+
+    def runs(self, m: int, s: int, L: int) -> list[tuple[int, int]]:
+        """(start, length) of the runs of p[s:s+L] whose norms sum to C_m."""
+        if m >= L:
+            return [(s + i, 1) for i in range(L)]
+        if m == 1:
+            return [(s, L)]
+        t = int(self.bp[self.row[m], L, s])
+        return self.runs((m + 1) // 2, s, t) + self.runs(m // 2, s + t, L - t)
+
+    def unscale(self, v: float) -> float:
+        """Undo the power-of-two scaling; a result beyond the double range raises."""
+        try:
+            return math.ldexp(float(v), self.exp)
+        except OverflowError:
+            raise OverflowError(
+                f"x1 value {float(v)} * 2**{self.exp} exceeds the double range") from None
+
+
 class QSumEngine:
-    """Shared-memo evaluator for the scale-sequence norm."""
+    """Evaluator for the scale-sequence norm on interval tables."""
 
     def __init__(self, config: QSumConfig, use_closed_form: bool = True):
         self.cfg = config
         self.use_closed_form = use_closed_form
-        self._norm_memo: dict[CoefficientPattern, float] = {}
-        self._bps_memo: dict[tuple[CoefficientPattern, int], float] = {}
+        self._last: _Tables | None = None
 
     # -- public ----------------------------------------------------------
 
     def norm(self, x: FiniteVector, with_witness: bool = False):
         p = x.pattern()
-        value = self._norm_pattern(p)
+        if not p:
+            return (0.0, SupWitness(0.0, None)) if with_witness else 0.0
+        T = self._tables(p)
+        value = T.unscale(T.N[len(p), 0])
         if not with_witness:
             return value
-        return value, self._build_witness(x, p, value)
+        return value, self._witness(T, x.indices, 0, len(p))
 
     def norm_k(self, x: FiniteVector, k: int) -> float:
         """The k-partition seminorm (1/f(k)) * best partition sum, any k >= 1."""
@@ -191,21 +303,22 @@ class QSumEngine:
         if K < 1:
             raise ValueError("need K >= 1")
         p = x.pattern()
-        l1 = sum(p)
-        head = [self._scale_value(p, k, l1) for k in range(1, K + 1)]
-        k = K + 1
-        ssq = 0.0
-        while p and self.cfg.n_at(k) < len(p):
-            ssq += self._scale_value(p, k, l1) ** 2
-            k += 1
-        ssq += l1 * l1 * self.cfg.tail(k)
-        return head, math.sqrt(ssq)
+        if not p:
+            return [0.0] * K, 0.0
+        T = self._tables(p)
+        head = [T.unscale(T.bps(self.cfg.n_at(k)) / self.cfg.f_nk(k)) for k in range(1, K + 1)]
+        l1 = T.l1[len(p), 0]
+        ssq = sum((T.bps(nk) / f_nk) ** 2 for nk, f_nk in T.scales[K:])
+        ssq += l1 * l1 * self.cfg.tail(max(K, len(T.scales)) + 1)
+        return head, T.unscale(math.sqrt(ssq))
 
     def fixed_point_residual(self, x: FiniteVector) -> float:
         p = x.pattern()
-        value = self._norm_pattern(p)
-        rhs = self._one_step_value(p, self._norm_pattern, {})
-        return abs(value - rhs)
+        if not p:
+            return 0.0
+        T = self._tables(p)
+        rhs = T.fill(piece=T.N)[len(p), 0]
+        return abs(T.unscale(T.N[len(p), 0]) - T.unscale(rhs))
 
     def iterate_levels(self, x: FiniteVector) -> list[float]:
         """Level values of the inductive construction, up to stabilization."""
@@ -213,26 +326,15 @@ class QSumEngine:
         if not p:
             return [0.0]
         n = len(p)
-        closure = sorted(
-            {p[a:b] for a in range(n) for b in range(a + 1, n + 1)},
-            key=lambda q: (len(q), q),
-        )
-        values = {q: max(q) for q in closure}
-        levels = [values[p]]
+        T = _Tables(self, p)
+        values = T.sup
+        levels = [T.unscale(values[n, 0])]
         cap = 10 * n
         for _ in range(cap):
-            bps_cache: dict = {}
-            norm_of = values.__getitem__
-            new_values = {}
-            delta = 0.0
-            for q in closure:
-                rhs = self._one_step_value(q, norm_of, bps_cache)
-                nv = rhs if rhs > values[q] else values[q]
-                new_values[q] = nv
-                if nv - values[q] > delta:
-                    delta = nv - values[q]
+            new_values = np.maximum(values, T.fill(piece=values))
+            delta = T.unscale((new_values - values).max())
             values = new_values
-            levels.append(values[p])
+            levels.append(T.unscale(values[n, 0]))
             if delta < EQ_TOL:
                 return levels
         raise IterationCapError(
@@ -242,9 +344,7 @@ class QSumEngine:
     def block_sum_lower_bound(self, blocks: list[FiniteVector]) -> float:
         """Margin ||sum y_j|| - count/f(count) for count = some n_i, blocks normalized."""
         count = len(blocks)
-        k = 1
-        while self.cfg.n_at(k) < count:
-            k += 1
+        k = len(self._scales(count)) + 1
         if self.cfg.n_at(k) != count:
             raise ValueError(
                 f"block count {count} is not one of the configured scales "
@@ -263,153 +363,47 @@ class QSumEngine:
         bound = count / self.cfg.f_nk(k)
         return self.norm(total) - bound
 
-    # -- pattern-level core ----------------------------------------------
+    # -- tables and witnesses ----------------------------------------------
 
-    def _norm_pattern(self, p: CoefficientPattern) -> float:
-        n = len(p)
-        if n == 0:
-            return 0.0
-        if n == 1:
-            return p[0]
-        hit = self._norm_memo.get(p)
-        if hit is not None:
-            return hit
-        sup = max(p)
-        l1 = sum(p)
-        if self.use_closed_form and n <= self.cfg.n_at(1):
-            value = max(sup, self.cfg.q * l1)
-        else:
-            ssq = 0.0
-            k = 1
-            while self.cfg.n_at(k) < n:
-                ssq += (self._bps(p, self.cfg.n_at(k)) / self.cfg.f_nk(k)) ** 2
-                k += 1
-            ssq += l1 * l1 * self.cfg.tail(k)
-            value = max(sup, math.sqrt(ssq))
-        self._norm_memo[p] = value
-        return value
+    def _scales(self, n: int) -> list[tuple[int, float]]:
+        """(n_k, f(n_k)) for k = 1, 2, ... while n_k < n: the scales that split n points."""
+        out = []
+        while self.cfg.n_at(len(out) + 1) < n:
+            out.append((self.cfg.n_at(len(out) + 1), self.cfg.f_nk(len(out) + 1)))
+        return out
 
-    def _scale_value(self, p: CoefficientPattern, k: int, l1: float) -> float:
-        """||x||_{n_k}; closed form l1/f(n_k) once n_k covers the support."""
-        if not p:
-            return 0.0
-        nk = self.cfg.n_at(k)
-        if nk >= len(p):
-            return l1 / self.cfg.f_nk(k)
-        return self._bps(p, nk) / self.cfg.f_nk(k)
+    def _tables(self, p: CoefficientPattern, count: int | None = None) -> _Tables:
+        """Tables of root p, with C_count if given; the last root's are reused."""
+        T = self._last
+        if T is None or T.p != p or (count is not None and count not in T.row):
+            T = _Tables(self, p, count)
+            T.fill()
+            self._last = T
+        return T
 
     def _bps(self, p: CoefficientPattern, m: int) -> float:
-        """Best partition sum over at most m consecutive runs (exact here)."""
-        n = len(p)
-        if n == 0:
+        """Best partition sum of p over at most m consecutive runs."""
+        if not p:
             return 0.0
-        if m >= n:
-            return sum(p)
-        if m == 1:
-            return self._norm_pattern(p)
-        key = (p, m)
-        hit = self._bps_memo.get(key)
-        if hit is not None:
-            return hit
-        best = _NEG
-        for t in range(1, n):
-            cand = self._norm_pattern(p[:t]) + self._bps(p[t:], m - 1)
-            if cand > best:
-                best = cand
-        self._bps_memo[key] = best
-        return best
+        T = self._tables(p, m if 1 < m < len(p) else None)
+        return T.unscale(T.bps(m))
 
-    def _one_step_value(self, p, norm_of, bps_cache) -> float:
-        """One application of the right-hand side with pieces valued by norm_of."""
-        n = len(p)
-        if n == 0:
-            return 0.0
-        if n == 1:
-            return p[0]
-
-        def bps_v(z: CoefficientPattern, m: int) -> float:
-            if not z:
-                return 0.0
-            if m >= len(z):
-                return sum(z)
-            if m == 1:
-                return norm_of(z)
-            key = (z, m)
-            hit = bps_cache.get(key)
-            if hit is not None:
-                return hit
-            best = _NEG
-            for t in range(1, len(z)):
-                cand = norm_of(z[:t]) + bps_v(z[t:], m - 1)
-                if cand > best:
-                    best = cand
-            bps_cache[key] = best
-            return best
-
-        sup = max(p)
-        l1 = sum(p)
-        ssq = 0.0
-        k = 1
-        while self.cfg.n_at(k) < n:
-            ssq += (bps_v(p, self.cfg.n_at(k)) / self.cfg.f_nk(k)) ** 2
-            k += 1
-        ssq += l1 * l1 * self.cfg.tail(k)
-        return max(sup, math.sqrt(ssq))
-
-    # -- witness ----------------------------------------------------------
-
-    def _build_witness(self, x: FiniteVector, p: CoefficientPattern, value: float) -> Witness:
-        n = len(p)
-        if n == 0:
-            return SupWitness(0.0, None)
-        sup = max(p)
-        if value <= sup:
-            return SupWitness(sup, x.indices[p.index(sup)])
-        l1 = sum(p)
+    def _witness(self, T: _Tables, idx: tuple[int, ...], s: int, L: int) -> Witness:
+        """Certificate for the norm of the run p[s:s+L], read from the back-pointers."""
+        run = T.p[s : s + L]
+        if T.N[L, s] <= T.sup[L, s]:
+            return SupWitness(max(run), idx[s + run.index(max(run))])
         head = []
-        k = 1
-        while self.cfg.n_at(k) < n:
-            nk = self.cfg.n_at(k)
-            head.append((nk, self._build_partition_witness(x, p, nk, self.cfg.f_nk(k))))
-            k += 1
-        tail_l2 = l1 * math.sqrt(self.cfg.tail(k))
-        ssq = sum(w.value ** 2 for _, w in head) + tail_l2 * tail_l2
-        return QuadraticWitness(
-            value=math.sqrt(ssq), head=tuple(head), tail_start=k, tail_l2=tail_l2
-        )
-
-    def _build_partition_witness(
-        self, x: FiniteVector, p: CoefficientPattern, nk: int, f_nk: float
-    ) -> PartitionWitness:
-        widths = self._trace_partition(p, nk)
-        pieces = []
-        total = 0.0
-        start = 0
-        for width in widths:
-            seg = IndexSet.of(x.indices[start : start + width])
-            seg_pat = p[start : start + width]
-            seg_norm = self._norm_pattern(seg_pat)
-            total += seg_norm
-            pieces.append(
-                (seg, self._build_witness(x.restrict(seg), seg_pat, seg_norm))
+        for nk, f_nk in T.scales[: bisect_left(T.nks, L)]:
+            runs = T.runs(nk, s, L)
+            pieces = tuple(
+                (IndexSet.of(idx[a : a + w]), self._witness(T, idx, a, w)) for a, w in runs
             )
-            start += width
-        return PartitionWitness(value=total / f_nk, m=nk, divisor=f_nk, pieces=tuple(pieces))
-
-    def _trace_partition(self, p: CoefficientPattern, m: int) -> list[int]:
-        n = len(p)
-        if n == 0:
-            return []
-        if m >= n:
-            return [1] * n
-        if m == 1:
-            return [n]
-        target = self._bps(p, m)
-        tol = EQ_TOL * max(1.0, abs(target))
-        for t in range(1, n):
-            if self._norm_pattern(p[:t]) + self._bps(p[t:], m - 1) >= target - tol:
-                return [t] + self._trace_partition(p[t:], m - 1)
-        raise AssertionError("partition retrace failed")
+            total = sum(T.N[w, a] for a, w in runs)
+            head.append((nk, PartitionWitness(T.unscale(total / f_nk), nk, f_nk, pieces)))
+        tail_l2 = T.unscale(T.l1[L, s] * math.sqrt(T.tails[len(head)]))
+        value = math.hypot(*(w.value for _, w in head), tail_l2)
+        return QuadraticWitness(value, tuple(head), len(head) + 1, tail_l2)
 
 
 # -- module-level functional surface --------------------------------------

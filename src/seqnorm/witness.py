@@ -8,6 +8,7 @@ a machine-checkable lower bound for the norm it certifies.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -86,9 +87,7 @@ def evaluate_witness(w: Witness, x: FiniteVector) -> float:
         )
         return total / f(len(w.pairs))
     if isinstance(w, QuadraticWitness):
-        ssq = sum(evaluate_witness(child, x) ** 2 for _, child in w.head)
-        ssq += w.tail_l2 ** 2
-        return ssq ** 0.5
+        return math.hypot(*(evaluate_witness(child, x) for _, child in w.head), w.tail_l2)
     raise TypeError(f"not a witness: {w!r}")
 
 

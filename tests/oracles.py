@@ -7,7 +7,8 @@ and partition pieces enumerated as arbitrary ordered subsets (no
 consecutive-run reduction and no search pruning).  Tail sums for the
 scale-sequence norm use mpmath rather than scipy.
 
-Everything here is exponential and only usable for supports up to ~6.
+Everything here except `RunScaleNorm` is exponential and only usable for
+supports up to ~6.
 """
 from __future__ import annotations
 
@@ -211,3 +212,42 @@ class BruteScaleNorm:
                 continue
             best = max(best, sum(vals[p] for p in pieces))
         return best
+
+
+class RunScaleNorm:
+    """Scale-sequence norm by the first-piece recursion over consecutive runs,
+
+        C_m(a, b) = max_{a<t<b} ||p[a:t]|| + C_{m-1}(t, b),
+
+    memoized on (a, b, m): the formulation the engine's halving tables
+    replace, polynomial and so usable up to ~40 points."""
+
+    def __init__(self, vec, cfg):
+        self.p = vec.pattern()
+        self.cfg = cfg
+        self.memo: dict = {}
+
+    def norm(self, a: int = 0, b: int | None = None) -> float:
+        b = len(self.p) if b is None else b
+        if b == a:
+            return 0.0
+        if (a, b, 1) not in self.memo:
+            run = self.p[a:b]
+            ssq, k = 0.0, 1
+            while self.cfg.n_at(k) < b - a:
+                ssq += (self.bps(a, b, self.cfg.n_at(k)) / self.cfg.f_nk(k)) ** 2
+                k += 1
+            ssq += sum(run) ** 2 * self.cfg.tail(k)
+            self.memo[(a, b, 1)] = max(max(run), math.sqrt(ssq))
+        return self.memo[(a, b, 1)]
+
+    def bps(self, a: int, b: int, m: int) -> float:
+        if m >= b - a:
+            return sum(self.p[a:b])
+        if m == 1:
+            return self.norm(a, b)
+        if (a, b, m) not in self.memo:
+            self.memo[(a, b, m)] = max(
+                self.norm(a, t) + self.bps(t, b, m - 1) for t in range(a + 1, b)
+            )
+        return self.memo[(a, b, m)]

@@ -85,6 +85,19 @@ def test_exit_codes(capsys, tmp_path, vec_file):
     assert code == 0
 
 
+def test_norm_x1_extreme_magnitudes(capsys, tmp_path):
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"coords": [[i, 1e300] for i in range(1, 18)]}))
+    code, out = run_cli(capsys, "norm", "x1", p, "--config", "small")
+    assert code == 0
+    assert math.isfinite(out["value"]) and out["value"] > 1e300
+    p.write_text(json.dumps({"coords": [[i, 1.7e308] for i in range(1, 21)]}))
+    assert main(["norm", "x1", str(p), "--config", "small"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the double range" in captured.err and captured.err.count("\n") == 1
+
+
 def test_verify_exit_status_and_report_shape(capsys):
     code, out = run_cli(capsys, "verify", "matrix", "--seed", "11", "--count", "25")
     assert code == 0 and out["ok"]

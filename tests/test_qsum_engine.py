@@ -4,8 +4,8 @@ import mpmath
 import pytest
 
 from conftest import random_test_vector
-from oracles import BruteScaleNorm
-from seqnorm.core import FiniteVector, f
+from oracles import BruteScaleNorm, RunScaleNorm
+from seqnorm.core import EQ_TOL, FiniteVector, f
 from seqnorm.qsum_engine import ConfigError, QSumConfig, QSumEngine
 from seqnorm.witness import QuadraticWitness, SupWitness, evaluate_witness, validate_witness
 
@@ -130,8 +130,22 @@ def test_brute_force_tiny_config(rng):
         b = brute.norm()
         assert engine.norm(x) == pytest.approx(b, abs=1e-9)
         assert nocf.norm(x) == pytest.approx(b, abs=1e-9)
-        for k in (1, 2, 4):
+        for k in range(1, 7):
             assert engine.norm_k(x, k) == pytest.approx(brute.norm_k(k), abs=1e-9)
+
+
+def test_tables_match_first_piece_recursion(rng):
+    # TINY splits at 3, 7 and 15, small at 15 and 31; each m adds its own halvings
+    for cfg, max_support in ((TINY, 30), (QSumConfig.small(), 40)):
+        engine = QSumEngine(cfg)
+        for _ in range(5):
+            x = random_test_vector(rng, max_support)
+            ref = RunScaleNorm(x, cfg)
+            n = x.support_size
+            assert engine.norm(x) == pytest.approx(ref.norm(), rel=EQ_TOL)
+            for m in (2, 3, 5, 6, 11, 13, 20):
+                got = engine.best_partition_sum(x, m)
+                assert got == pytest.approx(ref.bps(0, n, m), rel=EQ_TOL)
 
 
 def test_partition_machinery_activates(small_engine):
@@ -228,6 +242,31 @@ def test_witness(small_engine, rng):
     assert len(w.head) == 1  # only n_1 = 15 splits a 30-point vector
     validate_witness(w, x30)
     assert evaluate_witness(w, x30) == pytest.approx(v, abs=1e-12)
+    for n, splits in ((40, 2), (70, 3)):
+        x = FiniteVector(zip(range(1, n + 1), rng.uniform(0.1, 3.0, n)))
+        v, w = small_engine.norm(x, with_witness=True)
+        assert isinstance(w, QuadraticWitness)
+        assert [m for m, _ in w.head] == [15, 31, 63][:splits]
+        validate_witness(w, x)
+        assert evaluate_witness(w, x) == pytest.approx(v, rel=1e-12)
+        assert witness_from_json(witness_to_json(w)) == w
+
+
+@pytest.mark.parametrize("with_witness", [False, True])
+def test_homogeneity_over_double_range(rng, with_witness):
+    engine = QSumEngine(QSumConfig.small())
+    vectors = [FiniteVector.ones(20)] + [random_test_vector(rng, 40) for _ in range(4)]
+    for x in vectors:
+        base = engine.norm(x)
+        for k in (0, 50, 100, 160, 200, 300):
+            for c in (10.0**k, -(10.0**-k)):
+                y = c * x
+                got = engine.norm(y, with_witness=with_witness)
+                if with_witness:
+                    got, w = got
+                    validate_witness(w, y)
+                    assert w.value == pytest.approx(got, rel=EQ_TOL)
+                assert got == pytest.approx(abs(c) * base, rel=EQ_TOL)
 
 
 def test_engine_invariants_shared_with_family_norm(small_engine, rng):
