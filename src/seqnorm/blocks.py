@@ -53,11 +53,7 @@ class BlockBasis:
     def combine(self, coeffs: Sequence[float]) -> FiniteVector:
         if len(coeffs) != len(self.vectors):
             raise ValueError("one coefficient per block required")
-        out = FiniteVector.zero()
-        for a, v in zip(coeffs, self.vectors):
-            if a != 0.0:
-                out = out + a * v
-        return out
+        return FiniteVector.sum(self.vectors, coeffs)
 
     def to_json(self) -> list:
         return [v.to_json() for v in self.vectors]

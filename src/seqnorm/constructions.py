@@ -485,7 +485,7 @@ def build_matrix_grid(params: GridParams, engine) -> GridResult:
                 if consumed > 0 and cell_sizes[0] < (1 << min(consumed, 60)):
                     waived += 1
                 consumed += cell_span
-            cell = (1.0 / k0) * _sum(parts)
+            cell = (1.0 / k0) * FiniteVector.sum(parts)
             cells[(i, j)] = cell
     report.premises.append(
         PremiseCheck(
@@ -510,7 +510,7 @@ def build_matrix_grid(params: GridParams, engine) -> GridResult:
                     pairs.append((lifted, E))
                     consumed += E.cardinality
         fam = AdmissibleFamily.of(pairs)
-        col_raw = float(k0) * _sum([cells[(i, j)] for i in range(1, n + 1)])
+        col_raw = float(k0) * FiniteVector.sum([cells[(i, j)] for i in range(1, n + 1)])
         value = engine.evaluate_family(col_raw, fam)
         target = (1.0 - delta) ** 2 * k0 * n
         report.bounds.append(
@@ -529,7 +529,7 @@ def build_matrix_grid(params: GridParams, engine) -> GridResult:
         mats.append(rng.uniform(-1.0, 1.0, size=(n, n)))
     worst_lo, worst_hi = math.inf, 0.0
     for a in mats:
-        combo = _sum(
+        combo = FiniteVector.sum(
             [float(a[i - 1, j - 1]) * cells[(i, j)]
              for i in range(1, n + 1) for j in range(1, n + 1)
              if a[i - 1, j - 1] != 0.0]
@@ -555,13 +555,6 @@ def build_matrix_grid(params: GridParams, engine) -> GridResult:
         worst_upper_ratio=worst_hi,
         target=target,
     )
-
-
-def _sum(vectors) -> FiniteVector:
-    out = FiniteVector.zero()
-    for v in vectors:
-        out = out + v
-    return out
 
 
 # ----------------------------------------------------------------------

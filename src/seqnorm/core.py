@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping
 
 EQ_TOL = 1e-12
@@ -202,6 +203,19 @@ class FiniteVector:
     @staticmethod
     def from_dense(values: Iterable[float], start: int = 1) -> "FiniteVector":
         return FiniteVector((start + j, v) for j, v in enumerate(values))
+
+    @staticmethod
+    def sum(vectors: Iterable["FiniteVector"], coeffs: Iterable[float] | None = None) -> "FiniteVector":
+        """sum_j coeffs[j] * vectors[j] (coefficients 1 if not given), in one pass.
+
+        Each index accumulates its terms in input order, so the result is bit
+        for bit that of adding the scaled vectors one after another."""
+        acc: dict[int, float] = {}
+        for a, v in zip(repeat(1.0) if coeffs is None else coeffs, vectors):
+            if a != 0.0:
+                for i, c in zip(v._idx, v._coef):
+                    acc[i] = acc.get(i, 0.0) + a * c
+        return FiniteVector(sorted(acc.items()))
 
     # -- accessors ----------------------------------------------------
 

@@ -17,6 +17,22 @@ restrictions.  The same monotonicity lets partition pieces be taken as
 consecutive runs covering the whole set, which is exact because the inner
 suprema carry no cardinality budget.
 
+Pieces and the family search
+----------------------------
+`_Pieces` evaluates the inner suprema for a given valuation of the pieces:
+`split` gives the best sum over partitions into at most m runs and the width
+of a first run attaining it, `scale` the best triple norm over scales
+m >= floor and an m attaining it.  The engine values pieces by the norm
+itself; `iterate_levels` and `fixed_point_residual` value them by given
+level values.
+
+`_Search` is the one family search.  Its state (q, c) says that the next set
+starts at or after position q and that c points are already consumed; for
+every k it keeps the best sum of set values over families of exactly k sets
+and the first set of one family attaining it.  A state either skips point q
+or takes a set whose first point is q: a run [q, q+t) in ``segment`` mode,
+{q} together with any subset of the later points in ``exhaustive`` mode.
+
 Search modes
 ------------
 ``exhaustive``
@@ -31,7 +47,7 @@ Search modes
     The modes are cross-validated and strict gaps are reported as
     diagnostics by the acceptance suite.
 
-Both searches prune with an exact dominance rule: the admissibility budget
+The search prunes with an exact dominance rule: the admissibility budget
 forces the next scale m to be at least max(2, 2**consumed), so once that
 floor reaches the number of remaining support points every later triple norm
 degenerates to l1/floor, and a single merged final set (all remaining points)
@@ -39,23 +55,37 @@ dominates any further splitting while using fewer sets.  The pruning
 preserves "best family sum with at most k sets" exactly, which is the
 quantity all the seminorms are derived from.
 
+On a constant pattern every set of t points has the same pattern, and
+admissibility depends only on cardinalities, so a family's value depends
+only on its sequence of set sizes.  Packing the sets flush left as
+consecutive runs realises every such sequence, in either mode, so there the
+search takes runs and never skips: exact in both modes, with one state per
+position.
+
+Witnesses walk the argmaxes: sets from the search, scales from `scale`,
+partition widths from `split`.  Every step re-reads a maximum the norm was
+computed from, so no value is matched against a tolerance.
+
+Every public operation evaluates the pattern p / max(p) and multiplies the
+result by max(p), so values are homogeneous over the whole double range; a
+result beyond it raises OverflowError.  Constant patterns thereby collapse
+onto (1, ..., 1).  Sub-patterns of a normalised root are used as they are.
+
 Memoization is keyed by coefficient pattern (absolute coefficients in index
 order), which is sound because the norm is 1-unconditional and 1-subsymmetric;
 both properties are themselves under test.
 """
 from __future__ import annotations
 
-import sys
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from itertools import combinations
+from typing import Callable
 
 from .admissible import AdmissibleFamily
 from .core import CoefficientPattern, EQ_TOL, FiniteVector, IndexSet, f
 from .witness import FamilyWitness, PartitionWitness, SupWitness, Witness
-
-# The pattern recursion nests a handful of frames per support point.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 50_000))
 
 _NEG = float("-inf")
 # Floors beyond this many bits overflow floats; the contribution is zero.
@@ -94,11 +124,9 @@ def _floor_after(consumed: int) -> int:
 
 
 @lru_cache(maxsize=32)
-def _mask_bits(r: int) -> tuple[tuple[int, ...], ...]:
-    """Bit positions of every mask over r bits, ascending."""
-    return tuple(
-        tuple(i for i in range(r) if mask >> i & 1) for mask in range(1 << r)
-    )
+def _first_sets(r: int) -> tuple[tuple[int, ...], ...]:
+    """Every subset of range(r) that contains 0, ascending."""
+    return tuple((0,) + rest for k in range(r) for rest in combinations(range(1, r), k))
 
 
 def _is_constant(p: CoefficientPattern) -> bool:
@@ -111,7 +139,7 @@ def _ratio(l1: float, fl: int) -> float:
     return l1 / fl
 
 
-def _upto(exact: tuple[float, ...], n: int) -> tuple[float, ...]:
+def _upto(exact: list[float], n: int) -> tuple[float, ...]:
     """Cumulative max: best family sum with at most k sets, k = 0..n."""
     out = [0.0] * (n + 1)
     best = 0.0
@@ -122,17 +150,131 @@ def _upto(exact: tuple[float, ...], n: int) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _merge_chunk(best: list[float], tnv: float, rest: tuple[float, ...]) -> None:
-    """Fold `take this chunk then continue per rest` into the best-per-k list."""
-    for j, v in enumerate(rest):
-        if v == _NEG:
-            continue
-        k = j + 1
-        if k >= len(best):
-            best.extend([_NEG] * (k - len(best) + 1))
-        cand = tnv + v
-        if cand > best[k]:
-            best[k] = cand
+def _normalised(p: CoefficientPattern) -> tuple[float, CoefficientPattern]:
+    """(max(p), p / max(p)): a value on the second times the first is the value on p."""
+    s = max(p, default=1.0)
+    return s, tuple(v / s for v in p)
+
+
+def _unscale(s: float, v: float) -> float:
+    """A value in units of max(p) back in the units of p; beyond the double range raises."""
+    out = s * v
+    if math.isinf(out):
+        raise OverflowError(f"x2 value {v} * {s} exceeds the double range")
+    return out
+
+
+class _Pieces:
+    """Best partition sums and triple norms of patterns, pieces valued by
+    `norm_of`; both memoised by pattern."""
+
+    def __init__(self, norm_of: Callable[[CoefficientPattern], float]):
+        self.norm_of = norm_of
+        self._bps: dict[tuple[CoefficientPattern, int], float] = {}
+        self._tn: dict[tuple[CoefficientPattern, int], float] = {}
+
+    def split(self, p: CoefficientPattern, m: int) -> tuple[float, int]:
+        """Best sum of piece values over partitions of p into at most m runs,
+        and the width of the first run of a partition attaining it."""
+        n = len(p)
+        if m >= n:
+            return sum(p), 1
+        if m == 1:
+            return self.norm_of(p), n
+        best, width = _NEG, 0
+        for t in range(1, n):
+            cand = self.norm_of(p[:t]) + self.bps(p[t:], m - 1)
+            if cand > best:
+                best, width = cand, t
+        return best, width
+
+    def bps(self, p: CoefficientPattern, m: int) -> float:
+        if m >= len(p):
+            return sum(p)
+        if m == 1:
+            return self.norm_of(p)
+        key = (p, m)
+        hit = self._bps.get(key)
+        if hit is None:
+            hit = self._bps[key] = self.split(p, m)[0]
+        return hit
+
+    def scale(self, p: CoefficientPattern, fl: int) -> tuple[float, int]:
+        """max over admissible scales m >= fl of |||p|||_m, and the least m
+        attaining it.  Beyond the support size the value is l1/m and strictly
+        decreasing, so the scan stops at len(p)."""
+        n = len(p)
+        if fl >= n:
+            return _ratio(sum(p), fl), fl
+        best, arg = _NEG, fl
+        for m in range(fl, n + 1):
+            cand = self.bps(p, m) / m
+            if cand > best:
+                best, arg = cand, m
+        return best, arg
+
+    def tn(self, p: CoefficientPattern, fl: int) -> float:
+        if fl >= len(p):
+            return _ratio(sum(p), fl)
+        key = (p, fl)
+        hit = self._tn.get(key)
+        if hit is None:
+            hit = self._tn[key] = self.scale(p, fl)[0]
+        return hit
+
+
+class _Search:
+    """The family search over p, called as the memoised map (q, c) -> (best, arg).
+
+    best[k] is the largest sum of tn(set, floor) over families of exactly k
+    sets in positions q, q+1, ... after c points were consumed, and
+    arg[k] = (a, offsets) the first set of a family attaining it, at
+    positions a + o.  `first_floor` overrides the floor of the first set (the
+    m0-constrained seminorm); the merged-tail shortcut is then off for the
+    first set, because later floors may drop back below it.  A class rather
+    than a recursive closure, so the memo is freed as soon as the caller
+    drops the search, not at the next cyclic garbage collection.
+    """
+
+    def __init__(self, p: CoefficientPattern, tn, first_floor: int, segment: bool):
+        self.p, self.tn, self.first_floor = p, tn, first_floor
+        self.const = _is_constant(p)
+        self.runs = self.const or segment
+        self.suffix = [0.0] * (len(p) + 1)
+        for i in range(len(p) - 1, -1, -1):
+            self.suffix[i] = self.suffix[i + 1] + p[i]
+        self.memo: dict[tuple[int, int], tuple[list, list]] = {}
+
+    def __call__(self, q: int, c: int) -> tuple[list, list]:
+        hit = self.memo.get((q, c))
+        if hit is not None:
+            return hit
+        p, tn, first_floor, runs = self.p, self.tn, self.first_floor, self.runs
+        r = len(p) - q
+        fl = max(first_floor, 2) if c == 0 else _floor_after(c)
+        if r == 0:
+            out = [0.0], [None]
+        elif fl >= r and (c > 0 or first_floor <= 2):
+            out = [0.0, _ratio(self.suffix[q], fl)], [None, (q, range(r))]
+        else:
+            # skip point q (never on a constant pattern), or take a set whose
+            # first point is q
+            best, arg = ([0.0], [None]) if self.const else map(list, self(q + 1, c))
+            pq = p[q:]
+            for offs in [range(t) for t in range(1, r + 1)] if runs else _first_sets(r):
+                tnv = tn(pq[: len(offs)] if runs else tuple(map(pq.__getitem__, offs)), fl)
+                rest = self(q + offs[-1] + 1, c + len(offs))[0]
+                grow = len(rest) + 1 - len(best)
+                if grow > 0:
+                    best += [_NEG] * grow
+                    arg += [None] * grow
+                for k, v in enumerate(rest, 1):
+                    if tnv + v > best[k]:
+                        best[k] = tnv + v
+                        arg[k] = (q, offs)
+            out = best, arg
+        self.memo[q, c] = out
+        return out
 
 
 class FamilyEngine:
@@ -145,13 +287,8 @@ class FamilyEngine:
     def __init__(self, mode: SearchMode):
         self.mode = mode
         self._norm_memo: dict[CoefficientPattern, float] = {}
-        self._bps_memo: dict[tuple[CoefficientPattern, int], float] = {}
-        self._tn_memo: dict[tuple[CoefficientPattern, int], float] = {}
-        self._sums_memo: dict[CoefficientPattern, tuple[float, ...]] = {}
-        self._sums_m0_memo: dict[tuple[CoefficientPattern, int], tuple[float, ...]] = {}
-        self._ones_norm: dict[int, float] = {0: 0.0, 1: 1.0}
-        self._ones_bps: dict[tuple[int, int], float] = {}
-        self._ones_tn: dict[tuple[int, int], float] = {}
+        self._sums_memo: dict[tuple[CoefficientPattern, int], tuple[float, ...]] = {}
+        self._pieces = _Pieces(self._norm_pattern)
 
     # ------------------------------------------------------------------
     # public operations
@@ -159,34 +296,29 @@ class FamilyEngine:
 
     def norm(self, x: FiniteVector, with_witness: bool = False):
         self._check_support(x)
-        p = x.pattern()
-        value = self._norm_pattern(p)
+        s, q = _normalised(x.pattern())
+        value = _unscale(s, self._norm_pattern(q))
         if not with_witness:
             return value
-        return value, self._build_witness(x, p, value)
+        return value, self._build_witness(x, q, s)
 
     def triple_norm(self, x: FiniteVector, m: int) -> float:
         if m < 2:
             raise ValueError("the triple norm is defined for m >= 2")
         self._check_support(x)
-        return _ratio(self._bps(x.pattern(), m), m)
+        s, q = _normalised(x.pattern())
+        return _unscale(s, _ratio(self._pieces.bps(q, m), m))
 
     def best_partition_sum(self, x: FiniteVector, m: int) -> float:
         if m < 1:
             raise ValueError("need m >= 1")
         self._check_support(x)
-        return self._bps(x.pattern(), m)
+        s, q = _normalised(x.pattern())
+        return _unscale(s, self._pieces.bps(q, m))
 
     def norm_ell(self, x: FiniteVector, ell: int) -> float:
         """Best family value at exactly `ell` pairs (trailing empty sets allowed)."""
-        if ell < 1:
-            raise ValueError("need ell >= 1")
-        self._check_support(x)
-        p = x.pattern()
-        if not p:
-            return 0.0
-        sums = self._family_sums(p)
-        return sums[min(ell, len(p))] / f(ell)
+        return self.norm_ell_m0(x, ell, 2)
 
     def norm_ell_m0(self, x: FiniteVector, ell: int, m0: int) -> float:
         """Like norm_ell but the first (nonempty) set's scale must be >= m0."""
@@ -195,50 +327,55 @@ class FamilyEngine:
         if m0 < 2:
             raise ValueError("need m0 >= 2")
         self._check_support(x)
-        p = x.pattern()
-        if not p:
+        s, q = _normalised(x.pattern())
+        if not q:
             return 0.0
-        sums = self._family_sums(p) if m0 == 2 else self._family_sums_m0(p, m0)
-        return sums[min(ell, len(p))] / f(ell)
+        return _unscale(s, self._family_sums(q, m0)[min(ell, len(q))] / f(ell))
 
     def evaluate_family(self, x: FiniteVector, fam: AdmissibleFamily) -> float:
         """Value of one explicit family: a certified lower bound for the norm."""
         fam.validate()
+        s = max(x.pattern(), default=1.0)
         total = 0.0
         for m, E in fam.pairs:
-            sub = x.restrict(E).pattern()
+            sub = tuple(v / s for v in x.restrict(E).pattern())
             if sub:
-                total += _ratio(self._bps(sub, m), m)
-        return total / f(fam.length)
+                total += _ratio(self._pieces.bps(sub, m), m)
+        return _unscale(s, total / f(fam.length))
 
     def fixed_point_residual(self, x: FiniteVector) -> float:
         """|LHS - RHS| of the implicit equation, the RHS supremum re-evaluated
         one step with the computed norm as the piece oracle."""
         self._check_support(x)
-        p = x.pattern()
-        value = self._norm_pattern(p)
-        rhs = self._one_step_value(p, self._norm_pattern, {}, {})
-        return abs(value - rhs)
+        s, q = _normalised(x.pattern())
+        if not q:
+            return 0.0
+        rhs = self._rhs(q, _Pieces(self._norm_pattern).tn)
+        return _unscale(s, abs(self._norm_pattern(q) - rhs))
 
     def iterate_levels(self, x: FiniteVector) -> list[float]:
         """Level values of the inductive norm construction, up to stabilization.
 
         Starts every restriction at its sup norm and applies the one-step map
-        to all of them simultaneously until nothing moves by >= 1e-12.  An
-        independent route to the fixed point the recursion computes directly.
+        to all of them simultaneously until nothing moves by EQ_TOL times the
+        largest coefficient.  An independent route to the fixed point the
+        recursion computes directly.
         """
         self._check_support(x)
-        p = x.pattern()
-        if not p:
+        s, q = _normalised(x.pattern())
+        if not q:
             return [0.0]
-        closure = self._closure(p)
-        values = {q: max(q) for q in closure}
-        levels = [values[p]]
-        cap = 10 * len(p)
+        closure = self._closure(q)
+        values = {z: max(z) for z in closure}
+        levels = [_unscale(s, values[q])]
+        cap = 10 * len(q)
         for _ in range(cap):
-            values, delta = self._level_step(closure, values)
-            levels.append(values[p])
-            if delta < EQ_TOL:
+            tn = _Pieces(values.__getitem__).tn
+            new_values = {z: max(values[z], self._rhs(z, tn)) for z in closure}
+            delta = max(new_values[z] - values[z] for z in closure)
+            values = new_values
+            levels.append(_unscale(s, values[q]))
+            if delta < EQ_TOL:  # q has largest coefficient 1
                 return levels
         raise IterationCapError(
             f"no stabilization within {cap} levels; last value {levels[-1]}"
@@ -256,500 +393,80 @@ class FamilyEngine:
             )
 
     def _norm_pattern(self, p: CoefficientPattern) -> float:
-        n = len(p)
-        if n == 0:
-            return 0.0
-        if n == 1:
-            return p[0]
+        if len(p) <= 2:
+            # Closed form: the best family value (a+b)/2 is at most max(a, b).
+            return max(p, default=0.0)
         hit = self._norm_memo.get(p)
-        if hit is not None:
-            return hit
-        if n == 2:
-            # Closed form: the best family value is (a+b)/2 <= max(a, b).
-            value = max(p)
-        else:
-            sums = self._family_sums(p)
-            value = max(p)
-            for k in range(1, n + 1):
-                cand = sums[k] / f(k)
-                if cand > value:
-                    value = cand
-        self._norm_memo[p] = value
-        return value
+        if hit is None:
+            hit = self._norm_memo[p] = self._rhs(p, self._pieces.tn)
+        return hit
 
-    def _norm_ones_len(self, n: int) -> float:
-        hit = self._ones_norm.get(n)
-        if hit is not None:
-            return hit
-        exact = self._search_const(n, self._tn_ones, 2)
-        value = 1.0
-        for k in range(1, len(exact)):
-            cand = exact[k] / f(k)
-            if cand > value:
-                value = cand
-        self._ones_norm[n] = value
-        return value
+    def _rhs(self, p: CoefficientPattern, tn) -> float:
+        """Right-hand side of the fixed-point equation at p, sets valued by tn."""
+        best = self._search(p, tn, 2)(0, 0)[0]
+        return max(max(p), max(best[k] / f(k) for k in range(1, len(best))))
 
-    def _bps(self, p: CoefficientPattern, m: int) -> float:
-        """Best sum of piece norms over partitions into at most m runs."""
+    def _family_sums(self, p: CoefficientPattern, first_floor: int) -> tuple[float, ...]:
+        key = (p, first_floor)
+        hit = self._sums_memo.get(key)
+        if hit is None:
+            best = self._search(p, self._pieces.tn, first_floor)(0, 0)[0]
+            hit = self._sums_memo[key] = _upto(best, len(p))
+        return hit
+
+    def _search(self, p: CoefficientPattern, tn, first_floor: int) -> "_Search":
+        return _Search(p, tn, first_floor, self.mode.kind == "segment")
+
+    def _closure(self, p: CoefficientPattern) -> set[CoefficientPattern]:
+        """Every sub-pattern the one-step map can touch."""
         n = len(p)
-        if n == 0:
-            return 0.0
-        if m >= n:
-            return sum(p)
-        if m == 1:
-            return self._norm_pattern(p)
-        if _is_constant(p):
-            return p[0] * self._bps_ones(n, m)
-        key = (p, m)
-        hit = self._bps_memo.get(key)
-        if hit is not None:
-            return hit
-        best = _NEG
-        for t in range(1, n):
-            cand = self._norm_pattern(p[:t]) + self._bps(p[t:], m - 1)
-            if cand > best:
-                best = cand
-        self._bps_memo[key] = best
-        return best
-
-    def _bps_ones(self, n: int, m: int) -> float:
-        if n == 0:
-            return 0.0
-        if m >= n:
-            return float(n)
-        if m == 1:
-            return self._norm_ones_len(n)
-        key = (n, m)
-        hit = self._ones_bps.get(key)
-        if hit is not None:
-            return hit
-        best = _NEG
-        for t in range(1, n):
-            cand = self._norm_ones_len(t) + self._bps_ones(n - t, m - 1)
-            if cand > best:
-                best = cand
-        self._ones_bps[key] = best
-        return best
-
-    def _tn_best(self, p: CoefficientPattern, fl: int) -> float:
-        """max over admissible scales m >= fl of |||p|||_m.
-
-        Beyond the support size the value is l1/m and strictly decreasing,
-        so the scan stops at len(p).
-        """
-        n = len(p)
-        if n == 0:
-            return 0.0
-        if fl >= n:
-            return _ratio(sum(p), fl)
-        if _is_constant(p):
-            return p[0] * self._tn_ones(n, fl)
-        key = (p, fl)
-        hit = self._tn_memo.get(key)
-        if hit is not None:
-            return hit
-        best = _NEG
-        for m in range(fl, n + 1):
-            cand = self._bps(p, m) / m
-            if cand > best:
-                best = cand
-        self._tn_memo[key] = best
-        return best
-
-    def _tn_ones(self, n: int, fl: int) -> float:
-        if fl >= n:
-            return _ratio(float(n), fl)
-        key = (n, fl)
-        hit = self._ones_tn.get(key)
-        if hit is not None:
-            return hit
-        best = _NEG
-        for m in range(fl, n + 1):
-            cand = self._bps_ones(n, m) / m
-            if cand > best:
-                best = cand
-        self._ones_tn[key] = best
-        return best
-
-    # ------------------------------------------------------------------
-    # family search: best sums per exact set count
-    # ------------------------------------------------------------------
-
-    def _family_sums(self, p: CoefficientPattern) -> tuple[float, ...]:
-        hit = self._sums_memo.get(p)
-        if hit is not None:
-            return hit
-        exact = self._search(p, self._tn_best, 2)
-        out = _upto(exact, len(p))
-        self._sums_memo[p] = out
-        return out
-
-    def _family_sums_m0(self, p: CoefficientPattern, m0: int) -> tuple[float, ...]:
-        key = (p, m0)
-        hit = self._sums_m0_memo.get(key)
-        if hit is not None:
-            return hit
-        exact = self._search(p, self._tn_best, m0)
-        out = _upto(exact, len(p))
-        self._sums_m0_memo[key] = out
-        return out
-
-    def _search(
-        self,
-        p: CoefficientPattern,
-        tn: Callable[[CoefficientPattern, int], float],
-        first_floor: int,
-    ) -> tuple[float, ...]:
-        """Dispatch the mode-appropriate search.
-
-        `tn` evaluates the best triple norm of a candidate set at a given
-        admissibility floor; `first_floor` overrides the floor of the first
-        set (used by the m0-constrained seminorm, where the merged-tail
-        shortcut is disabled for the first set because later floors may drop
-        back below it).
-        """
-        if _is_constant(p):
-            return self._search_const(len(p), lambda t, fl: tn(p[:t], fl), first_floor)
         if self.mode.kind == "exhaustive":
-            return self._search_subsets(p, tn, first_floor)
-        return self._search_runs(p, tn, first_floor)
-
-    def _search_subsets(self, p, tn, first_floor) -> tuple[float, ...]:
-        n = len(p)
-        suffix = self._suffix_sums(p)
-        memo: dict[tuple[int, int], tuple[float, ...]] = {}
-
-        def cont(q: int, c: int) -> tuple[float, ...]:
-            r = n - q
-            if r == 0:
-                return (0.0,)
-            key = (q, c)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            fl = max(first_floor, 2) if c == 0 else _floor_after(c)
-            if fl >= r and (c > 0 or first_floor <= 2):
-                out = (0.0, _ratio(suffix[q], fl))
-            else:
-                best = [0.0]
-                bits = _mask_bits(r)
-                for mask in range(1, 1 << r):
-                    rel = bits[mask]
-                    sub = tuple(p[q + i] for i in rel)
-                    tnv = tn(sub, fl)
-                    rest = cont(q + rel[-1] + 1, c + len(rel))
-                    _merge_chunk(best, tnv, rest)
-                out = tuple(best)
-            memo[key] = out
-            return out
-
-        return cont(0, 0)
-
-    def _search_runs(self, p, tn, first_floor) -> tuple[float, ...]:
-        n = len(p)
-        suffix = self._suffix_sums(p)
-        memo: dict[tuple[int, int], tuple[float, ...]] = {}
-
-        def cont(q: int, c: int) -> tuple[float, ...]:
-            r = n - q
-            if r == 0:
-                return (0.0,)
-            key = (q, c)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            fl = max(first_floor, 2) if c == 0 else _floor_after(c)
-            if fl >= r and (c > 0 or first_floor <= 2):
-                out = (0.0, _ratio(suffix[q], fl))
-            else:
-                # skip the current point, or take a run starting at it
-                best = list(cont(q + 1, c))
-                for t in range(1, r + 1):
-                    tnv = tn(p[q : q + t], fl)
-                    rest = cont(q + t, c + t)
-                    _merge_chunk(best, tnv, rest)
-                out = tuple(best)
-            memo[key] = out
-            return out
-
-        return cont(0, 0)
-
-    def _search_const(self, n, tn_len, first_floor) -> tuple[float, ...]:
-        """Packed search for constant patterns.
-
-        Gaps are free and same-length sets are interchangeable on a constant
-        pattern, so families may be packed flush left: only the multiset of
-        lengths (in order) matters.
-        """
-        arrays: list[tuple[float, ...]] = [(0.0,)] * (n + 1)
-        for c in range(n - 1, -1, -1):
-            r = n - c
-            fl = max(first_floor, 2) if c == 0 else _floor_after(c)
-            if fl >= r and (c > 0 or first_floor <= 2):
-                arrays[c] = (0.0, tn_len(r, fl))
-                continue
-            best = [0.0]
-            for t in range(1, r + 1):
-                tnv = tn_len(t, fl)
-                rest = arrays[c + t]
-                _merge_chunk(best, tnv, rest)
-            arrays[c] = tuple(best)
-        return arrays[0]
-
-    @staticmethod
-    def _suffix_sums(p: CoefficientPattern) -> list[float]:
-        n = len(p)
-        suffix = [0.0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + p[i]
-        return suffix
-
-    # ------------------------------------------------------------------
-    # one-step evaluation under an arbitrary value assignment
-    # ------------------------------------------------------------------
-
-    def _one_step_value(
-        self,
-        p: CoefficientPattern,
-        norm_of: Callable[[CoefficientPattern], float],
-        bps_cache: dict,
-        tn_cache: dict,
-    ) -> float:
-        """One application of the right-hand side with pieces valued by `norm_of`."""
-        n = len(p)
-        if n == 0:
-            return 0.0
-        if n == 1:
-            return p[0]
-
-        def bps_v(z: CoefficientPattern, m: int) -> float:
-            if not z:
-                return 0.0
-            if m >= len(z):
-                return sum(z)
-            if m == 1:
-                return norm_of(z)
-            key = (z, m)
-            hit = bps_cache.get(key)
-            if hit is not None:
-                return hit
-            best = _NEG
-            for t in range(1, len(z)):
-                cand = norm_of(z[:t]) + bps_v(z[t:], m - 1)
-                if cand > best:
-                    best = cand
-            bps_cache[key] = best
-            return best
-
-        def tn_v(z: CoefficientPattern, fl: int) -> float:
-            if not z:
-                return 0.0
-            if fl >= len(z):
-                return _ratio(sum(z), fl)
-            key = (z, fl)
-            hit = tn_cache.get(key)
-            if hit is not None:
-                return hit
-            best = _NEG
-            for m in range(fl, len(z) + 1):
-                cand = bps_v(z, m) / m
-                if cand > best:
-                    best = cand
-            tn_cache[key] = best
-            return best
-
-        if _is_constant(p):
-            exact = self._search_const(n, lambda t, fl: tn_v(p[:t], fl), 2)
-        elif self.mode.kind == "exhaustive":
-            exact = self._search_subsets(p, tn_v, 2)
-        else:
-            exact = self._search_runs(p, tn_v, 2)
-        value = max(p)
-        for k in range(1, len(exact)):
-            if exact[k] == _NEG:
-                continue
-            cand = exact[k] / f(k)
-            if cand > value:
-                value = cand
-        return value
-
-    def _closure(self, p: CoefficientPattern) -> list[CoefficientPattern]:
-        """Every sub-pattern the one-step map can touch, smallest first."""
-        n = len(p)
-        seen: set[CoefficientPattern] = set()
-        if self.mode.kind == "exhaustive":
-            bits = _mask_bits(n)
-            for mask in range(1, 1 << n):
-                seen.add(tuple(p[i] for i in bits[mask]))
-        else:
-            for a in range(n):
-                for b in range(a + 1, n + 1):
-                    seen.add(p[a:b])
-        return sorted(seen, key=lambda q: (len(q), q))
-
-    def _level_step(self, closure, values) -> tuple[dict, float]:
-        bps_cache: dict = {}
-        tn_cache: dict = {}
-        norm_of = values.__getitem__
-        new_values = {}
-        delta = 0.0
-        for q in closure:
-            rhs = self._one_step_value(q, norm_of, bps_cache, tn_cache)
-            prev = values[q]
-            nv = rhs if rhs > prev else prev
-            new_values[q] = nv
-            if nv - prev > delta:
-                delta = nv - prev
-        return new_values, delta
+            return {z for k in range(1, n + 1) for z in combinations(p, k)}
+        return {p[a:b] for a in range(n) for b in range(a + 1, n + 1)}
 
     # ------------------------------------------------------------------
     # witness extraction
     # ------------------------------------------------------------------
 
-    def _build_witness(self, x: FiniteVector, p: CoefficientPattern, value: float) -> Witness:
-        n = len(p)
-        if n == 0:
-            return SupWitness(0.0, None)
-        sup = max(p)
-        if value <= sup:
-            return SupWitness(sup, x.indices[p.index(sup)])
-        chunks = self._trace_family(p, value)
-        pairs = []
-        children = []
-        for positions, m in chunks:
-            E = IndexSet.of(x.indices[i] for i in positions)
-            sub = tuple(p[i] for i in positions)
-            pairs.append((m, E))
-            children.append(self._build_partition_witness(x.restrict(E), sub, m))
-        fam_value = sum(ch.value for ch in children) / f(len(pairs))
-        return FamilyWitness(value=fam_value, pairs=tuple(pairs), children=tuple(children))
+    def _build_witness(self, x: FiniteVector, q: CoefficientPattern, s: float) -> Witness:
+        """Certificate for the norm of x, whose pattern is s * q.  Nodes are
+        given by positions in x's support."""
+        pieces = self._pieces
 
-    def _build_partition_witness(
-        self, piece_vec: FiniteVector, sub: CoefficientPattern, m: int
-    ) -> PartitionWitness:
-        widths = self._trace_partition(sub, m)
-        pieces = []
-        total = 0.0
-        start = 0
-        for width in widths:
-            seg = IndexSet.of(piece_vec.indices[start : start + width])
-            seg_pat = sub[start : start + width]
-            seg_norm = self._norm_pattern(seg_pat)
-            total += seg_norm
-            pieces.append(
-                (seg, self._build_witness(piece_vec.restrict(seg), seg_pat, seg_norm))
-            )
-            start += width
-        return PartitionWitness(value=total / m, m=m, divisor=float(m), pieces=tuple(pieces))
+        def node(pos: tuple[int, ...]) -> Witness:
+            if not pos:
+                return SupWitness(0.0, None)
+            p = tuple(q[i] for i in pos)
+            top = max(p)
+            if self._norm_pattern(p) <= top:
+                i = pos[p.index(top)]
+                return SupWitness(abs(x.coefficients[i]), x.indices[i])
+            cont = self._search(p, pieces.tn, 2)
+            best = cont(0, 0)[0]
+            k = max(range(1, len(best)), key=lambda k: best[k] / f(k))
+            pairs, children, a, c = [], [], 0, 0
+            for left in range(k, 0, -1):
+                start, offs = cont(a, c)[1][left]
+                sub = [start + o for o in offs]
+                m = pieces.scale(tuple(p[i] for i in sub), _floor_after(c))[1]
+                E = tuple(pos[i] for i in sub)
+                pairs.append((m, IndexSet.of(x.indices[i] for i in E)))
+                children.append(partition(E, m))
+                a, c = sub[-1] + 1, c + len(sub)
+            return FamilyWitness(_unscale(s, self._norm_pattern(p)), tuple(pairs), tuple(children))
 
-    def _trace_partition(self, p: CoefficientPattern, m: int) -> list[int]:
-        """Piece widths of an optimal partition of p into at most m runs."""
-        n = len(p)
-        if n == 0:
-            return []
-        if m >= n:
-            return [1] * n
-        if m == 1:
-            return [n]
-        target = self._bps(p, m)
-        tol = EQ_TOL * max(1.0, abs(target))
-        for t in range(1, n):
-            if self._norm_pattern(p[:t]) + self._bps(p[t:], m - 1) >= target - tol:
-                return [t] + self._trace_partition(p[t:], m - 1)
-        raise AssertionError("partition retrace failed")
+        def partition(pos: tuple[int, ...], m: int) -> PartitionWitness:
+            p = tuple(q[i] for i in pos)
+            parts, a, left = [], 0, m
+            while a < len(p):
+                t = pieces.split(p[a:], left)[1]
+                seg = pos[a : a + t]
+                parts.append((IndexSet.of(x.indices[i] for i in seg), node(seg)))
+                a, left = a + t, left - 1
+            value = _unscale(s, _ratio(pieces.bps(p, m), m))
+            return PartitionWitness(value=value, m=m, divisor=float(m), pieces=tuple(parts))
 
-    def _trace_family(self, p: CoefficientPattern, value: float) -> list[tuple[tuple[int, ...], int]]:
-        """Recover an optimal family as (positions, scale) pairs."""
-        n = len(p)
-        suffix = self._suffix_sums(p)
-        memo: dict[tuple[int, int], tuple[float, ...]] = {}
-
-        def cont(q: int, c: int) -> tuple[float, ...]:
-            r = n - q
-            if r == 0:
-                return (0.0,)
-            key = (q, c)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            fl = _floor_after(c)
-            if fl >= r:
-                out = (0.0, _ratio(suffix[q], fl))
-            else:
-                best = [0.0]
-                for sub, positions in self._chunks(p, q):
-                    tnv = self._tn_best(sub, fl)
-                    rest = cont(positions[-1] + 1, c + len(positions))
-                    _merge_chunk(best, tnv, rest)
-                out = tuple(best)
-            memo[key] = out
-            return out
-
-        exact = cont(0, 0)
-        best_k, best_v = None, _NEG
-        for k in range(1, len(exact)):
-            if exact[k] == _NEG:
-                continue
-            cand = exact[k] / f(k)
-            if cand > best_v:
-                best_k, best_v = k, cand
-        if best_k is None or abs(best_v - value) > EQ_TOL * max(1.0, value):
-            raise AssertionError(
-                f"family retrace reproduces {best_v}, norm says {value}"
-            )
-
-        chunks: list[tuple[tuple[int, ...], int]] = []
-        q, c, k = 0, 0, best_k
-        while k > 0:
-            r = n - q
-            fl = _floor_after(c)
-            target = cont(q, c)[k]
-            tol = EQ_TOL * max(1.0, abs(target))
-            if fl >= r:
-                chunks.append((tuple(range(q, n)), fl))
-                break
-            found = False
-            for sub, positions in self._chunks(p, q):
-                tnv = self._tn_best(sub, fl)
-                rest = cont(positions[-1] + 1, c + len(positions))
-                if k - 1 < len(rest) and rest[k - 1] != _NEG and tnv + rest[k - 1] >= target - tol:
-                    chunks.append((positions, self._best_scale(sub, fl)))
-                    q, c, k = positions[-1] + 1, c + len(positions), k - 1
-                    found = True
-                    break
-            if not found:
-                raise AssertionError("family retrace lost the optimum")
-        return chunks
-
-    def _chunks(
-        self, p: CoefficientPattern, q: int
-    ) -> Iterator[tuple[CoefficientPattern, tuple[int, ...]]]:
-        """Candidate next sets starting at or after position q."""
-        n = len(p)
-        if self.mode.kind == "exhaustive":
-            r = n - q
-            bits = _mask_bits(r)
-            for mask in range(1, 1 << r):
-                rel = bits[mask]
-                positions = tuple(q + i for i in rel)
-                yield tuple(p[i] for i in positions), positions
-        else:
-            for s in range(q, n):
-                for t in range(1, n - s + 1):
-                    yield p[s : s + t], tuple(range(s, s + t))
-
-    def _best_scale(self, sub: CoefficientPattern, fl: int) -> int:
-        """The scale m achieving tn_best for this set at this floor."""
-        n = len(sub)
-        if fl >= n:
-            return fl
-        target = self._tn_best(sub, fl)
-        tol = EQ_TOL * max(1.0, abs(target))
-        for m in range(fl, n + 1):
-            if self._bps(sub, m) / m >= target - tol:
-                return m
-        raise AssertionError("scale retrace failed")
+        return node(tuple(range(len(q))))
 
 
 # ----------------------------------------------------------------------

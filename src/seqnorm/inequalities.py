@@ -107,11 +107,7 @@ def _require_constant(avg: AssembledAverage, cap: float) -> None:
 
 
 def _combine(averages: list[AssembledAverage], coeffs) -> FiniteVector:
-    out = FiniteVector.zero()
-    for a, avg in zip(coeffs, averages):
-        if a != 0.0:
-            out = out + a * avg.vector
-    return out
+    return FiniteVector.sum((avg.vector for avg in averages), coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +430,7 @@ def verify_chain_stacks(
             f"({delta} vs {eps / 2.0})"
         )
 
-    z = _sum_vectors(z_vectors)
+    z = FiniteVector.sum(z_vectors)
     for ell in ells:
         lhs = engine.norm_ell(z, ell)
         rhs = (1.0 + eps) * max(1.0, m / (f(ell) * f(m / min(ell, m))))
@@ -450,10 +446,3 @@ def verify_chain_stacks(
             )
         )
     return report
-
-
-def _sum_vectors(vectors: list[FiniteVector]) -> FiniteVector:
-    out = FiniteVector.zero()
-    for v in vectors:
-        out = out + v
-    return out

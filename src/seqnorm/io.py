@@ -3,7 +3,6 @@
 Vector files:   {"coords": [[index, value], ...]}, indices strictly increasing.
 Family files:   {"pairs": [[m, E], ...]} with E either [lo, hi] (a closed
                 interval) or {"set": [i1, i2, ...]} (an explicit list).
-Matrix files:   {"rows": [[...], ...]}.
 Config files:   {"preset": "small" | "paper" | {"custom": {...}}}.
 Witness files:  the JSON tree mirroring the witness dataclasses.
 
@@ -16,8 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-
-import numpy as np
 
 from .admissible import AdmissibleFamily
 from .core import FiniteVector
@@ -63,18 +60,6 @@ def load_family(path: str) -> AdmissibleFamily:
         return AdmissibleFamily.from_json(_load(path))
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{path}: not a family file ({exc})") from exc
-
-
-def save_family(fam: AdmissibleFamily, path: str) -> None:
-    Path(path).write_text(canonical_json(fam.to_json()) + "\n")
-
-
-def load_matrix(path: str) -> np.ndarray:
-    obj = _load(path)
-    try:
-        return np.asarray(obj["rows"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: not a matrix file ({exc})") from exc
 
 
 def load_config(path: str | None) -> QSumConfig:

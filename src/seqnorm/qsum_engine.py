@@ -332,10 +332,10 @@ class QSumEngine:
         cap = 10 * n
         for _ in range(cap):
             new_values = np.maximum(values, T.fill(piece=values))
-            delta = T.unscale((new_values - values).max())
+            delta = (new_values - values).max()
             values = new_values
             levels.append(T.unscale(values[n, 0]))
-            if delta < EQ_TOL:
+            if delta < EQ_TOL * T.sup[n, 0]:  # relative to the largest coefficient
                 return levels
         raise IterationCapError(
             f"no stabilization within {cap} levels; last value {levels[-1]}"
@@ -350,7 +350,6 @@ class QSumEngine:
                 f"block count {count} is not one of the configured scales "
                 f"(nearest are {self.cfg.n_at(max(k - 1, 1))} and {self.cfg.n_at(k)})"
             )
-        total = FiniteVector.zero()
         prev_max = 0
         for j, y in enumerate(blocks, start=1):
             if y.support_size == 0 or y.indices[0] <= prev_max:
@@ -359,9 +358,8 @@ class QSumEngine:
             nrm = self.norm(y)
             if abs(nrm - 1.0) > INEQ_TOL:
                 raise ValueError(f"block {j} is not normalized: norm {nrm}")
-            total = total + y
         bound = count / self.cfg.f_nk(k)
-        return self.norm(total) - bound
+        return self.norm(FiniteVector.sum(blocks)) - bound
 
     # -- tables and witnesses ----------------------------------------------
 

@@ -251,9 +251,7 @@ def suite_offpeak(count: int, seed: int) -> SuiteReport:
             averages.append(avg)
             start = avg.vector.indices[-1] + 1 + int(rng.integers(0, 3))
         coeffs = rng.uniform(-1.0, 1.0, size=n)
-        combined = averages[0].vector * float(coeffs[0])
-        for a, avg in zip(coeffs[1:], averages[1:]):
-            combined = combined + float(a) * avg.vector
+        combined = FiniteVector.sum((avg.vector for avg in averages), [float(c) for c in coeffs])
         if combined.support_size == 0:
             continue
         engine = _suite_engine(combined.support_size)

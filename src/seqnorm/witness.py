@@ -72,20 +72,22 @@ Witness = Union[SupWitness, PartitionWitness, FamilyWitness, QuadraticWitness]
 
 
 def evaluate_witness(w: Witness, x: FiniteVector) -> float:
-    """Recompute the witness value bottom-up against x."""
+    """Recompute the witness value bottom-up against x.
+
+    Each term is divided before the terms are summed, so a value near the
+    top of the double range re-evaluates without overflowing."""
     if isinstance(w, SupWitness):
         if w.index is None:
             return 0.0
         return abs(x.coefficient(w.index))
     if isinstance(w, PartitionWitness):
-        total = sum(evaluate_witness(child, x.restrict(E)) for E, child in w.pieces)
-        return total / w.divisor
+        return sum(evaluate_witness(child, x.restrict(E)) / w.divisor for E, child in w.pieces)
     if isinstance(w, FamilyWitness):
-        total = sum(
-            evaluate_witness(child, x.restrict(E))
+        div = f(len(w.pairs))
+        return sum(
+            evaluate_witness(child, x.restrict(E)) / div
             for (_, E), child in zip(w.pairs, w.children)
         )
-        return total / f(len(w.pairs))
     if isinstance(w, QuadraticWitness):
         return math.hypot(*(evaluate_witness(child, x) for _, child in w.head), w.tail_l2)
     raise TypeError(f"not a witness: {w!r}")

@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from seqnorm.family_engine import Exhaustive, SegmentDP, get_engine
 from seqnorm.qsum_engine import QSumConfig, get_qsum_engine
+from seqnorm.suites import random_vector as random_test_vector  # noqa: F401
 
 
 @pytest.fixture(scope="session")
@@ -33,12 +34,3 @@ def paper_engine():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
-
-
-def random_test_vector(rng, max_support, span=4, scale=3.0):
-    from seqnorm.core import FiniteVector
-
-    n = int(rng.integers(1, max_support + 1))
-    indices = 1 + np.sort(rng.choice(span * max_support, size=n, replace=False))
-    coeffs = rng.uniform(0.1, scale, size=n) * rng.choice([-1.0, 1.0], size=n)
-    return FiniteVector(zip((int(i) for i in indices), coeffs))

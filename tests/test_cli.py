@@ -98,6 +98,19 @@ def test_norm_x1_extreme_magnitudes(capsys, tmp_path):
     assert "exceeds the double range" in captured.err and captured.err.count("\n") == 1
 
 
+def test_norm_x2_extreme_magnitudes(capsys, tmp_path):
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"coords": [[i, 1e308] for i in range(1, 6)]}))
+    code, out = run_cli(capsys, "norm", "x2", p, "--mode", "segment")
+    assert code == 0
+    assert math.isfinite(out["value"]) and out["value"] == pytest.approx(1.1041e308, rel=1e-4)
+    p.write_text(json.dumps({"coords": [[i, 1.7e308] for i in range(1, 21)]}))
+    assert main(["norm", "x2", str(p), "--mode", "segment"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the double range" in captured.err and captured.err.count("\n") == 1
+
+
 def test_verify_exit_status_and_report_shape(capsys):
     code, out = run_cli(capsys, "verify", "matrix", "--seed", "11", "--count", "25")
     assert code == 0 and out["ok"]

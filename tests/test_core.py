@@ -121,6 +121,28 @@ def test_vector_arithmetic_drops_cancellations():
     assert (-x) + x == FiniteVector.zero()
 
 
+def test_sum_matches_chained_addition(rng):
+    for _ in range(30):
+        vectors = [
+            FiniteVector.from_dense(rng.uniform(-2, 2, size=int(rng.integers(1, 8))),
+                                    start=int(rng.integers(1, 6)))
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        coeffs = [float(c) for c in rng.choice([0.0, 1.0, -0.5, 0.3, 1.7], size=len(vectors))]
+        chained = FiniteVector.zero()
+        for a, v in zip(coeffs, vectors):
+            if a != 0.0:
+                chained = chained + a * v
+        assert FiniteVector.sum(vectors, coeffs) == chained  # bit for bit
+        plain = FiniteVector.zero()
+        for v in vectors:
+            plain = plain + v
+        assert FiniteVector.sum(vectors) == plain
+    x = FiniteVector([(1, 1.0), (2, 2.0)])
+    assert FiniteVector.sum([x, x], [1.0, -1.0]) == FiniteVector.zero()
+    assert FiniteVector.sum([]) == FiniteVector.zero()
+
+
 def test_vector_json_roundtrip():
     x = FiniteVector([(1, 1.5), (4, -0.25)])
     assert FiniteVector.from_json(x.to_json()) == x

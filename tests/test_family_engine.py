@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -8,12 +10,21 @@ from hypothesis import strategies as st
 from conftest import random_test_vector
 from oracles import BruteFamilyNorm
 from seqnorm.admissible import AdmissibleFamily, FamilyValidationError
-from seqnorm.core import FiniteVector, IndexSet, f
-from seqnorm.family_engine import Exhaustive, FamilyEngine, SupportLimitError, get_engine
+from seqnorm.core import EQ_TOL, FiniteVector, IndexSet, f
+from seqnorm.family_engine import (
+    Exhaustive, FamilyEngine, SegmentDP, SupportLimitError, get_engine,
+)
 from seqnorm.witness import FamilyWitness, SupWitness, evaluate_witness, validate_witness
 
 E1 = FiniteVector.basis(1)
 E12 = FiniteVector.ones(2)
+
+
+def piecewise_constant(rng, runs, max_len):
+    """`runs` runs of equal coefficients, consecutive runs unequal."""
+    values = rng.uniform(0.1, 3.0, size=runs)
+    lengths = rng.integers(1, max_len + 1, size=runs)
+    return FiniteVector.from_dense([v for v, n in zip(values, lengths) for _ in range(n)])
 
 
 # ----------------------------------------------------------------------
@@ -158,6 +169,29 @@ def test_brute_force_random_vectors(ex_engine, rng):
             )
 
 
+def test_m0_floor_on_constant_patterns(ex_engine, rng):
+    # a first-set floor on the packed constant-pattern search, against the
+    # raw oracle, and against the subset search on a pattern 1e-12 away from
+    # constant (every seminorm here is 1-Lipschitz in l1)
+    for n in range(1, 7):
+        for x in (FiniteVector.ones(n), piecewise_constant(rng, 2, 3)):
+            brute = BruteFamilyNorm(x)
+            for ell in (1, 2, 3):
+                for m0 in (3, 4, 8):
+                    assert ex_engine.norm_ell_m0(x, ell, m0) == pytest.approx(
+                        brute.norm_ell_m0(ell, m0), abs=1e-11, rel=1e-11
+                    )
+    for n in (7, 8, 9):
+        x = FiniteVector.ones(n)
+        near = FiniteVector.from_dense([1.0] * (n - 1) + [1.0 - 1e-12])
+        assert ex_engine.norm(x) == pytest.approx(ex_engine.norm(near), abs=1e-11)
+        for ell in (1, 2, 4):
+            for m0 in (3, 4, 8):
+                assert ex_engine.norm_ell_m0(x, ell, m0) == pytest.approx(
+                    ex_engine.norm_ell_m0(near, ell, m0), abs=1e-11
+                )
+
+
 def test_brute_force_m0_floor(ex_engine, rng):
     # the first-scale floor disables the merged-tail shortcut; cross-check
     # against the raw oracle including ties and extreme coefficient scales
@@ -215,6 +249,35 @@ def test_homogeneity_and_triangle(ex_engine, rng):
         s = x + y
         if s.support_size <= 12:
             assert ex_engine.norm(s) <= ex_engine.norm(x) + ex_engine.norm(y) + 1e-9
+
+
+@pytest.mark.parametrize("with_witness", [False, True])
+@pytest.mark.parametrize("mode", [Exhaustive(), SegmentDP()], ids=["exhaustive", "segment"])
+def test_homogeneity_over_double_range(rng, mode, with_witness):
+    engine = FamilyEngine(mode)
+    size = 8 if mode.kind == "exhaustive" else 16
+    vectors = [FiniteVector.ones(5)] + [random_test_vector(rng, size) for _ in range(4)]
+    cases = [(x, c) for x in vectors for k in (0, 50, 100, 160, 200, 300)
+             for c in (10.0**k, -(10.0**-k))]
+    cases.append((FiniteVector.ones(5), 1e308))
+    for x, c in cases:
+        base = engine.norm(x)
+        y = c * x
+        got = engine.norm(y, with_witness=with_witness)
+        if with_witness:
+            got, w = got
+            validate_witness(w, y)
+            assert w.value == pytest.approx(got, rel=EQ_TOL)
+        assert got == pytest.approx(abs(c) * base, rel=EQ_TOL)
+    assert engine.norm(1e308 * FiniteVector.ones(5)) == pytest.approx(1.1041e308, rel=1e-4)
+
+
+def test_import_keeps_recursion_limit():
+    code = (
+        "import sys; before = sys.getrecursionlimit(); import seqnorm; "
+        "assert sys.getrecursionlimit() == before, sys.getrecursionlimit()"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_level_dichotomy(ex_engine, rng):
@@ -297,6 +360,24 @@ def test_witness_family_soundness(ex_engine, seg_engine, rng):
         assert evaluate_witness(w, x) == pytest.approx(v, rel=1e-12, abs=1e-12)
 
 
+def test_witness_constant_and_piecewise_constant(ex_engine, seg_engine, rng):
+    # constant patterns take the packed run search in both modes; piecewise
+    # constant ones take the ordinary search with constant sub-patterns
+    x = 0.7 * FiniteVector.ones(10)
+    v, w = ex_engine.norm(x, with_witness=True)
+    assert isinstance(w, FamilyWitness)
+    validate_witness(w, x)
+    assert evaluate_witness(w, x) == pytest.approx(v, rel=EQ_TOL)
+    assert v == pytest.approx(seg_engine.norm(x), rel=EQ_TOL)
+    for runs in (2, 3, 2, 3, 2, 3):
+        for engine, max_len in ((ex_engine, 4), (seg_engine, 8)):
+            x = piecewise_constant(rng, runs, max_len)
+            v, w = engine.norm(x, with_witness=True)
+            validate_witness(w, x)
+            assert evaluate_witness(w, x) == pytest.approx(v, rel=EQ_TOL)
+            assert w.value == pytest.approx(v, rel=EQ_TOL)
+
+
 def test_witness_families_are_admissible(ex_engine, rng):
     for _ in range(20):
         x = random_test_vector(rng, 9)
@@ -343,6 +424,14 @@ def test_iterate_levels_matches_norm(ex_engine, rng):
         assert all(b >= a - 1e-15 for a, b in zip(levels, levels[1:]))
         assert len(levels) <= 10 * x.support_size + 1
         assert levels[-1] <= x.l1_norm + 1e-12
+
+
+def test_iterate_levels_scale_free(seg_engine):
+    # the stopping rule is relative to the largest coefficient
+    levels = seg_engine.iterate_levels(FiniteVector.ones(30))
+    tiny = seg_engine.iterate_levels(1e-300 * FiniteVector.ones(30))
+    assert len(tiny) == len(levels) == 5
+    assert tiny == pytest.approx([1e-300 * v for v in levels], rel=EQ_TOL)
 
 
 def test_shared_memo_idempotent(ex_engine):

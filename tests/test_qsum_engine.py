@@ -225,6 +225,14 @@ def test_iterate_levels(small_engine, rng):
     assert levels[-1] <= x.l1_norm
 
 
+def test_iterate_levels_scale_free(small_engine):
+    # the stopping rule is relative to the largest coefficient
+    levels = small_engine.iterate_levels(FiniteVector.ones(30))
+    tiny = small_engine.iterate_levels(1e-300 * FiniteVector.ones(30))
+    assert len(tiny) == len(levels) == 5
+    assert tiny == pytest.approx([1e-300 * v for v in levels], rel=EQ_TOL)
+
+
 def test_witness(small_engine, rng):
     from seqnorm.witness import witness_from_json, witness_to_json
 
