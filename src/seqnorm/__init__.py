@@ -47,9 +47,6 @@ from .core import (
     IndexSet,
     check_f_submultiplicative,
     f,
-    pattern_key,
-    restrict,
-    spread,
 )
 from .family_engine import (
     Exhaustive,

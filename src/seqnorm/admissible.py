@@ -32,20 +32,19 @@ class AdmissibleFamily:
     def length(self) -> int:
         return len(self.pairs)
 
-    def validate(self, allow_empty_sets: bool = False) -> None:
+    def validate(self) -> None:
         """Raise FamilyValidationError on the first violated constraint."""
         if not self.pairs:
             raise FamilyValidationError("family must contain at least one pair")
         for pos, (m, E) in enumerate(self.pairs, start=1):
             if m < 2:
                 raise FamilyValidationError(f"pair {pos}: m = {m} < 2")
-            if E.is_empty and not allow_empty_sets:
+            if E.is_empty:
                 raise FamilyValidationError(f"pair {pos}: empty index set")
-        nonempty = [(pos, m, E) for pos, (m, E) in enumerate(self.pairs, start=1) if not E.is_empty]
-        for (pa, _, Ea), (pb, _, Eb) in zip(nonempty, nonempty[1:]):
+        for pa, ((_, Ea), (_, Eb)) in enumerate(zip(self.pairs, self.pairs[1:]), start=1):
             if not Ea.precedes(Eb):
                 raise FamilyValidationError(
-                    f"pairs {pa} and {pb}: sets are not successively ordered "
+                    f"pairs {pa} and {pa + 1}: sets are not successively ordered "
                     f"(max {Ea.max} >= min {Eb.min})"
                 )
         budget = 0

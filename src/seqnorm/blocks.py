@@ -218,15 +218,15 @@ def equivalence_constant(
     ext_a = A.extreme_points()
     ext_b = B.extreme_points()
     exact = ext_a is not None and ext_b is not None
+    # (N_A(t), N_B(t)) once per point
     if exact:
-        set_ab = ext_b  # sup of N_A over the B-ball
-        set_ba = ext_a
+        on_b = [(A(t), B(t)) for t in ext_b]  # sup of N_A over the B-ball
+        on_a = [(A(t), B(t)) for t in ext_a]
     else:
         samples = _sample_coefficients(A.length, scheme.n_random, scheme.seed)
-        set_ab = samples
-        set_ba = samples
-    ratio_ab = max(A(t) / B(t) for t in set_ab if B(t) > 0)
-    ratio_ba = max(B(t) / A(t) for t in set_ba if A(t) > 0)
+        on_b = on_a = [(A(t), B(t)) for t in samples]
+    ratio_ab = max(a / b for a, b in on_b if b > 0)
+    ratio_ba = max(b / a for a, b in on_a if a > 0)
     return EquivalenceEstimate(
         lower=ratio_ab * ratio_ba, exact=exact, ratio_ab=ratio_ab, ratio_ba=ratio_ba
     )

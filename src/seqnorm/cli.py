@@ -25,7 +25,7 @@ from .constructions import (
     build_matrix_grid,
     plan_chain,
 )
-from .family_engine import Exhaustive, SegmentDP, SupportLimitError, get_engine
+from .family_engine import Exhaustive, SegmentDP, get_engine
 from .io import (
     InputError,
     canonical_json,
@@ -289,9 +289,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, SupportLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ import numpy as np
 
 from .admissible import AdmissibleFamily
 from .blocks import AssembledAverage, BlockBasis, assemble_lp_average
-from .core import FiniteVector, IndexSet, INEQ_TOL, f
+from .core import FiniteVector, IndexSet, INEQ_TOL, f, min_m_for_budget
 from .inequalities import BoundCheck, PremiseCheck, VerifierReport
 
 
@@ -274,7 +274,7 @@ def build_localized_vector(params: LocalizedParams, engine) -> LocalizedResult:
     consumed = 0
     capped = False
     for i in range(L1):
-        want = max(2, params.m0) if i == 0 else (1 << consumed)
+        want = max(2, params.m0) if i == 0 else min_m_for_budget(consumed)
         room = params.budget - consumed
         if room < 2:
             raise BudgetExceededError(
@@ -313,7 +313,7 @@ def build_localized_vector(params: LocalizedParams, engine) -> LocalizedResult:
     consumed = 0
     for size in sizes:
         vectors.append(FiniteVector.ones(size, start=start))
-        scale = max(size, max(2, params.m0) if consumed == 0 else (1 << consumed))
+        scale = max(size, max(2, params.m0) if consumed == 0 else min_m_for_budget(consumed))
         pairs.append((scale, IndexSet.interval(start, start + size - 1)))
         start += size
         consumed += size
@@ -506,7 +506,7 @@ def build_matrix_grid(params: GridParams, engine) -> GridResult:
         for i in range(1, n + 1):
             for s in range(1, k0 + 1):
                 for size, E in cell_families[(i, j, s)]:
-                    lifted = max(size, 2 if consumed <= 1 else (1 << consumed))
+                    lifted = max(size, min_m_for_budget(consumed))
                     pairs.append((lifted, E))
                     consumed += E.cardinality
         fam = AdmissibleFamily.of(pairs)

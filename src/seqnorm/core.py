@@ -331,15 +331,3 @@ class FiniteVector:
         if not isinstance(obj, dict) or "coords" not in obj:
             raise ValueError("vector JSON must be an object with a 'coords' key")
         return FiniteVector((int(i), float(c)) for i, c in obj["coords"])
-
-
-def restrict(x: FiniteVector, E: IndexSet) -> FiniteVector:
-    return x.restrict(E)
-
-
-def spread(x: FiniteVector, sigma) -> FiniteVector:
-    return x.spread(sigma)
-
-
-def pattern_key(x: FiniteVector) -> CoefficientPattern:
-    return x.pattern()

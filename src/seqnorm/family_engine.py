@@ -17,21 +17,31 @@ restrictions.  The same monotonicity lets partition pieces be taken as
 consecutive runs covering the whole set, which is exact because the inner
 suprema carry no cardinality budget.
 
-Pieces and the family search
-----------------------------
-`_Pieces` evaluates the inner suprema for a given valuation of the pieces:
-`split` gives the best sum over partitions into at most m runs and the width
-of a first run attaining it, `scale` the best triple norm over scales
-m >= floor and an m attaining it.  The engine values pieces by the norm
+One recursion per supremum
+--------------------------
+`_Pieces` evaluates every supremum of the equation, each memoised by
+coefficient pattern: `norm_of` the norm, `split` the best sum over
+partitions into at most m runs (and the width of a first run attaining it),
+`scale` the best triple norm over scales m >= floor (and an m attaining
+it), `family` the family search.  The engine values pieces by the norm
 itself; `iterate_levels` and `fixed_point_residual` value them by given
-level values.
+values, in a fresh `_Pieces` for each level.
 
-`_Search` is the one family search.  Its state (q, c) says that the next set
-starts at or after position q and that c points are already consumed; for
-every k it keeps the best sum of set values over families of exactly k sets
-and the first set of one family attaining it.  A state either skips point q
-or takes a set whose first point is q: a run [q, q+t) in ``segment`` mode,
-{q} together with any subset of the later points in ``exhaustive`` mode.
+`family(p, c, first_floor)` is the one family search.  A set's value and the
+floors of later sets depend only on the points left, p, and on the c points
+already consumed, so the state is keyed by the suffix pattern p itself, not
+by positions in a root: every sub-pattern ending in p shares it (in segment
+mode, every run of the root that ends where p ends).  For every k it keeps
+the best sum of set values over families of exactly k sets and the offsets
+of the first set of one family attaining it.  A state either skips p[0] or
+takes a set whose first point is p[0]: a run p[:t] in ``segment`` mode, p[0]
+together with any subset of the later points in ``exhaustive`` mode.  The
+leaves (nothing left, or the merged tail below) cost O(len(p)) and are not
+stored: storing them would more than triple the search memo of a random
+32-point segment root.  Search states are kept for the root of the last
+public operation only, and dropped when one starts on another root (as the
+``x1`` engine keeps its last root's tables); the norm, partition and
+triple-norm memos persist.
 
 Search modes
 ------------
@@ -58,13 +68,14 @@ quantity all the seminorms are derived from.
 On a constant pattern every set of t points has the same pattern, and
 admissibility depends only on cardinalities, so a family's value depends
 only on its sequence of set sizes.  Packing the sets flush left as
-consecutive runs realises every such sequence, in either mode, so there the
-search takes runs and never skips: exact in both modes, with one state per
-position.
+consecutive runs realises every such sequence, in either mode.  A state
+whose own suffix is constant therefore takes runs and never skips, exact in
+both modes, whatever the rest of the root looks like.
 
-Witnesses walk the argmaxes: sets from the search, scales from `scale`,
-partition widths from `split`.  Every step re-reads a maximum the norm was
-computed from, so no value is matched against a tolerance.
+Witnesses walk the argmaxes: sets from the search (past its skip markers),
+scales from `scale`, partition widths from `split`.  Every step re-reads a
+maximum the norm was computed from, so no value is matched against a
+tolerance.
 
 Every public operation evaluates the pattern p / max(p) and multiplies the
 result by max(p), so values are homogeneous over the whole double range; a
@@ -84,7 +95,7 @@ from itertools import combinations
 from typing import Callable
 
 from .admissible import AdmissibleFamily
-from .core import CoefficientPattern, EQ_TOL, FiniteVector, IndexSet, f
+from .core import CoefficientPattern, EQ_TOL, FiniteVector, IndexSet, f, min_m_for_budget
 from .witness import FamilyWitness, PartitionWitness, SupWitness, Witness
 
 _NEG = float("-inf")
@@ -118,11 +129,6 @@ def SegmentDP() -> SearchMode:
     return SearchMode("segment", 0)
 
 
-def _floor_after(consumed: int) -> int:
-    """Smallest admissible scale for the next set after `consumed` points."""
-    return 2 if consumed <= 1 else (1 << consumed)
-
-
 @lru_cache(maxsize=32)
 def _first_sets(r: int) -> tuple[tuple[int, ...], ...]:
     """Every subset of range(r) that contains 0, ascending."""
@@ -139,23 +145,6 @@ def _ratio(l1: float, fl: int) -> float:
     return l1 / fl
 
 
-def _upto(exact: list[float], n: int) -> tuple[float, ...]:
-    """Cumulative max: best family sum with at most k sets, k = 0..n."""
-    out = [0.0] * (n + 1)
-    best = 0.0
-    for k in range(1, n + 1):
-        if k < len(exact) and exact[k] > best:
-            best = exact[k]
-        out[k] = best
-    return tuple(out)
-
-
-def _normalised(p: CoefficientPattern) -> tuple[float, CoefficientPattern]:
-    """(max(p), p / max(p)): a value on the second times the first is the value on p."""
-    s = max(p, default=1.0)
-    return s, tuple(v / s for v in p)
-
-
 def _unscale(s: float, v: float) -> float:
     """A value in units of max(p) back in the units of p; beyond the double range raises."""
     out = s * v
@@ -165,13 +154,42 @@ def _unscale(s: float, v: float) -> float:
 
 
 class _Pieces:
-    """Best partition sums and triple norms of patterns, pieces valued by
-    `norm_of`; both memoised by pattern."""
+    """The sups of the fixed-point equation, each memoised by pattern: the
+    norm, best partition sums, triple norms and the family search.
 
-    def __init__(self, norm_of: Callable[[CoefficientPattern], float]):
-        self.norm_of = norm_of
+    Pieces are valued by the norm (`norm_of`), or by given values when
+    `norm_of` is passed: a level's values in `iterate_levels`, the engine's
+    norm in `fixed_point_residual`.  Search states are kept for one root.
+    """
+
+    def __init__(self, segment: bool, norm_of: Callable[[CoefficientPattern], float] | None = None):
+        self.segment, self.root = segment, None
+        if norm_of is not None:
+            self.norm_of = norm_of
+        self._norm: dict[CoefficientPattern, float] = {}
         self._bps: dict[tuple[CoefficientPattern, int], float] = {}
         self._tn: dict[tuple[CoefficientPattern, int], float] = {}
+        self._family: dict[tuple[CoefficientPattern, int, int], tuple[list, list]] = {}
+
+    def start(self, root: CoefficientPattern) -> None:
+        """Begin an operation on `root`: drop the search states of any other root."""
+        if root != self.root:
+            self._family.clear()
+            self.root = root
+
+    def norm_of(self, p: CoefficientPattern) -> float:
+        if len(p) <= 2:
+            # Closed form: the best family value (a+b)/2 is at most max(a, b).
+            return max(p, default=0.0)
+        hit = self._norm.get(p)
+        if hit is None:
+            hit = self._norm[p] = self.rhs(p)
+        return hit
+
+    def rhs(self, p: CoefficientPattern) -> float:
+        """Right-hand side of the fixed-point equation at p."""
+        best = self.family(p, 0, 2)[0]
+        return max(max(p), max(best[k] / f(k) for k in range(1, len(best))))
 
     def split(self, p: CoefficientPattern, m: int) -> tuple[float, int]:
         """Best sum of piece values over partitions of p into at most m runs,
@@ -222,73 +240,60 @@ class _Pieces:
             hit = self._tn[key] = self.scale(p, fl)[0]
         return hit
 
+    def family(self, p: CoefficientPattern, c: int, first_floor: int) -> tuple[list, list]:
+        """The family search over p after c points were consumed: (best, arg).
 
-class _Search:
-    """The family search over p, called as the memoised map (q, c) -> (best, arg).
-
-    best[k] is the largest sum of tn(set, floor) over families of exactly k
-    sets in positions q, q+1, ... after c points were consumed, and
-    arg[k] = (a, offsets) the first set of a family attaining it, at
-    positions a + o.  `first_floor` overrides the floor of the first set (the
-    m0-constrained seminorm); the merged-tail shortcut is then off for the
-    first set, because later floors may drop back below it.  A class rather
-    than a recursive closure, so the memo is freed as soon as the caller
-    drops the search, not at the next cyclic garbage collection.
-    """
-
-    def __init__(self, p: CoefficientPattern, tn, first_floor: int, segment: bool):
-        self.p, self.tn, self.first_floor = p, tn, first_floor
-        self.const = _is_constant(p)
-        self.runs = self.const or segment
-        self.suffix = [0.0] * (len(p) + 1)
-        for i in range(len(p) - 1, -1, -1):
-            self.suffix[i] = self.suffix[i + 1] + p[i]
-        self.memo: dict[tuple[int, int], tuple[list, list]] = {}
-
-    def __call__(self, q: int, c: int) -> tuple[list, list]:
-        hit = self.memo.get((q, c))
+        best[k] is the largest sum of tn(set, floor) over families of exactly
+        k sets in p; arg[k] is the offsets in p of the first set of a family
+        attaining it, or None if that family leaves p[0] out (then read the
+        state of p[1:]).  `first_floor` raises the floor of the first set (the
+        m0-constrained seminorm); the merged-tail shortcut is then off for the
+        first set, because later floors may drop back below it.  The leaves
+        (empty p, merged tail) are computed on every call, not stored.
+        """
+        ff = first_floor if c == 0 else 2
+        fl, r = max(ff, min_m_for_budget(c)), len(p)
+        if r == 0:
+            return [0.0], [None]
+        if fl >= r and ff <= 2:
+            return [0.0, _ratio(sum(p), fl)], [None, range(r)]
+        key = (p, c, ff)
+        hit = self._family.get(key)
         if hit is not None:
             return hit
-        p, tn, first_floor, runs = self.p, self.tn, self.first_floor, self.runs
-        r = len(p) - q
-        fl = max(first_floor, 2) if c == 0 else _floor_after(c)
-        if r == 0:
-            out = [0.0], [None]
-        elif fl >= r and (c > 0 or first_floor <= 2):
-            out = [0.0, _ratio(self.suffix[q], fl)], [None, (q, range(r))]
-        else:
-            # skip point q (never on a constant pattern), or take a set whose
-            # first point is q
-            best, arg = ([0.0], [None]) if self.const else map(list, self(q + 1, c))
-            pq = p[q:]
-            for offs in [range(t) for t in range(1, r + 1)] if runs else _first_sets(r):
-                tnv = tn(pq[: len(offs)] if runs else tuple(map(pq.__getitem__, offs)), fl)
-                rest = self(q + offs[-1] + 1, c + len(offs))[0]
-                grow = len(rest) + 1 - len(best)
-                if grow > 0:
-                    best += [_NEG] * grow
-                    arg += [None] * grow
-                for k, v in enumerate(rest, 1):
-                    if tnv + v > best[k]:
-                        best[k] = tnv + v
-                        arg[k] = (q, offs)
-            out = best, arg
-        self.memo[q, c] = out
+        # skip p[0] (never on a constant pattern), or take a set whose first
+        # point is p[0]
+        const = _is_constant(p)
+        runs = const or self.segment
+        best = [0.0] if const else list(self.family(p[1:], c, ff)[0])
+        arg = [None] * len(best)
+        for offs in [range(t) for t in range(1, r + 1)] if runs else _first_sets(r):
+            tnv = self.tn(p[: len(offs)] if runs else tuple(map(p.__getitem__, offs)), fl)
+            rest = self.family(p[offs[-1] + 1 :], c + len(offs), ff)[0]
+            grow = len(rest) + 1 - len(best)
+            if grow > 0:
+                best += [_NEG] * grow
+                arg += [None] * grow
+            for k, v in enumerate(rest, 1):
+                if tnv + v > best[k]:
+                    best[k] = tnv + v
+                    arg[k] = offs
+        out = self._family[key] = best, arg
         return out
 
 
 class FamilyEngine:
     """Shared-memo evaluator for the family norm and its seminorms.
 
-    All operations are pure; the caches only ever receive idempotent inserts,
-    so an instance may be shared across threads and reused across vectors.
+    Every memo entry is a function of its key alone, so no value depends on
+    the operations run before it.  Search states are dropped whenever an
+    operation starts on another root, so an instance shared across threads
+    stays correct but may repeat a search.
     """
 
     def __init__(self, mode: SearchMode):
         self.mode = mode
-        self._norm_memo: dict[CoefficientPattern, float] = {}
-        self._sums_memo: dict[tuple[CoefficientPattern, int], tuple[float, ...]] = {}
-        self._pieces = _Pieces(self._norm_pattern)
+        self._pieces = _Pieces(mode.kind == "segment")
 
     # ------------------------------------------------------------------
     # public operations
@@ -296,24 +301,24 @@ class FamilyEngine:
 
     def norm(self, x: FiniteVector, with_witness: bool = False):
         self._check_support(x)
-        s, q = _normalised(x.pattern())
-        value = _unscale(s, self._norm_pattern(q))
+        s, q = self._root(x)
+        value = _unscale(s, self._pieces.norm_of(q))
         if not with_witness:
             return value
-        return value, self._build_witness(x, q, s)
+        return value, self._node(x, q, s, tuple(range(len(q))))
 
     def triple_norm(self, x: FiniteVector, m: int) -> float:
         if m < 2:
             raise ValueError("the triple norm is defined for m >= 2")
         self._check_support(x)
-        s, q = _normalised(x.pattern())
+        s, q = self._root(x)
         return _unscale(s, _ratio(self._pieces.bps(q, m), m))
 
     def best_partition_sum(self, x: FiniteVector, m: int) -> float:
         if m < 1:
             raise ValueError("need m >= 1")
         self._check_support(x)
-        s, q = _normalised(x.pattern())
+        s, q = self._root(x)
         return _unscale(s, self._pieces.bps(q, m))
 
     def norm_ell(self, x: FiniteVector, ell: int) -> float:
@@ -327,15 +332,15 @@ class FamilyEngine:
         if m0 < 2:
             raise ValueError("need m0 >= 2")
         self._check_support(x)
-        s, q = _normalised(x.pattern())
-        if not q:
-            return 0.0
-        return _unscale(s, self._family_sums(q, m0)[min(ell, len(q))] / f(ell))
+        s, q = self._root(x)
+        # best[0] = 0 is the empty family: the max is over at most ell sets
+        best = self._pieces.family(q, 0, m0)[0]
+        return _unscale(s, max(best[: ell + 1]) / f(ell))
 
     def evaluate_family(self, x: FiniteVector, fam: AdmissibleFamily) -> float:
         """Value of one explicit family: a certified lower bound for the norm."""
         fam.validate()
-        s = max(x.pattern(), default=1.0)
+        s, _ = self._root(x)
         total = 0.0
         for m, E in fam.pairs:
             sub = tuple(v / s for v in x.restrict(E).pattern())
@@ -347,11 +352,11 @@ class FamilyEngine:
         """|LHS - RHS| of the implicit equation, the RHS supremum re-evaluated
         one step with the computed norm as the piece oracle."""
         self._check_support(x)
-        s, q = _normalised(x.pattern())
+        s, q = self._root(x)
         if not q:
             return 0.0
-        rhs = self._rhs(q, _Pieces(self._norm_pattern).tn)
-        return _unscale(s, abs(self._norm_pattern(q) - rhs))
+        rhs = _Pieces(self._pieces.segment, self._pieces.norm_of).rhs(q)
+        return _unscale(s, abs(self._pieces.norm_of(q) - rhs))
 
     def iterate_levels(self, x: FiniteVector) -> list[float]:
         """Level values of the inductive norm construction, up to stabilization.
@@ -362,7 +367,7 @@ class FamilyEngine:
         recursion computes directly.
         """
         self._check_support(x)
-        s, q = _normalised(x.pattern())
+        s, q = self._root(x)
         if not q:
             return [0.0]
         closure = self._closure(q)
@@ -370,8 +375,8 @@ class FamilyEngine:
         levels = [_unscale(s, values[q])]
         cap = 10 * len(q)
         for _ in range(cap):
-            tn = _Pieces(values.__getitem__).tn
-            new_values = {z: max(values[z], self._rhs(z, tn)) for z in closure}
+            pieces = _Pieces(self._pieces.segment, values.__getitem__)
+            new_values = {z: max(values[z], pieces.rhs(z)) for z in closure}
             delta = max(new_values[z] - values[z] for z in closure)
             values = new_values
             levels.append(_unscale(s, values[q]))
@@ -392,30 +397,15 @@ class FamilyEngine:
                 f"{self.mode.max_support}; use segment mode"
             )
 
-    def _norm_pattern(self, p: CoefficientPattern) -> float:
-        if len(p) <= 2:
-            # Closed form: the best family value (a+b)/2 is at most max(a, b).
-            return max(p, default=0.0)
-        hit = self._norm_memo.get(p)
-        if hit is None:
-            hit = self._norm_memo[p] = self._rhs(p, self._pieces.tn)
-        return hit
-
-    def _rhs(self, p: CoefficientPattern, tn) -> float:
-        """Right-hand side of the fixed-point equation at p, sets valued by tn."""
-        best = self._search(p, tn, 2)(0, 0)[0]
-        return max(max(p), max(best[k] / f(k) for k in range(1, len(best))))
-
-    def _family_sums(self, p: CoefficientPattern, first_floor: int) -> tuple[float, ...]:
-        key = (p, first_floor)
-        hit = self._sums_memo.get(key)
-        if hit is None:
-            best = self._search(p, self._pieces.tn, first_floor)(0, 0)[0]
-            hit = self._sums_memo[key] = _upto(best, len(p))
-        return hit
-
-    def _search(self, p: CoefficientPattern, tn, first_floor: int) -> "_Search":
-        return _Search(p, tn, first_floor, self.mode.kind == "segment")
+    def _root(self, x: FiniteVector) -> tuple[float, CoefficientPattern]:
+        """(max(p), p / max(p)) for the pattern p of x, whose normalised
+        pattern becomes the root of the search states.  A value on the second
+        times the first is the value on p."""
+        p = x.pattern()
+        s = max(p, default=1.0)
+        q = tuple(v / s for v in p)
+        self._pieces.start(q)
+        return s, q
 
     def _closure(self, p: CoefficientPattern) -> set[CoefficientPattern]:
         """Every sub-pattern the one-step map can touch."""
@@ -428,45 +418,45 @@ class FamilyEngine:
     # witness extraction
     # ------------------------------------------------------------------
 
-    def _build_witness(self, x: FiniteVector, q: CoefficientPattern, s: float) -> Witness:
-        """Certificate for the norm of x, whose pattern is s * q.  Nodes are
-        given by positions in x's support."""
+    def _node(self, x: FiniteVector, q: CoefficientPattern, s: float, pos: tuple[int, ...]) -> Witness:
+        """Certificate for the norm of x on the support positions pos; the
+        pattern of x is s * q."""
+        if not pos:
+            return SupWitness(0.0, None)
         pieces = self._pieces
+        p = tuple(q[i] for i in pos)
+        top = max(p)
+        if pieces.norm_of(p) <= top:
+            i = pos[p.index(top)]
+            return SupWitness(abs(x.coefficients[i]), x.indices[i])
+        best = pieces.family(p, 0, 2)[0]
+        k = max(range(1, len(best)), key=lambda k: best[k] / f(k))
+        pairs, children, a, c = [], [], 0, 0
+        for left in range(k, 0, -1):
+            offs = pieces.family(p[a:], c, 2)[1][left]
+            while offs is None:  # the family leaves p[a] out
+                a += 1
+                offs = pieces.family(p[a:], c, 2)[1][left]
+            sub = [a + o for o in offs]
+            m = pieces.scale(tuple(p[i] for i in sub), min_m_for_budget(c))[1]
+            E = tuple(pos[i] for i in sub)
+            pairs.append((m, IndexSet.of(x.indices[i] for i in E)))
+            children.append(self._partition(x, q, s, E, m))
+            a, c = sub[-1] + 1, c + len(sub)
+        return FamilyWitness(_unscale(s, pieces.norm_of(p)), tuple(pairs), tuple(children))
 
-        def node(pos: tuple[int, ...]) -> Witness:
-            if not pos:
-                return SupWitness(0.0, None)
-            p = tuple(q[i] for i in pos)
-            top = max(p)
-            if self._norm_pattern(p) <= top:
-                i = pos[p.index(top)]
-                return SupWitness(abs(x.coefficients[i]), x.indices[i])
-            cont = self._search(p, pieces.tn, 2)
-            best = cont(0, 0)[0]
-            k = max(range(1, len(best)), key=lambda k: best[k] / f(k))
-            pairs, children, a, c = [], [], 0, 0
-            for left in range(k, 0, -1):
-                start, offs = cont(a, c)[1][left]
-                sub = [start + o for o in offs]
-                m = pieces.scale(tuple(p[i] for i in sub), _floor_after(c))[1]
-                E = tuple(pos[i] for i in sub)
-                pairs.append((m, IndexSet.of(x.indices[i] for i in E)))
-                children.append(partition(E, m))
-                a, c = sub[-1] + 1, c + len(sub)
-            return FamilyWitness(_unscale(s, self._norm_pattern(p)), tuple(pairs), tuple(children))
-
-        def partition(pos: tuple[int, ...], m: int) -> PartitionWitness:
-            p = tuple(q[i] for i in pos)
-            parts, a, left = [], 0, m
-            while a < len(p):
-                t = pieces.split(p[a:], left)[1]
-                seg = pos[a : a + t]
-                parts.append((IndexSet.of(x.indices[i] for i in seg), node(seg)))
-                a, left = a + t, left - 1
-            value = _unscale(s, _ratio(pieces.bps(p, m), m))
-            return PartitionWitness(value=value, m=m, divisor=float(m), pieces=tuple(parts))
-
-        return node(tuple(range(len(q))))
+    def _partition(self, x: FiniteVector, q: CoefficientPattern, s: float,
+                   pos: tuple[int, ...], m: int) -> PartitionWitness:
+        pieces = self._pieces
+        p = tuple(q[i] for i in pos)
+        parts, a, left = [], 0, m
+        while a < len(p):
+            t = pieces.split(p[a:], left)[1]
+            seg = pos[a : a + t]
+            parts.append((IndexSet.of(x.indices[i] for i in seg), self._node(x, q, s, seg)))
+            a, left = a + t, left - 1
+        value = _unscale(s, _ratio(pieces.bps(p, m), m))
+        return PartitionWitness(value=value, m=m, divisor=float(m), pieces=tuple(parts))
 
 
 # ----------------------------------------------------------------------

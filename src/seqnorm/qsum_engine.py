@@ -188,7 +188,6 @@ class _Tables:
         self.scales = engine._scales(n)
         self.nks = [nk for nk, _ in self.scales]
         self.tails = [engine.cfg.tail(c + 1) for c in range(len(self.scales) + 1)]
-        self.q = engine.cfg.q if engine.use_closed_form else None
         todo, ms = self.nks + ([count] if count else []), {1}
         while todo:  # close under m -> (ceil(m/2), floor(m/2))
             m = todo.pop()
@@ -235,9 +234,6 @@ class _Tables:
                     self.bp[1:j, L, :cnt] = t + 1
             l1, sup = self.l1[L, :cnt], self.sup[L, :cnt]
             c = bisect_left(self.nks, L)  # scales 1..c split runs of length L
-            if c == 0 and self.q is not None:
-                values[L, :cnt] = np.maximum(sup, self.q * l1)
-                continue
             ssq = 0.0
             for nk, f_nk in self.scales[:c]:
                 ssq = ssq + (C[self.row[nk], L, :cnt] / f_nk) ** 2
@@ -270,9 +266,8 @@ class _Tables:
 class QSumEngine:
     """Evaluator for the scale-sequence norm on interval tables."""
 
-    def __init__(self, config: QSumConfig, use_closed_form: bool = True):
+    def __init__(self, config: QSumConfig):
         self.cfg = config
-        self.use_closed_form = use_closed_form
         self._last: _Tables | None = None
 
     # -- public ----------------------------------------------------------
@@ -406,15 +401,14 @@ class QSumEngine:
 
 # -- module-level functional surface --------------------------------------
 
-_ENGINES: dict[tuple[QSumConfig, bool], QSumEngine] = {}
+_ENGINES: dict[QSumConfig, QSumEngine] = {}
 
 
-def get_qsum_engine(config: QSumConfig | None = None, use_closed_form: bool = True) -> QSumEngine:
+def get_qsum_engine(config: QSumConfig | None = None) -> QSumEngine:
     config = config or QSumConfig.small()
-    key = (config, use_closed_form)
-    eng = _ENGINES.get(key)
+    eng = _ENGINES.get(config)
     if eng is None:
-        eng = _ENGINES[key] = QSumEngine(config, use_closed_form)
+        eng = _ENGINES[config] = QSumEngine(config)
     return eng
 
 

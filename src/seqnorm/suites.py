@@ -15,7 +15,7 @@ import numpy as np
 from .admissible import AdmissibleFamily
 from .blocks import embed_unconditional, matrix_basis_norm, operator_norm_oracle
 from .constructions import build_average, equal_split_check, feasible_average_sizes
-from .core import EQ_TOL, FiniteVector, IndexSet, INEQ_TOL
+from .core import EQ_TOL, FiniteVector, IndexSet, INEQ_TOL, min_m_for_budget
 from .family_engine import Exhaustive, FamilyEngine, SegmentDP, get_engine
 from .inequalities import (
     verify_average_bounds,
@@ -109,7 +109,7 @@ def random_family(rng, x: FiniteVector, max_sets: int = 4) -> AdmissibleFamily:
     while pos < len(idx) and len(pairs) < max_sets:
         size = int(rng.integers(1, min(4, len(idx) - pos) + 1))
         pts = idx[pos : pos + size]
-        floor = 2 if consumed <= 1 else (1 << consumed)
+        floor = min_m_for_budget(consumed)
         m = floor + int(rng.integers(0, 3))
         pairs.append((m, IndexSet.of(pts)))
         consumed += size

@@ -1,5 +1,7 @@
+import gc
 import subprocess
 import sys
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -440,6 +442,34 @@ def test_shared_memo_idempotent(ex_engine):
     first = ex_engine.norm(x)
     for _ in range(3):
         assert ex_engine.norm(x) == first
+
+
+@pytest.mark.parametrize("mode", [Exhaustive(), SegmentDP()], ids=["exhaustive", "segment"])
+def test_search_states_kept_for_last_root_only(rng, mode):
+    # the norm memo persists across roots; the family search states do not
+    shared = FamilyEngine(mode)
+    for _ in range(4):
+        x = random_test_vector(rng, 9)
+        shared.norm(x)
+        fresh = FamilyEngine(mode)
+        fresh.norm(x)
+        assert 0 < len(shared._pieces._family) <= len(fresh._pieces._family)
+
+
+def test_dropped_engine_freed_without_gc(rng):
+    # nothing the engine holds points back at it, so reference counting
+    # alone frees it and its memos
+    x = random_test_vector(rng, 12)
+    gc.disable()
+    try:
+        for with_witness in (False, True):
+            engine = FamilyEngine(SegmentDP())
+            engine.norm(x, with_witness=with_witness)
+            ref = weakref.ref(engine)
+            del engine
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=60, deadline=None)

@@ -105,15 +105,13 @@ def test_paper_closed_form(paper_engine, rng):
         )
 
 
-def test_closed_form_agrees_with_general_path():
-    cfg = QSumConfig.small()
-    direct = QSumEngine(cfg, use_closed_form=True)
-    general = QSumEngine(cfg, use_closed_form=False)
-    for n in (1, 3, 9, 15):
-        x = FiniteVector.ones(n)
-        assert general.norm(x) == pytest.approx(direct.norm(x), abs=1e-12)
-    y = FiniteVector([(2, 1.5), (7, -0.4), (9, 2.0)])
-    assert general.norm(y) == pytest.approx(direct.norm(y), abs=1e-12)
+def test_closed_form_agrees_with_general_path(small_engine):
+    # up to 15 = n_1 points no scale splits: the norm is max(sup, Q * l1)
+    q = QSumConfig.small().q
+    for x in [FiniteVector.ones(n) for n in (1, 3, 9, 15)] + [
+        FiniteVector([(2, 1.5), (7, -0.4), (9, 2.0)])
+    ]:
+        assert small_engine.norm(x) == pytest.approx(max(x.sup_norm, q * x.l1_norm), abs=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -123,13 +121,11 @@ def test_closed_form_agrees_with_general_path():
 
 def test_brute_force_tiny_config(rng):
     engine = QSumEngine(TINY)
-    nocf = QSumEngine(TINY, use_closed_form=False)
     for _ in range(20):
         x = random_test_vector(rng, 5)
         brute = BruteScaleNorm(x, lambda k: k + 1)
         b = brute.norm()
         assert engine.norm(x) == pytest.approx(b, abs=1e-9)
-        assert nocf.norm(x) == pytest.approx(b, abs=1e-9)
         for k in range(1, 7):
             assert engine.norm_k(x, k) == pytest.approx(brute.norm_k(k), abs=1e-9)
 
