@@ -12,17 +12,15 @@ quantitative inequalities.
 from .admissible import AdmissibleFamily, FamilyValidationError
 from .blocks import (
     AssembledAverage,
-    AverageSpec,
     BasisEvaluator,
     BlockBasis,
-    EngineBasisEvaluator,
     EquivalenceEstimate,
-    LpBasisEvaluator,
-    SamplingScheme,
     UnconditionalityError,
     assemble_lp_average,
     embed_unconditional,
+    engine_basis,
     equivalence_constant,
+    lp_basis,
     matrix_basis_norm,
     operator_norm_oracle,
 )
@@ -55,15 +53,9 @@ from .family_engine import (
     SearchMode,
     SegmentDP,
     SupportLimitError,
-    best_partition_sum,
-    check_fixed_point_x2,
-    evaluate_family,
     get_engine,
-    iterate_levels_x2,
     norm_ell,
-    norm_ell_m0,
     norm_x2,
-    triple_norm,
 )
 from .inequalities import (
     dilution_constant,
@@ -77,13 +69,8 @@ from .inequalities import (
 from .qsum_engine import (
     QSumConfig,
     QSumEngine,
-    block_sum_lower_bound,
-    check_fixed_point_x1,
     get_qsum_engine,
-    iterate_levels_x1,
-    norm_k_x1,
     norm_x1,
-    profile_d,
 )
 from .witness import (
     FamilyWitness,

@@ -1,20 +1,28 @@
 """Block bases, l_p averages, equivalence constants, and the matrix basis.
 
+An l_p^n average is n^(-1/p) times a sum of n normalized blocks; its
+constant compares two `BasisEvaluator`s (`lp_basis`, `engine_basis`) by
+`equivalence_constant`: exact on known unit-ball vertices, otherwise a lower
+bound read on one fixed sample set per length.
+
 The matrix basis here is the natural basis e_{i,j} of the space of bounded
 operators on l_inf^n (e_{i,j} sends the k-th unit vector to the j-th when
-k = i, else to 0).  Its norm has the closed form
+k = i, else to 0).  Its norm has the closed form `matrix_basis_norm`
 
     || sum a_{i,j} e_{i,j} || = max_j sum_i |a_{i,j}|
 
 which is checked against an independent oracle that evaluates the operator
 definition directly over all +-1 inputs.  `embed_unconditional` realizes any
 1-unconditional sequence given by coordinates in l_inf^n as a block basis of
-the matrix basis with the same norm on all coefficient combinations.
+the matrix basis with the same norm on all coefficient combinations;
+`EmbeddedBasis` evaluates both sides of that identity.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,39 +72,39 @@ class BlockBasis:
 
 
 @dataclass(frozen=True)
-class AverageSpec:
-    """Certificate attached to an assembled l_p^n average.
+class AssembledAverage:
+    """An l_p^n average n^(-1/p) * sum(blocks) with its certificate.
 
     `constant` is a certified two-sided equivalence bound C (so the average's
     norm lies in [1/C, C]); `sampled_lower` is the best lower estimate of the
-    true constant seen on the sampling scheme; `exact` marks closed-form
-    cases where the two coincide.
+    true constant that the evaluation set witnessed; `exact` marks the cases
+    where the two coincide.
     """
 
+    vector: FiniteVector
+    blocks: BlockBasis
     p: float
-    n: int
     constant: float
     sampled_lower: float
     exact: bool
 
-
-@dataclass(frozen=True)
-class AssembledAverage:
-    vector: FiniteVector
-    blocks: BlockBasis
-    spec: AverageSpec
-
-    @property
-    def p(self) -> float:
-        return self.spec.p
-
     @property
     def n(self) -> int:
-        return self.spec.n
+        return len(self.blocks)
 
-    @property
-    def constant(self) -> float:
-        return self.spec.constant
+
+@dataclass(frozen=True)
+class BasisEvaluator:
+    """A coefficient norm on R^length.
+
+    `extreme_points`, when known, is a finite set certified to contain the
+    extreme points of the unit ball of `norm`; ratio suprema evaluated there
+    are exact.
+    """
+
+    length: int
+    norm: Callable[[Sequence[float]], float]
+    extreme_points: tuple[tuple[float, ...], ...] | None = None
 
 
 def _lp(coeffs: Sequence[float], p: float) -> float:
@@ -105,93 +113,44 @@ def _lp(coeffs: Sequence[float], p: float) -> float:
     return sum(abs(c) ** p for c in coeffs) ** (1.0 / p)
 
 
-def _sample_coefficients(n: int, n_random: int, seed: int) -> list[tuple[float, ...]]:
-    """Structured sign/indicator patterns plus seeded random directions."""
-    samples: list[tuple[float, ...]] = []
-    if n <= 6:
-        grid: list[tuple[float, ...]] = [()]
-        for _ in range(n):
-            grid = [t + (v,) for t in grid for v in (-1.0, 0.0, 1.0)]
-        samples.extend(t for t in grid if any(t))
-    else:
-        for i in range(n):
-            samples.append(tuple(1.0 if j == i else 0.0 for j in range(n)))
-        samples.append((1.0,) * n)
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
-        v = rng.normal(size=n)
-        if np.all(v == 0):
-            continue
-        samples.append(tuple(float(c) for c in v))
-    return samples
-
-
-@dataclass(frozen=True)
-class SamplingScheme:
-    seed: int = 0
-    n_random: int = 64
-
-
-class BasisEvaluator:
-    """A finite basis together with the norm of coefficient combinations.
-
-    `extreme_points`, when available, returns a finite set certified to
-    contain the extreme points of the unit ball of the coefficient norm;
-    ratio suprema evaluated there are exact.
-    """
-
-    def __init__(self, length: int, func: Callable[[Sequence[float]], float], name: str = ""):
-        self.length = length
-        self._func = func
-        self.name = name
-
-    def __call__(self, coeffs: Sequence[float]) -> float:
-        return self._func(coeffs)
-
-    def extreme_points(self) -> list[tuple[float, ...]] | None:
-        return None
-
-
-class LpBasisEvaluator(BasisEvaluator):
-    def __init__(self, p: float, n: int):
-        super().__init__(n, lambda a: _lp(a, p), name=f"lp({p},{n})")
-        self.p = p
-
-    def extreme_points(self):
-        n = self.length
-        if self.p == math.inf:
-            pts: list[tuple[float, ...]] = [()]
-            for _ in range(n):
-                pts = [t + (s,) for t in pts for s in (-1.0, 1.0)]
-            return pts
-        if self.p == 1:
-            out = []
-            for i in range(n):
-                for s in (-1.0, 1.0):
-                    out.append(tuple(s if j == i else 0.0 for j in range(n)))
-            return out
-        return None
-
-
-class EngineBasisEvaluator(BasisEvaluator):
-    """Coefficient norm a -> ||sum a_i b_i|| under one of the engines."""
-
-    def __init__(self, engine, blocks: BlockBasis):
-        self.engine = engine
-        self.blocks = blocks
-        super().__init__(
-            len(blocks), lambda a: engine.norm(blocks.combine(a)), name="engine-basis"
+def lp_basis(p: float, n: int) -> BasisEvaluator:
+    """The unit vector basis of l_p^n (ball vertices known for p = 1, inf)."""
+    if p == math.inf:
+        ext = tuple(product((-1.0, 1.0), repeat=n))
+    elif p == 1:
+        ext = tuple(
+            tuple(s if j == i else 0.0 for j in range(n)) for i in range(n) for s in (-1.0, 1.0)
         )
+    else:
+        ext = None
+    return BasisEvaluator(n, lambda a: _lp(a, p), ext)
 
-    def extreme_points(self):
-        # Closed form: on two singleton blocks the norm is exactly the max of
-        # the absolute coefficients, whose ball is the square.
-        if len(self.blocks) == 2 and all(
-            v.support_size == 1 and abs(v.coefficients[0]) == 1.0
-            for v in self.blocks.vectors
-        ):
-            return [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
-        return None
+
+def engine_basis(engine, blocks: BlockBasis) -> BasisEvaluator:
+    """Coefficient norm a -> ||sum a_i b_i|| under one of the engines.
+
+    Closed form: on two singleton blocks of coefficient +-1 the norm is
+    exactly the max of the absolute coefficients, whose ball is the square.
+    """
+    square = len(blocks) == 2 and all(
+        v.support_size == 1 and abs(v.coefficients[0]) == 1.0 for v in blocks.vectors
+    )
+    return BasisEvaluator(
+        len(blocks), lambda a: engine.norm(blocks.combine(a)), tuple(product((-1.0, 1.0), repeat=2)) if square else None
+    )
+
+
+@lru_cache(maxsize=32)
+def _samples(n: int) -> tuple[tuple[float, ...], ...]:
+    """Structured sign/indicator patterns plus 64 seed-0 normal directions."""
+    if n <= 6:
+        samples = [t for t in product((-1.0, 0.0, 1.0), repeat=n) if any(t)]
+    else:
+        samples = [tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n)]
+        samples.append((1.0,) * n)
+    samples.extend(tuple(v.tolist()) for v in np.random.default_rng(0).normal(size=(64, n))
+                   if v.any())
+    return tuple(samples)
 
 
 @dataclass(frozen=True)
@@ -202,29 +161,23 @@ class EquivalenceEstimate:
     ratio_ba: float
 
 
-def equivalence_constant(
-    A: BasisEvaluator, B: BasisEvaluator, scheme: SamplingScheme | None = None
-) -> EquivalenceEstimate:
+def equivalence_constant(A: BasisEvaluator, B: BasisEvaluator) -> EquivalenceEstimate:
     """d(A, B) = sup N_A/N_B * sup N_B/N_A, from samples or certified extremes.
 
-    With extreme points available on both sides each ratio supremum is exact
-    (a norm is convex, so its sup over the other ball is attained at ball
-    vertices, and ratios are scale invariant); otherwise the result is a
-    certified lower bound for the true constant.
+    With extreme points on both sides each ratio supremum is exact (a norm is
+    convex, so its sup over the other ball is attained at ball vertices, and
+    ratios are scale invariant); otherwise it is read on `_samples(length)`
+    and the result is a certified lower bound for the true constant.
     """
     if A.length != B.length:
         raise ValueError(f"length mismatch: {A.length} != {B.length}")
-    scheme = scheme or SamplingScheme()
-    ext_a = A.extreme_points()
-    ext_b = B.extreme_points()
-    exact = ext_a is not None and ext_b is not None
+    exact = A.extreme_points is not None and B.extreme_points is not None
     # (N_A(t), N_B(t)) once per point
     if exact:
-        on_b = [(A(t), B(t)) for t in ext_b]  # sup of N_A over the B-ball
-        on_a = [(A(t), B(t)) for t in ext_a]
+        on_b = [(A.norm(t), B.norm(t)) for t in B.extreme_points]  # sup of N_A over the B-ball
+        on_a = [(A.norm(t), B.norm(t)) for t in A.extreme_points]
     else:
-        samples = _sample_coefficients(A.length, scheme.n_random, scheme.seed)
-        on_b = on_a = [(A(t), B(t)) for t in samples]
+        on_b = on_a = [(A.norm(t), B.norm(t)) for t in _samples(A.length)]
     ratio_ab = max(a / b for a, b in on_b if b > 0)
     ratio_ba = max(b / a for a, b in on_a if a > 0)
     return EquivalenceEstimate(
@@ -232,36 +185,30 @@ def equivalence_constant(
     )
 
 
-def assemble_lp_average(
-    blocks: BlockBasis, p: float, engine, scheme: SamplingScheme | None = None
-) -> AssembledAverage:
+def assemble_lp_average(blocks: BlockBasis, p: float, engine) -> AssembledAverage:
     """Scale the sum of normalized blocks into an l_p^n average.
 
     Returns the vector n^(-1/p) * sum(blocks) with a certified constant: the
     l1/l_inf sandwich gives C <= n^max(1/p, 1-1/p) for any normalized blocks
     (upper side via the triangle inequality, lower side via restriction
-    monotonicity), and closed-form cases tighten it.  `sampled_lower` reports
-    the best constant actually witnessed by the sampling scheme.
+    monotonicity).  `sampled_lower` is the larger ratio supremum that
+    `equivalence_constant` reads between the block norm and l_p^n; when it is
+    exact, meets the sandwich, or n = 1, it is the constant.
     """
     n = len(blocks)
     for j, v in enumerate(blocks.vectors, start=1):
         nrm = engine.norm(v)
         if abs(nrm - 1.0) > INEQ_TOL:
             raise BlockBasisError(f"block {j} is not normalized: norm {nrm}")
-    scale = 1.0 if p == math.inf else n ** (-1.0 / p)
-    vec = blocks.combine([scale] * n)
-
-    if p == math.inf:
-        sandwich = float(n)
-    else:
-        sandwich = float(n) ** max(1.0 / p, 1.0 - 1.0 / p)
-    ev = EngineBasisEvaluator(engine, blocks)
-    est = equivalence_constant(ev, LpBasisEvaluator(p, n), scheme)
+    vec = blocks.combine([n ** (-1.0 / p)] * n)  # 1/inf = 0: the plain sum
+    sandwich = float(n) ** max(1.0 / p, 1.0 - 1.0 / p)
+    est = equivalence_constant(engine_basis(engine, blocks), lp_basis(p, n))
     cap = max(est.ratio_ab, est.ratio_ba)
     exact = est.exact or abs(cap - sandwich) <= EQ_TOL or n == 1
-    constant = cap if exact else sandwich
-    spec = AverageSpec(p=p, n=n, constant=constant, sampled_lower=cap, exact=exact)
-    return AssembledAverage(vector=vec, blocks=blocks, spec=spec)
+    return AssembledAverage(
+        vector=vec, blocks=blocks, p=p, constant=cap if exact else sandwich,
+        sampled_lower=cap, exact=exact,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -301,27 +248,31 @@ def operator_norm_oracle(a) -> float:
     return float(np.abs(images).max())
 
 
+def _linf_combination(b: Sequence[float], rows: np.ndarray) -> float:
+    """max_j |sum_k b_k a_{k,j}|: the l_inf^n norm of sum b_k (row k)."""
+    return float(np.abs((np.asarray(b, dtype=float)[:, None] * rows).sum(axis=0)).max())
+
+
 @dataclass(frozen=True)
 class EmbeddedBasis:
     """Image of a coordinate sequence under the matrix-basis embedding."""
 
     coefficients: np.ndarray  # m x n rows, row k = coordinates of the k-th vector
     side: int  # the matrix basis lives on side x side operators
-    vectors: tuple[FiniteVector, ...] = field(compare=False, default=())
-
-    def combination_matrix(self, b: Sequence[float]) -> np.ndarray:
-        m, n = self.coefficients.shape
-        out = np.zeros((self.side, self.side))
-        for k in range(m):
-            out[k, :n] = b[k] * self.coefficients[k]
-        return out
+    vectors: tuple[FiniteVector, ...] = field(compare=False)  # flattened e_{k,j} -> k*side+j+1
 
     def combination_norm(self, b: Sequence[float]) -> float:
-        return matrix_basis_norm(self.combination_matrix(b))
+        """||sum b_k x_k||: the embedded combination, un-flattened into a
+        side x side matrix, under the matrix-basis closed form."""
+        x = FiniteVector.sum(self.vectors, b)
+        out = np.zeros((self.side, self.side))
+        for i, c in zip(x.indices, x.coefficients):
+            out[divmod(i - 1, self.side)] = c
+        return matrix_basis_norm(out)
 
     def reference_norm(self, b: Sequence[float]) -> float:
-        """max_j sum_k |b_k a_{k,j}|: the norm of the original sequence."""
-        return float(np.abs(np.asarray(b)[:, None] * self.coefficients).sum(axis=0).max())
+        """||sum b_k y_k|| in l_inf^n, the norm of the original sequence."""
+        return _linf_combination(b, self.coefficients)
 
 
 def embed_unconditional(
@@ -343,19 +294,15 @@ def embed_unconditional(
     for _ in range(trials):
         b = rng.normal(size=m)
         eps = rng.choice([-1.0, 1.0], size=m)
-        plain = np.abs((b[:, None] * arr).sum(axis=0)).max()
-        flipped = np.abs(((eps * b)[:, None] * arr).sum(axis=0)).max()
+        plain = _linf_combination(b, arr)
+        flipped = _linf_combination(eps * b, arr)
         if abs(plain - flipped) > tol * max(1.0, plain):
             raise UnconditionalityError(
                 f"sign flip changed the coordinate norm: {plain} vs {flipped}"
             )
     side = max(m, n)
-    vectors = []
-    for k in range(m):
-        pairs = []
-        for j in range(n):
-            c = arr[k, j]
-            if c != 0.0:
-                pairs.append((k * side + j + 1, c))  # lexicographic flattening
-        vectors.append(FiniteVector(pairs))
-    return EmbeddedBasis(coefficients=arr, side=side, vectors=tuple(vectors))
+    vectors = tuple(
+        FiniteVector((k * side + j + 1, c) for j, c in enumerate(row))  # lexicographic flattening
+        for k, row in enumerate(arr)
+    )
+    return EmbeddedBasis(coefficients=arr, side=side, vectors=vectors)

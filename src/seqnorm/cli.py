@@ -211,8 +211,8 @@ def cmd_construct(args) -> int:
     report["p"] = args.p
     report["n"] = avg.n
     report["constant"] = avg.constant
-    report["sampled_lower"] = avg.spec.sampled_lower
-    report["exact"] = avg.spec.exact
+    report["sampled_lower"] = avg.sampled_lower
+    report["exact"] = avg.exact
     _emit(report, args, t0)
     return 0
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admissible import AdmissibleFamily
-from .blocks import AssembledAverage, BlockBasis, assemble_lp_average
+from .blocks import AssembledAverage, BlockBasis, assemble_lp_average, matrix_basis_norm
 from .core import FiniteVector, IndexSet, INEQ_TOL, f, min_m_for_budget
 from .inequalities import BoundCheck, PremiseCheck, VerifierReport
 
@@ -534,7 +534,7 @@ def build_matrix_grid(params: GridParams, engine) -> GridResult:
              for i in range(1, n + 1) for j in range(1, n + 1)
              if a[i - 1, j - 1] != 0.0]
         )
-        ref = float(np.abs(a).sum(axis=0).max())
+        ref = matrix_basis_norm(a)
         if ref == 0.0 or combo.support_size == 0:
             continue
         ratio = engine.norm(combo) / ref

@@ -286,10 +286,7 @@ class FiniteVector:
         )
 
     def __add__(self, other: "FiniteVector") -> "FiniteVector":
-        merged: dict[int, float] = dict(zip(self._idx, self._coef))
-        for i, c in zip(other._idx, other._coef):
-            merged[i] = merged.get(i, 0.0) + c
-        return FiniteVector(sorted(merged.items()))
+        return FiniteVector.sum((self, other))
 
     def __sub__(self, other: "FiniteVector") -> "FiniteVector":
         return self + (-other)

@@ -478,29 +478,5 @@ def norm_x2(x: FiniteVector, mode: SearchMode | None = None, with_witness: bool 
     return get_engine(mode).norm(x, with_witness=with_witness)
 
 
-def triple_norm(x: FiniteVector, m: int, mode: SearchMode | None = None) -> float:
-    return get_engine(mode).triple_norm(x, m)
-
-
-def best_partition_sum(x: FiniteVector, m: int, mode: SearchMode | None = None) -> float:
-    return get_engine(mode).best_partition_sum(x, m)
-
-
 def norm_ell(x: FiniteVector, ell: int, mode: SearchMode | None = None) -> float:
     return get_engine(mode).norm_ell(x, ell)
-
-
-def norm_ell_m0(x: FiniteVector, ell: int, m0: int, mode: SearchMode | None = None) -> float:
-    return get_engine(mode).norm_ell_m0(x, ell, m0)
-
-
-def evaluate_family(x: FiniteVector, fam: AdmissibleFamily, mode: SearchMode | None = None) -> float:
-    return get_engine(mode).evaluate_family(x, fam)
-
-
-def iterate_levels_x2(x: FiniteVector, mode: SearchMode | None = None) -> list[float]:
-    return get_engine(mode).iterate_levels(x)
-
-
-def check_fixed_point_x2(x: FiniteVector, mode: SearchMode | None = None) -> float:
-    return get_engine(mode).fixed_point_residual(x)

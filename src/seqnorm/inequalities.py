@@ -106,10 +106,6 @@ def _require_constant(avg: AssembledAverage, cap: float) -> None:
         )
 
 
-def _combine(averages: list[AssembledAverage], coeffs) -> FiniteVector:
-    return FiniteVector.sum((avg.vector for avg in averages), coeffs)
-
-
 # ----------------------------------------------------------------------
 # unconditional bounds
 # ----------------------------------------------------------------------
@@ -171,7 +167,7 @@ def verify_offpeak_sum(
         raise ValueError("coefficients must lie in [-1, 1]")
     n = len(averages)
     k0 = min(avg.n for avg in averages)
-    x = _combine(averages, coeffs)
+    x = FiniteVector.sum([avg.vector for avg in averages], coeffs)
     j0 = peak_index(fam, k0, p)
     lhs = 0.0
     for j, (m, E) in enumerate(fam.pairs, start=1):
@@ -202,7 +198,7 @@ def verify_stack_seminorm(
         raise ValueError("coefficients must lie in [-1, 1]")
     n = len(averages)
     k0 = min(avg.n for avg in averages)
-    x = _combine(averages, coeffs)
+    x = FiniteVector.sum([avg.vector for avg in averages], coeffs)
     lhs = engine.norm_ell(x, ell) if x.support_size else 0.0
     rhs = (engine.norm(x) + 6.0 * ell * n * k0 ** -0.5) / f(ell)
     report = VerifierReport()
@@ -228,7 +224,7 @@ def strict_drop_check(
     n = len(averages)
     k0 = min(avg.n for avg in averages)
     premise = (f(ell) - 1.0) / ell > 12.0 * n * k0 ** -0.5
-    x = _combine(averages, coeffs)
+    x = FiniteVector.sum([avg.vector for avg in averages], coeffs)
     if x.support_size == 0:
         return DropCheck(premise_holds=premise, conclusion_holds=True)
     conclusion = engine.norm_ell(x, ell) < engine.norm(x)
@@ -322,7 +318,7 @@ def verify_rapid_averages(
     if relaxed:
         report.notes.append("relaxed mode: premises waived, margins diagnostic")
 
-    y = _combine(averages, [1.0] * n)
+    y = FiniteVector.sum([avg.vector for avg in averages])
     threshold = eps * k1 ** (1.0 / (2.0 * p)) / (6.0 * n)
     norm_y = engine.norm(y)
     for ell in ells:
@@ -402,7 +398,7 @@ def verify_chain_stacks(
                 )
             supp += avg.vector.support_size
 
-    z_vectors = [_combine(stack, [1.0] * len(stack)) for stack in stacks]
+    z_vectors = [FiniteVector.sum([avg.vector for avg in stack]) for stack in stacks]
     n1 = len(stacks[0])
     report.premises.append(
         PremiseCheck("first_stack_size", float(n1), m / delta, holds=n1 > m / delta)

@@ -414,23 +414,3 @@ def get_qsum_engine(config: QSumConfig | None = None) -> QSumEngine:
 
 def norm_x1(x: FiniteVector, config: QSumConfig | None = None, with_witness: bool = False):
     return get_qsum_engine(config).norm(x, with_witness=with_witness)
-
-
-def norm_k_x1(x: FiniteVector, k: int, config: QSumConfig | None = None) -> float:
-    return get_qsum_engine(config).norm_k(x, k)
-
-
-def profile_d(x: FiniteVector, config: QSumConfig | None = None, K: int = 3):
-    return get_qsum_engine(config).profile(x, K)
-
-
-def iterate_levels_x1(x: FiniteVector, config: QSumConfig | None = None) -> list[float]:
-    return get_qsum_engine(config).iterate_levels(x)
-
-
-def check_fixed_point_x1(x: FiniteVector, config: QSumConfig | None = None) -> float:
-    return get_qsum_engine(config).fixed_point_residual(x)
-
-
-def block_sum_lower_bound(blocks, config: QSumConfig | None = None) -> float:
-    return get_qsum_engine(config).block_sum_lower_bound(list(blocks))

@@ -215,10 +215,8 @@ def suite_avgbounds(count: int, seed: int) -> SuiteReport:
     rng = np.random.default_rng(seed)
     report = SuiteReport("avgbounds", seed)
     for t in range(count):
-        engine = get_engine(Exhaustive())
-        avg = random_average(rng, engine)
-        if avg.vector.support_size > 12:
-            engine = get_engine(SegmentDP())
+        avg = random_average(rng, get_engine(Exhaustive()))
+        engine = _suite_engine(avg.vector.support_size)
         m = int(rng.integers(2, 9))
         ell = int(rng.integers(1, 9))
         rep = verify_average_bounds(avg, m, ell, engine)
@@ -442,7 +440,7 @@ def random_unconditional_matrix(rng) -> np.ndarray:
 
 
 def suite_embed(count: int, seed: int) -> SuiteReport:
-    """Embedding identity ||sum b_k x_k|| = max_j sum_k |b_k a_kj|, 1e-12."""
+    """Embedding identity ||sum b_k x_k|| = max_j |sum_k b_k a_kj|, to EQ_TOL."""
     rng = np.random.default_rng(seed)
     report = SuiteReport("embed", seed)
     for t in range(count):

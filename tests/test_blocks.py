@@ -6,12 +6,13 @@ import pytest
 from seqnorm.blocks import (
     BlockBasis,
     BlockBasisError,
-    EngineBasisEvaluator,
-    LpBasisEvaluator,
+    EmbeddedBasis,
     UnconditionalityError,
     assemble_lp_average,
     embed_unconditional,
+    engine_basis,
     equivalence_constant,
+    lp_basis,
     matrix_basis_norm,
     operator_norm_oracle,
 )
@@ -83,6 +84,15 @@ def test_embed_rejects_conditional_rows():
         embed_unconditional(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
+def test_embed_sides_read_embedding_and_coordinates():
+    # conditional rows: the coordinate norm of b = (1, -1) cancels to 0, while
+    # the embedded combination e_11 + e_12 - e_21 - e_22 has matrix norm 2
+    rows = np.array([[1.0, 1.0], [1.0, 1.0]])
+    emb = EmbeddedBasis(rows, 2, (FiniteVector.ones(2), FiniteVector.ones(2, start=3)))
+    assert emb.reference_norm([1.0, -1.0]) == 0.0
+    assert emb.combination_norm([1.0, -1.0]) == 2.0
+
+
 def test_embed_identity_random(rng):
     for _ in range(200):
         a = random_unconditional_matrix(rng)
@@ -107,24 +117,24 @@ def test_embed_identity_random(rng):
 
 def test_equivalence_examples(ex_engine):
     pair = BlockBasis((FiniteVector.basis(1), FiniteVector.basis(2)))
-    ev = EngineBasisEvaluator(ex_engine, pair)
-    est = equivalence_constant(ev, LpBasisEvaluator(math.inf, 2))
+    ev = engine_basis(ex_engine, pair)
+    est = equivalence_constant(ev, lp_basis(math.inf, 2))
     assert est.lower == 1.0 and est.exact
-    est = equivalence_constant(ev, LpBasisEvaluator(1, 2))
+    est = equivalence_constant(ev, lp_basis(1, 2))
     assert est.lower == 2.0 and est.exact
     est = equivalence_constant(ev, ev)
     assert est.lower == 1.0
 
 
 def test_equivalence_symmetry_and_lower_bound(ex_engine, rng):
-    a = LpBasisEvaluator(1, 3)
-    b = LpBasisEvaluator(2, 3)
+    a = lp_basis(1, 3)
+    b = lp_basis(2, 3)
     d_ab = equivalence_constant(a, b)
     d_ba = equivalence_constant(b, a)
     assert d_ab.lower == pytest.approx(d_ba.lower, rel=1e-12)
     assert d_ab.lower >= 1.0
     with pytest.raises(ValueError):
-        equivalence_constant(LpBasisEvaluator(1, 2), LpBasisEvaluator(1, 3))
+        equivalence_constant(lp_basis(1, 2), lp_basis(1, 3))
 
 
 # ----------------------------------------------------------------------
@@ -136,10 +146,10 @@ def test_assemble_average_examples(ex_engine):
     pair = BlockBasis((FiniteVector.basis(1), FiniteVector.basis(2)))
     avg = assemble_lp_average(pair, 1, ex_engine)
     assert avg.vector == 0.5 * FiniteVector.ones(2)
-    assert avg.constant == 2.0 and avg.spec.exact
+    assert avg.constant == 2.0 and avg.exact
     avg = assemble_lp_average(pair, math.inf, ex_engine)
     assert avg.vector == FiniteVector.ones(2)
-    assert avg.constant == 1.0 and avg.spec.exact
+    assert avg.constant == 1.0 and avg.exact
     single = BlockBasis((FiniteVector.ones(3),))
     avg = assemble_lp_average(single, 2, ex_engine)
     assert avg.vector == FiniteVector.ones(3)
@@ -162,4 +172,4 @@ def test_average_norm_in_certified_range(ex_engine, rng):
                             gap_rng=rng)
         v = ex_engine.norm(avg.vector)
         assert 1.0 / avg.constant - 1e-12 <= v <= avg.constant + 1e-12
-        assert avg.spec.sampled_lower <= avg.constant + 1e-12
+        assert avg.sampled_lower <= avg.constant + 1e-12

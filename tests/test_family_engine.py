@@ -1,8 +1,10 @@
 import gc
+import os
 import subprocess
 import sys
 import weakref
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import random_test_vector
 from oracles import BruteFamilyNorm
+import seqnorm
+from seqnorm import QSumConfig, norm_ell, norm_x1, norm_x2
 from seqnorm.admissible import AdmissibleFamily, FamilyValidationError
 from seqnorm.core import EQ_TOL, FiniteVector, IndexSet, f
 from seqnorm.family_engine import (
@@ -279,7 +283,20 @@ def test_import_keeps_recursion_limit():
         "import sys; before = sys.getrecursionlimit(); import seqnorm; "
         "assert sys.getrecursionlimit() == before, sys.getrecursionlimit()"
     )
-    subprocess.run([sys.executable, "-c", code], check=True)
+    # the child imports the same seqnorm as this process, installed or not
+    src = str(Path(seqnorm.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": path})
+
+
+def test_package_quick_tour():
+    # the examples of the README's library quick tour
+    assert norm_x2(FiniteVector.ones(70), SegmentDP()) == 1.5
+    assert norm_ell(FiniteVector.ones(2), 2) == 1 / f(2)
+    assert norm_x1(FiniteVector.ones(15), QSumConfig.small()) == pytest.approx(
+        15 * QSumConfig.small().q, rel=1e-15
+    )
 
 
 def test_level_dichotomy(ex_engine, rng):

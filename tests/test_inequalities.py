@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -51,11 +52,7 @@ def test_average_bounds_p2_single(ex_engine):
 
 
 def test_average_bounds_rejects_large_constant(ex_engine, half_pair):
-    fat = half_pair.__class__(
-        vector=half_pair.vector,
-        blocks=half_pair.blocks,
-        spec=half_pair.spec.__class__(p=1, n=2, constant=3.0, sampled_lower=3.0, exact=False),
-    )
+    fat = dataclasses.replace(half_pair, p=1, constant=3.0, sampled_lower=3.0, exact=False)
     with pytest.raises(AverageConstantError):
         verify_average_bounds(fat, 2, 2, ex_engine)
 
