@@ -196,6 +196,8 @@ def assemble_lp_average(blocks: BlockBasis, p: float, engine) -> AssembledAverag
     exact, meets the sandwich, or n = 1, it is the constant.
     """
     n = len(blocks)
+    if n == 0:
+        raise BlockBasisError("an l_p average needs at least one block")
     for j, v in enumerate(blocks.vectors, start=1):
         nrm = engine.norm(v)
         if abs(nrm - 1.0) > INEQ_TOL:

@@ -39,6 +39,16 @@ from .qsum_engine import get_qsum_engine
 from .suites import SUITES
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _mode(args) -> object:
     if args.mode == "segment":
         return SegmentDP()
@@ -115,10 +125,7 @@ def cmd_verify(args) -> int:
     kwargs = {}
     if args.suite in ("rapidavg", "chainstacks"):
         kwargs["relaxed"] = args.relaxed
-    if args.suite == "gmax":
-        report = suite(resolution=args.count, seed=args.seed, **kwargs)
-    else:
-        report = suite(count=args.count, seed=args.seed, **kwargs)
+    report = suite(count=args.count, seed=args.seed, **kwargs)
     out = {"command": "verify", "suite": args.suite, "seed": args.seed}
     out.update(report.to_json())
     _emit(out, args, t0)
@@ -253,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a seeded verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=50,
+    p.add_argument("--count", type=_positive_int, default=50,
                    help="instances (gmax: scan resolution)")
     p.add_argument("--relaxed", action="store_true",
                    help="waive largeness premises, report all margins")

@@ -13,7 +13,9 @@
 Paper-faithful parameters for the localized vector and the grid are
 astronomically large; the planners here compute the actual requirements and
 the builders run at relaxed scale, reporting every waived condition with its
-numeric slack instead of asserting it.
+numeric slack instead of asserting it.  Both report in the verifiers' shape
+(`inequalities.Report`): premises read met or UNMET, and the bounds that
+rest on an UNMET premise read UNMET and are not asserted.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import numpy as np
 from .admissible import AdmissibleFamily
 from .blocks import AssembledAverage, BlockBasis, assemble_lp_average, matrix_basis_norm
 from .core import FiniteVector, IndexSet, INEQ_TOL, f, min_m_for_budget
-from .inequalities import BoundCheck, PremiseCheck, VerifierReport
+from .inequalities import Report, bound, premise
 
 
 class BudgetExceededError(ValueError):
@@ -183,6 +185,12 @@ class LocalizedParams:
     L1_prime: int | None = None
     budget: int = 200
 
+    def __post_init__(self) -> None:
+        if self.L0 < 1:
+            raise ValueError(f"lower localization scale L0 must be >= 1, got {self.L0}")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
+
 
 @dataclass
 class LocalizedResult:
@@ -190,7 +198,7 @@ class LocalizedResult:
     params: LocalizedParams
     witness_family: AdmissibleFamily
     witness_value: float
-    report: VerifierReport
+    report: Report
     stack_sizes: tuple[int, ...] = ()
 
     @property
@@ -231,9 +239,10 @@ def build_localized_vector(params: LocalizedParams, engine) -> LocalizedResult:
     Checks reported: (a) ||x||_ell <= 2/f(ell) for ell <= L0;
     (b) ||x||_(L1, m0) >= 1 - eps, with the construction's own family as a
     certified lower bound; (c) ||x||_ell <= eps for ell >= L1'.  Conclusions
-    are asserted only at faithful scales.
+    are asserted only at faithful scales; the witness value never exceeds the
+    mid-level seminorm, so that check is asserted at every scale.
     """
-    report = VerifierReport()
+    report = Report()
     L1_req, L1p_req = faithful_localization_scales(params.L0, params.eps)
     if params.relaxed:
         if params.L1 is None or params.L1_prime is None:
@@ -250,8 +259,8 @@ def build_localized_vector(params: LocalizedParams, engine) -> LocalizedResult:
         L1p = 1 << max(1, math.ceil(L1p_req))
     if not L1 > params.L0:
         raise ValueError("need L0 < L1")
-    report.premises.append(
-        PremiseCheck(
+    report.items.append(
+        premise(
             "faithful_L1",
             float(L1),
             float(L1_req) if L1_req is not None else math.inf,
@@ -259,8 +268,8 @@ def build_localized_vector(params: LocalizedParams, engine) -> LocalizedResult:
             note="f(L1)/f(L1/L0) <= 1+eps and f(L1)/L1 < eps/2",
         )
     )
-    report.premises.append(
-        PremiseCheck(
+    report.items.append(
+        premise(
             "faithful_L1_prime",
             math.log2(L1p),
             L1p_req if L1p_req is not None else math.inf,
@@ -297,8 +306,8 @@ def build_localized_vector(params: LocalizedParams, engine) -> LocalizedResult:
             f"stack growth capped by budget {params.budget}; family scales "
             "lifted to stay admissible"
         )
-    report.premises.append(
-        PremiseCheck(
+    report.items.append(
+        premise(
             "exact_stack_growth",
             float(consumed),
             float(params.budget),
@@ -325,32 +334,21 @@ def build_localized_vector(params: LocalizedParams, engine) -> LocalizedResult:
     x = (1.0 / nbar) * xbar
     report.notes.append(f"pre-normalization norm {nbar}")
 
-    asserted = report.all_premises_hold and not params.relaxed
+    status = "met" if report.premises_hold else "UNMET"
+    asserted = report.premises_hold and not params.relaxed
     for ell in range(1, params.L0 + 1):
-        report.bounds.append(
-            BoundCheck(
-                f"low_level[ell={ell}]",
-                engine.norm_ell(x, ell),
-                2.0 / f(ell),
-                asserted=asserted,
-            )
+        report.items.append(
+            bound(f"low_level[ell={ell}]", engine.norm_ell(x, ell), 2.0 / f(ell),
+                  asserted, status)
         )
     mid = engine.norm_ell_m0(x, L1, max(2, params.m0))
-    report.bounds.append(
-        BoundCheck("mid_level_lower", 1.0 - params.eps, mid, asserted=asserted)
-    )
+    report.items.append(bound("mid_level_lower", 1.0 - params.eps, mid, asserted, status))
     witness_value = engine.evaluate_family(x, fam)
-    report.bounds.append(
-        BoundCheck("mid_level_witness", witness_value, mid, asserted=True)
-    )
+    report.items.append(bound("mid_level_witness", witness_value, mid))
     for ell in (L1p, L1p + 7):
-        report.bounds.append(
-            BoundCheck(
-                f"high_level[ell={ell}]",
-                engine.norm_ell(x, ell),
-                params.eps,
-                asserted=asserted,
-            )
+        report.items.append(
+            bound(f"high_level[ell={ell}]", engine.norm_ell(x, ell), params.eps,
+                  asserted, status)
         )
     return LocalizedResult(
         x=x,
@@ -377,12 +375,20 @@ class GridParams:
     samples: int = 8
     relaxed: bool = True
 
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"grid side n must be >= 1, got {self.n}")
+        if self.k0 < 1:
+            raise ValueError(f"grid averaging count k0 must be >= 1, got {self.k0}")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
+
 
 @dataclass
 class GridResult:
     params: GridParams
     cells: dict  # (i, j) -> FiniteVector
-    report: VerifierReport
+    report: Report
     worst_lower_ratio: float
     worst_upper_ratio: float
     target: float  # 1 + eps
@@ -425,15 +431,15 @@ def build_matrix_grid(params: GridParams, engine) -> GridResult:
     asserted unless the faithful premises hold (they do not at desk scale).
     """
     n, k0 = params.n, params.k0
-    report = VerifierReport()
+    report = Report()
     req = grid_requirements(n, params.eps)
     delta = req["delta"]
     report.notes.append(
         f"faithful requirements: delta={delta:.3g}, log2(L0)~{req['log2_L0']:.1f}, "
         f"log2(k0)~{req['log2_k0']:.1f}, log2(L0')~{req['log2_L0_prime']:.1f}"
     )
-    report.premises.append(
-        PremiseCheck(
+    report.items.append(
+        premise(
             "faithful_k0",
             math.log2(max(k0, 1)),
             req["log2_k0"],
@@ -441,8 +447,8 @@ def build_matrix_grid(params: GridParams, engine) -> GridResult:
             note="log2 comparison",
         )
     )
-    report.premises.append(
-        PremiseCheck(
+    report.items.append(
+        premise(
             "faithful_scale_chain",
             0.0,
             req["log2_L0_prime"],
@@ -487,8 +493,8 @@ def build_matrix_grid(params: GridParams, engine) -> GridResult:
                 consumed += cell_span
             cell = (1.0 / k0) * FiniteVector.sum(parts)
             cells[(i, j)] = cell
-    report.premises.append(
-        PremiseCheck(
+    report.items.append(
+        premise(
             "cell_start_scales",
             0.0,
             float(waived),
@@ -500,6 +506,7 @@ def build_matrix_grid(params: GridParams, engine) -> GridResult:
 
     # per-j lower bound via one concatenated family with lifted scales,
     # evaluated on the unscaled column sum (all a_i = 1, before the 1/k0)
+    status = "met" if report.premises_hold else "UNMET"
     for j in range(1, n + 1):
         pairs = []
         consumed = 0
@@ -513,8 +520,8 @@ def build_matrix_grid(params: GridParams, engine) -> GridResult:
         col_raw = float(k0) * FiniteVector.sum([cells[(i, j)] for i in range(1, n + 1)])
         value = engine.evaluate_family(col_raw, fam)
         target = (1.0 - delta) ** 2 * k0 * n
-        report.bounds.append(
-            BoundCheck(f"column_lower_bound[j={j}]", target, value, asserted=False)
+        report.items.append(
+            bound(f"column_lower_bound[j={j}]", target, value, False, status)
         )
 
     # equivalence sampling
@@ -541,12 +548,8 @@ def build_matrix_grid(params: GridParams, engine) -> GridResult:
         worst_lo = min(worst_lo, ratio)
         worst_hi = max(worst_hi, ratio)
     target = 1.0 + params.eps
-    report.bounds.append(
-        BoundCheck("equivalence_lower", 1.0 / target, worst_lo, asserted=False)
-    )
-    report.bounds.append(
-        BoundCheck("equivalence_upper", worst_hi, target, asserted=False)
-    )
+    report.items.append(bound("equivalence_lower", 1.0 / target, worst_lo, False, status))
+    report.items.append(bound("equivalence_upper", worst_hi, target, False, status))
     return GridResult(
         params=params,
         cells=cells,

@@ -8,6 +8,12 @@ astronomically infeasible at desk scale; those verifiers evaluate every
 premise, report the required magnitudes, and only assert conclusions whose
 premises actually hold.  In relaxed mode the premises are waived (and logged)
 and the margins are reported as diagnostics.
+
+Every verifier returns a `Report` of `Check` records, the one result shape
+the suites and the constructions share.  A premise is an unasserted check
+named "premise <name>" whose status reads met or UNMET; a conditional
+verifier stamps UNMET on the bounds that rest on premises that fail.  The
+rule that decides a failure lives in `Check.ok` alone.
 """
 from __future__ import annotations
 
@@ -31,71 +37,88 @@ class AverageConstantError(ValueError):
 
 
 @dataclass(frozen=True)
-class PremiseCheck:
-    name: str
+class Check:
+    """One checked quantity: `lhs` against `rhs`, with its signed margin.
+
+    Verifiers, suites and constructions all report in this one shape.  A
+    check fails only when it is asserted and its margin is below -tol;
+    unasserted checks (premises, and conclusions whose premises are UNMET)
+    are diagnostics and never fail a report.
+    """
+
+    instance: str
+    premise_status: str
     lhs: float
     rhs: float
-    holds: bool
+    margin: float
+    asserted: bool = True
+    tol: float = INEQ_TOL
     note: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return (not self.asserted) or self.margin >= -self.tol
 
     def to_json(self) -> dict:
         return {
-            "premise": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
+            "instance": self.instance,
+            "premise_status": self.premise_status,
+            "lhs": float(self.lhs),
+            "rhs": float(self.rhs),
+            "margin": float(self.margin),
+            "asserted": bool(self.asserted),
+            "ok": bool(self.ok),
             "note": self.note,
         }
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    name: str
-    lhs: float
-    rhs: float
-    asserted: bool
+def bound(
+    name: str,
+    lhs: float,
+    rhs: float,
+    asserted: bool = True,
+    status: str = "met",
+    note: str = "",
+    tol: float = INEQ_TOL,
+) -> Check:
+    """The inequality lhs <= rhs, with margin rhs - lhs."""
+    return Check(name, status, lhs, rhs, rhs - lhs, asserted, tol, note)
 
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
 
-    @property
-    def holds(self) -> bool:
-        return self.margin >= -INEQ_TOL
-
-    def to_json(self) -> dict:
-        return {
-            "bound": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "asserted": self.asserted,
-            "holds": self.holds,
-        }
+def premise(name: str, lhs: float, rhs: float, holds: bool, note: str = "") -> Check:
+    """A premise of a conditional bound: reported as met/UNMET, never asserted."""
+    return Check(
+        f"premise {name}", "met" if holds else "UNMET", lhs, rhs, 0.0,
+        asserted=False, note=note,
+    )
 
 
 @dataclass
-class VerifierReport:
-    premises: list[PremiseCheck] = field(default_factory=list)
-    bounds: list[BoundCheck] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+class Report:
+    """Checks plus free-form notes; a suite's report also names its suite
+    and seed."""
 
-    @property
-    def all_premises_hold(self) -> bool:
-        return all(p.holds for p in self.premises)
+    items: list[Check] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
+    suite: str | None = None
+    seed: int | None = None
 
     @property
     def ok(self) -> bool:
-        """No asserted bound fails; unasserted margins are diagnostics only."""
-        return all(b.holds for b in self.bounds if b.asserted)
+        return all(item.ok for item in self.items)
+
+    @property
+    def premises_hold(self) -> bool:
+        return all(item.premise_status == "met" for item in self.items)
 
     def to_json(self) -> dict:
+        head = {} if self.suite is None else {"suite": self.suite, "seed": self.seed}
         return {
-            "premises": [p.to_json() for p in self.premises],
-            "bounds": [b.to_json() for b in self.bounds],
-            "notes": self.notes,
-            "all_premises_hold": self.all_premises_hold,
+            **head,
+            "checked": len(self.items),
             "ok": self.ok,
+            "notes": self.notes,
+            "items": [item.to_json() for item in self.items],
         }
 
 
@@ -113,7 +136,7 @@ def _require_constant(avg: AssembledAverage, cap: float) -> None:
 
 def verify_average_bounds(
     avg: AssembledAverage, m: int, ell: int, engine
-) -> VerifierReport:
+) -> Report:
     """Both seminorm bounds for a single l_p^k average with constant <= 2:
 
     * triple norm:  |||x|||_m <= 4 m^(-1/p) + k^(-1/p)
@@ -121,14 +144,14 @@ def verify_average_bounds(
     """
     _require_constant(avg, 2.0)
     p, k = avg.p, avg.n
-    report = VerifierReport()
     lhs_a = engine.triple_norm(avg.vector, m)
     rhs_a = 4.0 * m ** (-1.0 / p) + k ** (-1.0 / p)
-    report.bounds.append(BoundCheck("triple_norm_bound", lhs_a, rhs_a, asserted=True))
     lhs_b = engine.norm_ell(avg.vector, ell)
     rhs_b = (dilution_constant(p) + 2.0 * ell * k ** (-1.0 / p)) / f(ell)
-    report.bounds.append(BoundCheck("level_norm_bound", lhs_b, rhs_b, asserted=True))
-    return report
+    return Report([
+        bound("triple_norm_bound", lhs_a, rhs_a),
+        bound("level_norm_bound", lhs_b, rhs_b),
+    ])
 
 
 def peak_index(fam: AdmissibleFamily, k0: int, p: float) -> int:
@@ -148,7 +171,7 @@ def verify_offpeak_sum(
     coeffs,
     fam: AdmissibleFamily,
     engine,
-) -> tuple[float, VerifierReport]:
+) -> Report:
     """Off-peak triple-norm sum bound for combinations of l_p averages.
 
     With x = sum a_i x_i (|a_i| <= 1, constants <= 2, common p) and any
@@ -177,15 +200,13 @@ def verify_offpeak_sum(
         if piece.support_size:
             lhs += engine.triple_norm(piece, m)
     rhs = 6.0 * n * fam.length * k0 ** (-1.0 / (2.0 * p))
-    report = VerifierReport()
-    report.bounds.append(BoundCheck("offpeak_sum_bound", lhs, rhs, asserted=True))
-    report.notes.append(f"peak index j0 = {j0}, k0 = {k0}")
-    return rhs - lhs, report
+    note = f"peak index j0 = {j0}, k0 = {k0}"
+    return Report([bound("offpeak_sum_bound", lhs, rhs, note=note)])
 
 
 def verify_stack_seminorm(
     averages: list[AssembledAverage], coeffs, ell: int, engine
-) -> tuple[float, VerifierReport]:
+) -> Report:
     """Level-norm bound for combinations of l_1 averages with constant 2:
 
         ||sum a_i x_i||_ell <= ( ||sum a_i x_i|| + 6 ell n k0^(-1/2) ) / f(ell)
@@ -201,9 +222,7 @@ def verify_stack_seminorm(
     x = FiniteVector.sum([avg.vector for avg in averages], coeffs)
     lhs = engine.norm_ell(x, ell) if x.support_size else 0.0
     rhs = (engine.norm(x) + 6.0 * ell * n * k0 ** -0.5) / f(ell)
-    report = VerifierReport()
-    report.bounds.append(BoundCheck("stack_seminorm_bound", lhs, rhs, asserted=True))
-    return rhs - lhs, report
+    return Report([bound("stack_seminorm_bound", lhs, rhs)])
 
 
 @dataclass(frozen=True)
@@ -223,12 +242,12 @@ def strict_drop_check(
     the norm.  Evaluated literally as an implication (scale invariant)."""
     n = len(averages)
     k0 = min(avg.n for avg in averages)
-    premise = (f(ell) - 1.0) / ell > 12.0 * n * k0 ** -0.5
+    premise_holds = (f(ell) - 1.0) / ell > 12.0 * n * k0 ** -0.5
     x = FiniteVector.sum([avg.vector for avg in averages], coeffs)
     if x.support_size == 0:
-        return DropCheck(premise_holds=premise, conclusion_holds=True)
+        return DropCheck(premise_holds=premise_holds, conclusion_holds=True)
     conclusion = engine.norm_ell(x, ell) < engine.norm(x)
-    return DropCheck(premise_holds=premise, conclusion_holds=conclusion)
+    return DropCheck(premise_holds=premise_holds, conclusion_holds=conclusion)
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +268,7 @@ def verify_rapid_averages(
     ells,
     engine,
     relaxed: bool = False,
-) -> VerifierReport:
+) -> Report:
     """Conditional seminorm bounds for a rapidly growing run of l_p averages.
 
     y = y_1 + ... + y_n with y_i an l_p^{k_i} average of constant 1 + eps.
@@ -261,8 +280,9 @@ def verify_rapid_averages(
     * larger ell:                  ||y||_ell <= 2 eps + max_i ||y_i||_ell
     * in particular ||y|| <= 2 eps + max_i ||y_i||.
 
-    Conclusions are asserted only when every premise holds; in relaxed mode
-    the premises are recorded as waived and all margins are still reported.
+    Conclusions are asserted only when every premise holds, and read UNMET
+    when one does not; in relaxed mode the premises are recorded as waived
+    and all margins are still reported.
     """
     ps = {avg.p for avg in averages}
     if len(ps) != 1:
@@ -270,10 +290,10 @@ def verify_rapid_averages(
     p = ps.pop()
     n = len(averages)
     k1 = averages[0].n
-    report = VerifierReport()
+    report = Report()
 
-    report.premises.append(
-        PremiseCheck(
+    report.items.append(
+        premise(
             "eps_range",
             eps,
             (f(2) - 1.0) / 2.0,
@@ -281,8 +301,8 @@ def verify_rapid_averages(
         )
     )
     for i, avg in enumerate(averages, start=1):
-        report.premises.append(
-            PremiseCheck(
+        report.items.append(
+            premise(
                 f"constant[{i}]",
                 avg.constant,
                 1.0 + eps,
@@ -291,8 +311,8 @@ def verify_rapid_averages(
         )
     lhs220 = f(eps * k1 ** (1.0 / (2.0 * p)) / (6.0 * n))
     rhs220 = n * (dilution_constant(p) + 2.0) / eps
-    report.premises.append(
-        PremiseCheck(
+    report.items.append(
+        premise(
             "growth_threshold",
             lhs220,
             rhs220,
@@ -304,8 +324,8 @@ def verify_rapid_averages(
     supp_total = 0
     for i, avg in enumerate(averages, start=1):
         if i >= 2:
-            report.premises.append(
-                PremiseCheck(
+            report.items.append(
+                premise(
                     f"support_growth[{i}]",
                     f(avg.n),
                     (p / eps) * supp_total,
@@ -314,7 +334,8 @@ def verify_rapid_averages(
             )
         supp_total += avg.vector.support_size
 
-    asserted = report.all_premises_hold and not relaxed
+    status = "met" if report.premises_hold else "UNMET"
+    asserted = report.premises_hold and not relaxed
     if relaxed:
         report.notes.append("relaxed mode: premises waived, margins diagnostic")
 
@@ -329,9 +350,9 @@ def verify_rapid_averages(
         else:
             rhs = 2.0 * eps + max(engine.norm_ell(avg.vector, ell) for avg in averages)
             name = f"large_level_bound[ell={ell}]"
-        report.bounds.append(BoundCheck(name, lhs, rhs, asserted=asserted))
+        report.items.append(bound(name, lhs, rhs, asserted, status))
     rhs_total = 2.0 * eps + max(engine.norm(avg.vector) for avg in averages)
-    report.bounds.append(BoundCheck("norm_bound", norm_y, rhs_total, asserted=asserted))
+    report.items.append(bound("norm_bound", norm_y, rhs_total, asserted, status))
     return report
 
 
@@ -342,7 +363,7 @@ def verify_chain_stacks(
     ells,
     engine,
     relaxed: bool = False,
-) -> VerifierReport:
+) -> Report:
     """Conditional bounds for sums of stacked l_1-average runs.
 
     z_i = sum_j z(i,j) with z(i,j) an l_1^{k(i,j)} average of constant
@@ -358,13 +379,13 @@ def verify_chain_stacks(
     so instances report pass/fail rather than synthesizing it.
     """
     m = len(stacks)
-    report = VerifierReport()
+    report = Report()
     for i, stack in enumerate(stacks, start=1):
         for j, avg in enumerate(stack, start=1):
             if avg.p != 1:
                 raise ValueError("chain stacks are built from l_1 averages")
-            report.premises.append(
-                PremiseCheck(
+            report.items.append(
+                premise(
                     f"constant[{i},{j}]",
                     avg.constant,
                     1.0 + delta,
@@ -375,8 +396,8 @@ def verify_chain_stacks(
         k_i1 = stack[0].n
         lhs = f(delta * k_i1 ** 0.5 / (6.0 * n_i))
         rhs = n_i * (dilution_constant(1.0) + 2.0) / delta
-        report.premises.append(
-            PremiseCheck(
+        report.items.append(
+            premise(
                 f"growth_threshold[{i}]",
                 lhs,
                 rhs,
@@ -388,8 +409,8 @@ def verify_chain_stacks(
         supp = 0
         for j, avg in enumerate(stack, start=1):
             if j >= 2:
-                report.premises.append(
-                    PremiseCheck(
+                report.items.append(
+                    premise(
                         f"support_growth[{i},{j}]",
                         f(avg.n),
                         supp / delta,
@@ -400,14 +421,14 @@ def verify_chain_stacks(
 
     z_vectors = [FiniteVector.sum([avg.vector for avg in stack]) for stack in stacks]
     n1 = len(stacks[0])
-    report.premises.append(
-        PremiseCheck("first_stack_size", float(n1), m / delta, holds=n1 > m / delta)
+    report.items.append(
+        premise("first_stack_size", float(n1), m / delta, holds=n1 > m / delta)
     )
     supp = 0
     for i, z in enumerate(z_vectors, start=1):
         if i >= 2:
-            report.premises.append(
-                PremiseCheck(
+            report.items.append(
+                premise(
                     f"stack_scale_growth[{i}]",
                     f(len(stacks[i - 1])),
                     float(supp),
@@ -417,7 +438,8 @@ def verify_chain_stacks(
         supp += z.support_size
 
     base_case_ok = m == 1 and delta < eps / 2.0
-    asserted = (report.all_premises_hold and (m > 1 or base_case_ok)) and not relaxed
+    status = "met" if report.premises_hold else "UNMET"
+    asserted = (report.premises_hold and (m > 1 or base_case_ok)) and not relaxed
     if relaxed:
         report.notes.append("relaxed mode: premises waived, margins diagnostic")
     if m == 1:
@@ -430,15 +452,14 @@ def verify_chain_stacks(
     for ell in ells:
         lhs = engine.norm_ell(z, ell)
         rhs = (1.0 + eps) * max(1.0, m / (f(ell) * f(m / min(ell, m))))
-        report.bounds.append(
-            BoundCheck(f"level_bound[ell={ell}]", lhs, rhs, asserted=asserted)
-        )
-        report.bounds.append(
-            BoundCheck(
+        report.items.append(bound(f"level_bound[ell={ell}]", lhs, rhs, asserted, status))
+        report.items.append(
+            bound(
                 f"level_bound_weak[ell={ell}]",
                 lhs,
                 (1.0 + eps) * m / f(m) if m > 1 else 1.0 + eps,
-                asserted=asserted,
+                asserted,
+                status,
             )
         )
     return report

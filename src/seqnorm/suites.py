@@ -1,14 +1,17 @@
 """Seeded verification suites behind the CLI and the acceptance tests.
 
-Every suite is deterministic given its seed, emits one item per checked
-instance in the shape {instance, premise_status, lhs, rhs, margin}, and is
-"ok" exactly when no asserted margin drops below -1e-9 (exactness suites use
-their own tighter tolerance).  Unasserted margins (unmet-premise diagnostics)
+Every suite is deterministic given its seed and returns a `Report` of
+`Check` records (see `inequalities`), one item per checked quantity in the
+shape {instance, premise_status, lhs, rhs, margin, asserted, ok, note},
+tagged with the suite's name and seed.  A report is "ok" exactly when no
+asserted margin drops below -1e-9 (exactness suites use their own tighter
+tolerance).  The verifiers' items are taken over as they are, with an
+instance tag in front; unasserted margins (unmet-premise diagnostics)
 never fail a suite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,6 +21,9 @@ from .constructions import build_average, equal_split_check, feasible_average_si
 from .core import EQ_TOL, FiniteVector, IndexSet, INEQ_TOL, min_m_for_budget
 from .family_engine import Exhaustive, FamilyEngine, SegmentDP, get_engine
 from .inequalities import (
+    Check,
+    Report,
+    bound,
     verify_average_bounds,
     verify_chain_stacks,
     verify_offpeak_sum,
@@ -26,56 +32,6 @@ from .inequalities import (
     strict_drop_check,
 )
 from .qsum_engine import QSumConfig, get_qsum_engine
-
-
-@dataclass(frozen=True)
-class SuiteItem:
-    instance: str
-    premise_status: str
-    lhs: float
-    rhs: float
-    margin: float
-    asserted: bool = True
-    tol: float = INEQ_TOL
-    note: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return (not self.asserted) or self.margin >= -self.tol
-
-    def to_json(self) -> dict:
-        return {
-            "instance": self.instance,
-            "premise_status": self.premise_status,
-            "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
-            "margin": float(self.margin),
-            "asserted": bool(self.asserted),
-            "ok": bool(self.ok),
-            "note": self.note,
-        }
-
-
-@dataclass
-class SuiteReport:
-    suite: str
-    seed: int
-    items: list[SuiteItem] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(item.ok for item in self.items)
-
-    def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "checked": len(self.items),
-            "ok": self.ok,
-            "notes": self.notes,
-            "items": [item.to_json() for item in self.items],
-        }
 
 
 # ----------------------------------------------------------------------
@@ -140,32 +96,28 @@ def random_l1_average(rng, engine, start: int = 1):
 # ----------------------------------------------------------------------
 
 
-def suite_fixedpoint(count: int, seed: int) -> SuiteReport:
+def suite_fixedpoint(count: int, seed: int) -> Report:
     """Fixed-point residuals: family norm (exhaustive, support <= 10) and
     scale norm (small preset, support <= 30)."""
     rng = np.random.default_rng(seed)
-    report = SuiteReport("fixedpoint", seed)
+    report = Report(suite="fixedpoint", seed=seed)
     fam_engine = get_engine(Exhaustive())
     qs_engine = get_qsum_engine(QSumConfig.small())
     for t in range(count):
         x = random_vector(rng, 10)
         res = fam_engine.fixed_point_residual(x)
-        report.items.append(
-            SuiteItem(f"x2[{t}]", "met", res, 0.0, -res, tol=INEQ_TOL)
-        )
+        report.items.append(Check(f"x2[{t}]", "met", res, 0.0, -res))
     for t in range(count):
         x = random_vector(rng, 30)
         res = qs_engine.fixed_point_residual(x)
-        report.items.append(
-            SuiteItem(f"x1[{t}]", "met", res, 0.0, -res, tol=INEQ_TOL)
-        )
+        report.items.append(Check(f"x1[{t}]", "met", res, 0.0, -res))
     return report
 
 
-def suite_unconditional(count: int, seed: int) -> SuiteReport:
+def suite_unconditional(count: int, seed: int) -> Report:
     """Exact norm invariance under sign flips and spreads (same memo key)."""
     rng = np.random.default_rng(seed)
-    report = SuiteReport("unconditional", seed)
+    report = Report(suite="unconditional", seed=seed)
     fam_engine = get_engine(Exhaustive())
     qs_engine = get_qsum_engine(QSumConfig.small())
     for t in range(count):
@@ -174,7 +126,7 @@ def suite_unconditional(count: int, seed: int) -> SuiteReport:
         same_key = x.pattern() == y.pattern()
         a, b = fam_engine.norm(x), fam_engine.norm(y)
         report.items.append(
-            SuiteItem(
+            Check(
                 f"x2[{t}]",
                 "met" if same_key else "KEY MISMATCH",
                 a,
@@ -190,7 +142,7 @@ def suite_unconditional(count: int, seed: int) -> SuiteReport:
         same_key = x.pattern() == y.pattern()
         a, b = qs_engine.norm(x), qs_engine.norm(y)
         report.items.append(
-            SuiteItem(
+            Check(
                 f"x1[{t}]",
                 "met" if same_key else "KEY MISMATCH",
                 a,
@@ -210,33 +162,28 @@ def _suite_engine(max_support: int) -> FamilyEngine:
     return get_engine(SegmentDP())
 
 
-def suite_avgbounds(count: int, seed: int) -> SuiteReport:
+def _extend_tagged(report: Report, tag: str, rep: Report) -> None:
+    report.items.extend(replace(c, instance=f"{tag} {c.instance}") for c in rep.items)
+
+
+def suite_avgbounds(count: int, seed: int) -> Report:
     """Both average seminorm bounds on random certified instances."""
     rng = np.random.default_rng(seed)
-    report = SuiteReport("avgbounds", seed)
+    report = Report(suite="avgbounds", seed=seed)
     for t in range(count):
         avg = random_average(rng, get_engine(Exhaustive()))
         engine = _suite_engine(avg.vector.support_size)
         m = int(rng.integers(2, 9))
         ell = int(rng.integers(1, 9))
         rep = verify_average_bounds(avg, m, ell, engine)
-        for b in rep.bounds:
-            report.items.append(
-                SuiteItem(
-                    f"[{t}] p={avg.p} k={avg.n} m={m} ell={ell} {b.name}",
-                    "met",
-                    b.lhs,
-                    b.rhs,
-                    b.margin,
-                )
-            )
+        _extend_tagged(report, f"[{t}] p={avg.p} k={avg.n} m={m} ell={ell}", rep)
     return report
 
 
-def suite_offpeak(count: int, seed: int) -> SuiteReport:
+def suite_offpeak(count: int, seed: int) -> Report:
     """The off-peak family-sum bound on random combinations."""
     rng = np.random.default_rng(seed)
-    report = SuiteReport("offpeak", seed)
+    report = Report(suite="offpeak", seed=seed)
     for t in range(count):
         n = int(rng.integers(1, 4))
         p = float(rng.choice([1.0, 2.0]))
@@ -254,25 +201,15 @@ def suite_offpeak(count: int, seed: int) -> SuiteReport:
             continue
         engine = _suite_engine(combined.support_size)
         fam = random_family(rng, combined)
-        margin, rep = verify_offpeak_sum(averages, [float(c) for c in coeffs], fam, engine)
-        b = rep.bounds[0]
-        report.items.append(
-            SuiteItem(
-                f"[{t}] n={n} p={p} l={fam.length}",
-                "met",
-                b.lhs,
-                b.rhs,
-                b.margin,
-                note=rep.notes[0],
-            )
-        )
+        rep = verify_offpeak_sum(averages, [float(c) for c in coeffs], fam, engine)
+        report.items.append(replace(rep.items[0], instance=f"[{t}] n={n} p={p} l={fam.length}"))
     return report
 
 
-def suite_stackbound(count: int, seed: int) -> SuiteReport:
+def suite_stackbound(count: int, seed: int) -> Report:
     """The stack seminorm bound plus the literal strict-drop implication."""
     rng = np.random.default_rng(seed)
-    report = SuiteReport("stackbound", seed)
+    report = Report(suite="stackbound", seed=seed)
     for t in range(count):
         n = int(rng.integers(1, 4))
         averages = []
@@ -285,53 +222,21 @@ def suite_stackbound(count: int, seed: int) -> SuiteReport:
         total_support = sum(a.vector.support_size for a in averages)
         engine = _suite_engine(total_support)
         ell = int(rng.integers(1, 9))
-        margin, rep = verify_stack_seminorm(averages, coeffs, ell, engine)
-        b = rep.bounds[0]
+        rep = verify_stack_seminorm(averages, coeffs, ell, engine)
         drop = strict_drop_check(averages, coeffs, ell, engine)
         report.items.append(
-            SuiteItem(
-                f"[{t}] n={n} ell={ell}",
-                "met",
-                b.lhs,
-                b.rhs,
-                b.margin,
+            replace(
+                rep.items[0],
+                instance=f"[{t}] n={n} ell={ell}",
                 note=f"strict-drop premise={drop.premise_holds} ok={drop.ok}",
             )
         )
         if not drop.ok:
-            report.items.append(
-                SuiteItem(f"[{t}] strict-drop", "met", 1.0, 0.0, -1.0, tol=0.0)
-            )
+            report.items.append(bound(f"[{t}] strict-drop", 1.0, 0.0, tol=0.0))
     return report
 
 
-def _flatten_report(report: SuiteReport, tag: str, rep) -> None:
-    for p in rep.premises:
-        report.items.append(
-            SuiteItem(
-                f"{tag} premise {p.name}",
-                "met" if p.holds else "UNMET",
-                p.lhs,
-                p.rhs,
-                0.0,
-                asserted=False,
-                note=p.note,
-            )
-        )
-    for b in rep.bounds:
-        report.items.append(
-            SuiteItem(
-                f"{tag} {b.name}",
-                "met" if rep.all_premises_hold else "UNMET",
-                b.lhs,
-                b.rhs,
-                b.margin,
-                asserted=b.asserted,
-            )
-        )
-
-
-def suite_rapidavg(count: int, seed: int, relaxed: bool = False) -> SuiteReport:
+def suite_rapidavg(count: int, seed: int, relaxed: bool = False) -> Report:
     """Conditional rapid-average bounds on desk instances.
 
     With faithful premises the growth conditions are necessarily UNMET at
@@ -339,7 +244,7 @@ def suite_rapidavg(count: int, seed: int, relaxed: bool = False) -> SuiteReport:
     reports diagnostics only and still exits clean.
     """
     rng = np.random.default_rng(seed)
-    report = SuiteReport("rapidavg", seed, notes=["eps=0.25, n=2 desk instances"])
+    report = Report(notes=["eps=0.25, n=2 desk instances"], suite="rapidavg", seed=seed)
     for t in range(count):
         p = float(rng.choice([1.0, 2.0]))
         a1 = build_average(p, int(rng.integers(1, feasible_average_sizes(p) + 1)),
@@ -350,14 +255,15 @@ def suite_rapidavg(count: int, seed: int, relaxed: bool = False) -> SuiteReport:
         support = a1.vector.support_size + a2.vector.support_size
         rep = verify_rapid_averages([a1, a2], 0.25, [1, 2, 4],
                                     _suite_engine(support), relaxed=relaxed)
-        _flatten_report(report, f"[{t}] p={p}", rep)
+        _extend_tagged(report, f"[{t}] p={p}", rep)
     return report
 
 
-def suite_chainstacks(count: int, seed: int, relaxed: bool = False) -> SuiteReport:
+def suite_chainstacks(count: int, seed: int, relaxed: bool = False) -> Report:
     """Conditional chain-stack bounds on desk instances (m = 1 and 2)."""
     rng = np.random.default_rng(seed)
-    report = SuiteReport("chainstacks", seed, notes=["eps=0.5, delta=0.2 desk instances"])
+    report = Report(notes=["eps=0.5, delta=0.2 desk instances"], suite="chainstacks",
+                    seed=seed)
     for t in range(count):
         m = 1 + (t % 2)
         stacks = []
@@ -372,42 +278,34 @@ def suite_chainstacks(count: int, seed: int, relaxed: bool = False) -> SuiteRepo
         support = sum(a.vector.support_size for st in stacks for a in st)
         rep = verify_chain_stacks(stacks, eps=0.5, delta=0.2, ells=[1, 2, 3],
                                   engine=_suite_engine(support), relaxed=relaxed)
-        _flatten_report(report, f"[{t}] m={m}", rep)
+        _extend_tagged(report, f"[{t}] m={m}", rep)
     return report
 
 
-def suite_gmax(resolution: int, seed: int) -> SuiteReport:
-    """Equal-split maximization margins over the stated parameter grid."""
-    report = SuiteReport("gmax", seed)
+def suite_gmax(count: int, seed: int) -> Report:
+    """Equal-split maximization margins over the stated parameter grid;
+    `count` is the scan resolution."""
+    report = Report(suite="gmax", seed=seed)
     for ell in (2, 3, 4):
         for m in range(ell, 21):
-            margin = equal_split_check(ell, float(m), resolution=resolution, seed=seed)
+            margin = equal_split_check(ell, float(m), resolution=count, seed=seed)
             report.items.append(
-                SuiteItem(
-                    f"ell={ell} m={m}",
-                    "met",
-                    margin,
-                    INEQ_TOL,
-                    INEQ_TOL - margin,
-                    tol=0.0,
-                    note="scan max minus center value",
-                )
+                bound(f"ell={ell} m={m}", margin, INEQ_TOL, tol=0.0,
+                      note="scan max minus center value")
             )
     return report
 
 
-def suite_matrix(count: int, seed: int) -> SuiteReport:
+def suite_matrix(count: int, seed: int) -> Report:
     """Matrix basis norm closed form against the sign-vector oracle, exactly."""
     rng = np.random.default_rng(seed)
-    report = SuiteReport("matrix", seed)
+    report = Report(suite="matrix", seed=seed)
     for t in range(count):
         n = int(rng.integers(1, 8))
         a = rng.integers(-9, 10, size=(n, n)).astype(float)
         lhs = matrix_basis_norm(a)
         rhs = operator_norm_oracle(a)
-        report.items.append(
-            SuiteItem(f"[{t}] n={n}", "met", lhs, rhs, -abs(lhs - rhs), tol=0.0)
-        )
+        report.items.append(Check(f"[{t}] n={n}", "met", lhs, rhs, -abs(lhs - rhs), tol=0.0))
     return report
 
 
@@ -439,10 +337,10 @@ def random_unconditional_matrix(rng) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def suite_embed(count: int, seed: int) -> SuiteReport:
+def suite_embed(count: int, seed: int) -> Report:
     """Embedding identity ||sum b_k x_k|| = max_j |sum_k b_k a_kj|, to EQ_TOL."""
     rng = np.random.default_rng(seed)
-    report = SuiteReport("embed", seed)
+    report = Report(suite="embed", seed=seed)
     for t in range(count):
         a = random_unconditional_matrix(rng)
         emb = embed_unconditional(a, seed=int(rng.integers(0, 2**31)))
@@ -450,7 +348,7 @@ def suite_embed(count: int, seed: int) -> SuiteReport:
         lhs = emb.combination_norm(b)
         rhs = emb.reference_norm(b)
         report.items.append(
-            SuiteItem(
+            Check(
                 f"[{t}] {a.shape[0]}x{a.shape[1]}",
                 "met",
                 lhs,

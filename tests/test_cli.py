@@ -126,11 +126,11 @@ def test_verify_requires_seed(capsys):
 
 def test_verify_exit_one_on_asserted_failure(capsys, monkeypatch):
     from seqnorm import suites as suites_mod
-    from seqnorm.suites import SuiteItem, SuiteReport
+    from seqnorm.inequalities import Check, Report
 
     def failing(count, seed):
-        rep = SuiteReport("matrix", seed)
-        rep.items.append(SuiteItem("forced", "met", 1.0, 0.0, -1.0, tol=0.0))
+        rep = Report(suite="matrix", seed=seed)
+        rep.items.append(Check("forced", "met", 1.0, 0.0, -1.0, tol=0.0))
         return rep
 
     monkeypatch.setitem(suites_mod.SUITES, "matrix", failing)
@@ -181,3 +181,72 @@ def test_construct_lp_average(capsys, tmp_path):
     assert code == 0 and out["constant"] == 2.0 and out["exact"]
     avg = load_vector(str(tmp_path / "art" / "average.json"))
     assert avg == 0.5 * FiniteVector.ones(2)
+
+
+ITEM_KEYS = {"instance", "premise_status", "lhs", "rhs", "margin", "asserted", "ok", "note"}
+SUITE_NAMES = ("fixedpoint", "unconditional", "avgbounds", "offpeak", "stackbound",
+               "rapidavg", "chainstacks", "gmax", "matrix", "embed")
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_verify_contract_every_suite(capsys, suite):
+    texts = []
+    for _ in range(2):
+        code = main(["verify", suite, "--seed", "3", "--count", "2"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        out = json.loads(captured.out)
+        out.pop("timings")
+        assert out["checked"] == len(out["items"])
+        assert all(set(item) == ITEM_KEYS for item in out["items"])
+        texts.append(json.dumps(out, sort_keys=True))
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize(
+    "args, names",
+    [
+        (["verify", "matrix", "--seed", "1", "--count", "-3"], "--count"),
+        (["verify", "gmax", "--seed", "1", "--count", "0"], "--count"),
+        (["construct", "lp-average", "--p", "1"], "block"),
+        (["construct", "grid", "--n", "0"], "grid side n"),
+        (["construct", "grid", "--k0", "0"], "k0"),
+        (["construct", "grid", "--eps", "0"], "eps"),
+        (["construct", "localized", "--l0", "0"], "L0"),
+        (["construct", "localized", "--eps", "-1"], "eps"),
+    ],
+)
+def test_out_of_range_numbers_rejected(capsys, tmp_path, args, names):
+    if args[0] == "construct":
+        args = [*args, "--out-dir", str(tmp_path / "art")]
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse rejects at parse time
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert names in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, unmet",
+    [
+        (["localized", "--l0", "2", "--l1", "3", "--l1-prime", "16"], "premise faithful_L1"),
+        (["grid", "--n", "2", "--k0", "2", "--samples", "0"], "premise faithful_scale_chain"),
+    ],
+)
+def test_construct_report_has_verify_shape(capsys, tmp_path, args, unmet):
+    code, out = run_cli(capsys, "construct", *args, "--out-dir", tmp_path / "art")
+    assert code == 0 and out["status"] == "ok"
+    report = out["report"]
+    assert set(report) == {"checked", "ok", "notes", "items"}
+    assert report["checked"] == len(report["items"]) and report["ok"]
+    assert all(set(item) == ITEM_KEYS for item in report["items"])
+    items = {item["instance"]: item for item in report["items"]}
+    assert items[unmet]["premise_status"] == "UNMET"
+    # every conclusion rests on the faithful premises except the witness value,
+    # which never exceeds the seminorm it certifies
+    bounds = [item for name, item in items.items()
+              if not name.startswith("premise ") and name != "mid_level_witness"]
+    assert bounds
+    assert all(b["premise_status"] == "UNMET" and not b["asserted"] for b in bounds)

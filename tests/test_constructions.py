@@ -78,11 +78,11 @@ def test_localized_relaxed_build(seg_engine):
     assert seg_engine.norm(res.x) == pytest.approx(1.0, abs=1e-9)
     # the witness family certifies the mid-level value from below
     assert res.witness_value <= seg_engine.norm_ell_m0(res.x, 3, 2) + 1e-12
-    mid = next(b for b in res.report.bounds if b.name == "mid_level_lower")
+    mid = next(b for b in res.report.items if b.instance == "mid_level_lower")
     assert mid.margin >= -1e-9  # holds at this scale even though unasserted
-    lows = [b for b in res.report.bounds if b.name.startswith("low_level")]
+    lows = [b for b in res.report.items if b.instance.startswith("low_level")]
     assert len(lows) == 2 and all(b.margin >= -1e-9 for b in lows)
-    highs = [b for b in res.report.bounds if b.name.startswith("high_level")]
+    highs = [b for b in res.report.items if b.instance.startswith("high_level")]
     assert highs and all(not b.asserted for b in highs)
     assert res.ok  # no asserted failures in relaxed mode
 
@@ -101,8 +101,8 @@ def test_localized_budget_capping_recorded(seg_engine):
     params = LocalizedParams(L0=2, eps=0.25, m0=2, relaxed=True, L1=4, L1_prime=20,
                              budget=100)
     res = build_localized_vector(params, seg_engine)
-    grow = next(p for p in res.report.premises if p.name == "exact_stack_growth")
-    assert not grow.holds
+    grow = next(p for p in res.report.items if p.instance == "premise exact_stack_growth")
+    assert grow.premise_status == "UNMET"
     assert any("capped" in n for n in res.report.notes)
 
 
@@ -134,11 +134,11 @@ def test_grid_two_by_two(seg_engine):
     assert len(res.cells) == 4
     assert res.ok  # relaxed: diagnostics only
     assert 0 < res.worst_lower_ratio <= res.worst_upper_ratio
-    names = {b.name for b in res.report.bounds}
+    names = {b.instance for b in res.report.items}
     assert "column_lower_bound[j=1]" in names and "equivalence_upper" in names
-    assert not any(b.asserted for b in res.report.bounds)
+    assert not any(b.asserted for b in res.report.items)
     # faithful premises are reported as unmet
-    assert not res.report.all_premises_hold
+    assert not res.report.premises_hold
 
 
 def test_grid_budget(seg_engine):

@@ -33,7 +33,7 @@ def test_dilution_constant():
 
 def test_average_bounds_examples(ex_engine, half_pair):
     rep = verify_average_bounds(half_pair, 2, 2, ex_engine)
-    tn_bound, level_bound = rep.bounds
+    tn_bound, level_bound = rep.items
     assert tn_bound.lhs == pytest.approx(0.5, abs=1e-12)
     assert tn_bound.rhs == pytest.approx(2.5, abs=1e-12)
     assert tn_bound.margin == pytest.approx(2.0, abs=1e-12)
@@ -45,7 +45,7 @@ def test_average_bounds_examples(ex_engine, half_pair):
 def test_average_bounds_p2_single(ex_engine):
     avg = build_average(2.0, 1, ex_engine)
     rep = verify_average_bounds(avg, 3, 1, ex_engine)
-    a = rep.bounds[0]
+    a = rep.items[0]
     assert a.lhs == pytest.approx(1 / 3, abs=1e-12)
     assert a.rhs == pytest.approx(4 * 3**-0.5 + 1, abs=1e-12)
     assert rep.ok
@@ -59,8 +59,9 @@ def test_average_bounds_rejects_large_constant(ex_engine, half_pair):
 
 def test_offpeak_example(ex_engine, half_pair):
     fam = AdmissibleFamily.of([(2, IndexSet.of([1])), (2, IndexSet.of([2]))])
-    margin, rep = verify_offpeak_sum([half_pair], [1.0], fam, ex_engine)
-    b = rep.bounds[0]
+    rep = verify_offpeak_sum([half_pair], [1.0], fam, ex_engine)
+    b = rep.items[0]
+    margin = b.margin
     assert peak_index(fam, 2, 1.0) == 2
     assert b.lhs == pytest.approx(0.25, abs=1e-12)
     assert b.rhs == pytest.approx(12 * 2**-0.5, abs=1e-12)
@@ -69,22 +70,25 @@ def test_offpeak_example(ex_engine, half_pair):
 
 def test_offpeak_degenerate_tail(ex_engine, half_pair):
     fam = AdmissibleFamily.of([(2, IndexSet.of([1, 2]))])
-    margin, rep = verify_offpeak_sum([half_pair], [0.5], fam, ex_engine)
-    assert rep.bounds[0].lhs == 0.0  # only the peak set exists
+    rep = verify_offpeak_sum([half_pair], [0.5], fam, ex_engine)
+    margin = rep.items[0].margin
+    assert rep.items[0].lhs == 0.0  # only the peak set exists
     assert margin > 0
 
 
 def test_stack_seminorm_example(ex_engine, half_pair):
-    margin, rep = verify_stack_seminorm([half_pair], [1.0], 2, ex_engine)
-    b = rep.bounds[0]
+    rep = verify_stack_seminorm([half_pair], [1.0], 2, ex_engine)
+    b = rep.items[0]
+    margin = b.margin
     assert b.lhs == pytest.approx(0.5 / f(2), abs=1e-12)
     assert b.rhs == pytest.approx((0.5 + 12 / math.sqrt(2)) / f(2), abs=1e-12)
     assert margin > 0
 
 
 def test_stack_seminorm_zero_coefficients(ex_engine, half_pair):
-    margin, rep = verify_stack_seminorm([half_pair], [0.0], 3, ex_engine)
-    assert rep.bounds[0].lhs == 0.0
+    rep = verify_stack_seminorm([half_pair], [0.0], 3, ex_engine)
+    margin = rep.items[0].margin
+    assert rep.items[0].lhs == 0.0
     assert margin > 0
 
 
@@ -106,16 +110,17 @@ def test_rapid_averages_desk_premises_unmet(ex_engine):
     a1 = build_average(1.0, 2, ex_engine, start=1)
     a2 = build_average(1.0, 2, ex_engine, start=10)
     rep = verify_rapid_averages([a1, a2], 0.25, [1, 2, 4], ex_engine)
-    assert not rep.all_premises_hold
+    assert not rep.premises_hold
     assert rep.ok  # nothing asserted, so nothing fails
-    growth = next(p for p in rep.premises if p.name == "growth_threshold")
-    assert not growth.holds
+    growth = next(p for p in rep.items if p.instance == "premise growth_threshold")
+    assert growth.premise_status == "UNMET"
     assert "log2(k1) >=" in growth.note
     # the required size is astronomically large (beyond 2^100)
     required = float(growth.note.split(">=")[1].split("(")[0])
     assert required > 100
-    assert all(not b.asserted for b in rep.bounds)
-    assert len(rep.bounds) == 4  # three levels plus the norm bound
+    assert all(not b.asserted for b in rep.items)
+    bounds = [b for b in rep.items if not b.instance.startswith("premise ")]
+    assert len(bounds) == 4  # three levels plus the norm bound
 
 
 def test_rapid_averages_relaxed_reports_margins(ex_engine):
@@ -123,8 +128,8 @@ def test_rapid_averages_relaxed_reports_margins(ex_engine):
     a2 = build_average(1.0, 2, ex_engine, start=10)
     rep = verify_rapid_averages([a1, a2], 0.25, [1, 2], ex_engine, relaxed=True)
     assert any("relaxed" in n for n in rep.notes)
-    assert all(not b.asserted for b in rep.bounds)
-    assert all(math.isfinite(b.margin) for b in rep.bounds)
+    assert all(not b.asserted for b in rep.items)
+    assert all(math.isfinite(b.margin) for b in rep.items)
 
 
 def test_rapid_averages_trivial_single(ex_engine):
@@ -132,7 +137,7 @@ def test_rapid_averages_trivial_single(ex_engine):
     # ||y||_ell <= 2 eps + ||y_1||_ell, which holds with margin 2 eps
     avg = build_average(2.0, 1, ex_engine)
     rep = verify_rapid_averages([avg], 0.25, [4], ex_engine)
-    big = next(b for b in rep.bounds if b.name.startswith("large_level"))
+    big = next(b for b in rep.items if b.instance.startswith("large_level"))
     assert big.margin == pytest.approx(0.5, abs=1e-12)
 
 
@@ -140,10 +145,10 @@ def test_chain_stacks_single_stack_base_case(ex_engine):
     a1 = build_average(1.0, 2, ex_engine, start=1)
     a2 = build_average(1.0, 2, ex_engine, start=10)
     rep = verify_chain_stacks([[a1, a2]], eps=0.5, delta=0.2, ells=[1, 2], engine=ex_engine)
-    assert not rep.all_premises_hold  # growth thresholds fail at desk scale
+    assert not rep.premises_hold  # growth thresholds fail at desk scale
     assert rep.ok
     assert any("delta < eps/2" in n for n in rep.notes)
-    weak = [b for b in rep.bounds if "weak" in b.name]
+    weak = [b for b in rep.items if "weak" in b.instance]
     assert all(b.rhs == pytest.approx(1.5, abs=1e-12) for b in weak)
 
 
@@ -156,10 +161,10 @@ def test_chain_stacks_two_stacks_formula_branches(ex_engine):
         stacks.append(stack)
     rep = verify_chain_stacks(stacks, eps=0.5, delta=0.2, ells=[1, 3], engine=ex_engine)
     # ell = 1: f(1) = 1 so the cap is (1+eps) * m / f(m/1)
-    b1 = next(b for b in rep.bounds if b.name == "level_bound[ell=1]")
+    b1 = next(b for b in rep.items if b.instance == "level_bound[ell=1]")
     assert b1.rhs == pytest.approx(1.5 * max(1.0, 2 / (f(1) * f(2))), abs=1e-12)
     # ell >= m: min(ell, m) = m, so the inner factor is f(1) = 1
-    b3 = next(b for b in rep.bounds if b.name == "level_bound[ell=3]")
+    b3 = next(b for b in rep.items if b.instance == "level_bound[ell=3]")
     assert b3.rhs == pytest.approx(1.5 * max(1.0, 2 / (f(3) * 1.0)), abs=1e-12)
     assert rep.ok
 

@@ -42,7 +42,7 @@ def test_unmet_premises_do_not_fail():
 
 
 def test_gmax_suite_counts():
-    rep = suite_gmax(resolution=500, seed=0)
+    rep = suite_gmax(count=500, seed=0)
     assert len(rep.items) == sum(21 - ell for ell in (2, 3, 4))
     assert rep.ok
 
