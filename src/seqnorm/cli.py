@@ -135,7 +135,13 @@ def cmd_verify(args) -> int:
 def cmd_construct(args) -> int:
     t0 = time.monotonic()
     outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+
+    def out(name: str) -> Path:
+        """Path of an artifact; the directory is made at the first write, so a
+        rejected call leaves none behind."""
+        outdir.mkdir(parents=True, exist_ok=True)
+        return outdir / name
+
     report = {"command": "construct", "what": args.what, "out_dir": str(outdir)}
 
     if args.what == "chain":
@@ -151,8 +157,8 @@ def cmd_construct(args) -> int:
             _emit(report, args, t0)
             return 0
         for i, block in enumerate(cert.blocks.vectors, start=1):
-            save_vector(block, str(outdir / f"chain_block_{i}.json"))
-        (outdir / "chain_family.json").write_text(
+            save_vector(block, str(out(f"chain_block_{i}.json")))
+        out("chain_family.json").write_text(
             canonical_json(cert.family.to_json()) + "\n"
         )
         report["status"] = "ok" if cert.ok else "certificate-failed"
@@ -175,8 +181,8 @@ def cmd_construct(args) -> int:
             report["detail"] = str(exc)
             _emit(report, args, t0)
             return 0
-        save_vector(res.x, str(outdir / "localized_vector.json"))
-        (outdir / "localized_family.json").write_text(
+        save_vector(res.x, str(out("localized_vector.json")))
+        out("localized_family.json").write_text(
             canonical_json(res.witness_family.to_json()) + "\n"
         )
         report["status"] = "ok" if res.ok else "asserted-check-failed"
@@ -200,7 +206,7 @@ def cmd_construct(args) -> int:
             _emit(report, args, t0)
             return 0
         for (i, j), cell in sorted(res.cells.items()):
-            save_vector(cell, str(outdir / f"grid_cell_{i}_{j}.json"))
+            save_vector(cell, str(out(f"grid_cell_{i}_{j}.json")))
         report["status"] = "ok" if res.ok else "asserted-check-failed"
         report["worst_lower_ratio"] = res.worst_lower_ratio
         report["worst_upper_ratio"] = res.worst_upper_ratio
@@ -213,7 +219,7 @@ def cmd_construct(args) -> int:
     engine = get_engine(_mode(args))
     blocks = BlockBasis(tuple(load_vector(p) for p in args.blocks))
     avg = assemble_lp_average(blocks, args.p, engine)
-    save_vector(avg.vector, str(outdir / "average.json"))
+    save_vector(avg.vector, str(out("average.json")))
     report["status"] = "ok"
     report["p"] = args.p
     report["n"] = avg.n

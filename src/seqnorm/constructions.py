@@ -382,6 +382,8 @@ class GridParams:
             raise ValueError(f"grid averaging count k0 must be >= 1, got {self.k0}")
         if not self.eps > 0:
             raise ValueError(f"eps must be > 0, got {self.eps}")
+        if self.samples < 0:
+            raise ValueError(f"samples must be >= 0, got {self.samples}")
 
 
 @dataclass

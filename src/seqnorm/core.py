@@ -248,7 +248,7 @@ class FiniteVector:
         return 0.0
 
     def pattern(self) -> CoefficientPattern:
-        return tuple(abs(c) for c in self._coef)
+        return tuple(map(abs, self._coef))
 
     # -- operations ---------------------------------------------------
 

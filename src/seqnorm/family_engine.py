@@ -2,8 +2,7 @@
 
 The norm satisfies the fixed-point equation
 
-    ||x|| = max( ||x||_inf ,
-                 sup { (1/f(l)) * sum_i |||E_i x|||_{m_i} } )
+    ||x|| = max( ||x||_inf , sup { (1/f(l)) * sum_i |||E_i x|||_{m_i} } )
 
 with the sup over admissible families, where the triple norm is
 
@@ -11,80 +10,23 @@ with the sup over admissible families, where the triple norm is
 
 On finitely supported vectors the fixed point is well defined by recursion on
 support size: a partition piece equal to the whole vector is dominated by any
-two-way split (each level of the construction is a norm, so the triangle
-inequality holds), hence every supremum is attained among strictly smaller
-restrictions.  The same monotonicity lets partition pieces be taken as
-consecutive runs covering the whole set, which is exact because the inner
-suprema carry no cardinality budget.
+two-way split (each level of the construction is a norm), and partition
+pieces may be taken as consecutive runs, as the inner suprema carry no
+cardinality budget.  After c consumed points the next scale is at least
+max(2, 2**c); once that floor reaches the points left, one merged final set
+dominates, so the search stops there (proof in `run_tables`).
 
-One recursion per supremum
---------------------------
-`_Pieces` evaluates every supremum of the equation, each memoised by
-coefficient pattern: `norm_of` the norm, `split` the best sum over
-partitions into at most m runs (and the width of a first run attaining it),
-`scale` the best triple norm over scales m >= floor (and an m attaining
-it), `family` the family search.  The engine values pieces by the norm
-itself; `iterate_levels` and `fixed_point_residual` value them by given
-values, in a fresh `_Pieces` for each level.
-
-`family(p, c, first_floor)` is the one family search.  A set's value and the
-floors of later sets depend only on the points left, p, and on the c points
-already consumed, so the state is keyed by the suffix pattern p itself, not
-by positions in a root: every sub-pattern ending in p shares it (in segment
-mode, every run of the root that ends where p ends).  For every k it keeps
-the best sum of set values over families of exactly k sets and the offsets
-of the first set of one family attaining it.  A state either skips p[0] or
-takes a set whose first point is p[0]: a run p[:t] in ``segment`` mode, p[0]
-together with any subset of the later points in ``exhaustive`` mode.  The
-leaves (nothing left, or the merged tail below) cost O(len(p)) and are not
-stored: storing them would more than triple the search memo of a random
-32-point segment root.  Search states are kept for the root of the last
-public operation only, and dropped when one starts on another root (as the
-``x1`` engine keeps its last root's tables); the norm, partition and
-triple-norm memos persist.
-
-Search modes
-------------
-``exhaustive``
-    Family sets range over arbitrary subsets of the support.  Exact by
-    definition; accepted only up to ``max_support`` points (default 12).
-``segment``
-    Family sets are restricted to consecutive runs of support points with
-    free gaps between sets.  A certified lower bound for the exhaustive
-    value, fast at any support size, and exact on constant patterns -- but
-    not in general: omitting a small interior point from a set can relax the
-    cardinality budget enough to win (frozen counterexample in the tests).
-    The modes are cross-validated and strict gaps are reported as
-    diagnostics by the acceptance suite.
-
-The search prunes with an exact dominance rule: the admissibility budget
-forces the next scale m to be at least max(2, 2**consumed), so once that
-floor reaches the number of remaining support points every later triple norm
-degenerates to l1/floor, and a single merged final set (all remaining points)
-dominates any further splitting while using fewer sets.  The pruning
-preserves "best family sum with at most k sets" exactly, which is the
-quantity all the seminorms are derived from.
-
-On a constant pattern every set of t points has the same pattern, and
-admissibility depends only on cardinalities, so a family's value depends
-only on its sequence of set sizes.  Packing the sets flush left as
-consecutive runs realises every such sequence, in either mode.  A state
-whose own suffix is constant therefore takes runs and never skips, exact in
-both modes, whatever the rest of the root looks like.
-
-Witnesses walk the argmaxes: sets from the search (past its skip markers),
-scales from `scale`, partition widths from `split`.  Every step re-reads a
-maximum the norm was computed from, so no value is matched against a
-tolerance.
-
-Every public operation evaluates the pattern p / max(p) and multiplies the
-result by max(p), so values are homogeneous over the whole double range; a
-result beyond it raises OverflowError.  Constant patterns thereby collapse
-onto (1, ..., 1).  Sub-patterns of a normalised root are used as they are.
-
-Memoization is keyed by coefficient pattern (absolute coefficients in index
-order), which is sound because the norm is 1-unconditional and 1-subsymmetric;
-both properties are themselves under test.
+``segment`` mode restricts family sets to runs of support points, so every
+piece is a run of the root: it fills the interval tables of `run_tables` for
+the last root, in O(n^4) additions.  It gives a certified lower bound, exact
+on constant patterns but not in general (frozen counterexample in the tests).
+``exhaustive`` mode takes arbitrary subsets, up to ``max_support`` points
+(default 12), and memoises every supremum by coefficient pattern in
+`_Pieces`, sound because the norm is 1-unconditional and 1-subsymmetric
+(both under test); its search states are kept for the last root only.  One
+walker over root positions, which both modes answer with the sets, scales
+and pieces attaining each maximum, builds the witnesses.  Values come from a
+scaled pattern scaled back, so they are homogeneous over the double range.
 """
 from __future__ import annotations
 
@@ -92,10 +34,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .admissible import AdmissibleFamily
 from .core import CoefficientPattern, EQ_TOL, FiniteVector, IndexSet, f, min_m_for_budget
+from .run_tables import IterationCapError, RunTables
 from .witness import FamilyWitness, PartitionWitness, SupWitness, Witness
 
 _NEG = float("-inf")
@@ -105,10 +50,6 @@ _FLOOR_BITS_CAP = 1020
 
 class SupportLimitError(ValueError):
     """Exhaustive mode rejected a vector whose support exceeds the limit."""
-
-
-class IterationCapError(RuntimeError):
-    """Level iteration exceeded its cap without stabilizing."""
 
 
 @dataclass(frozen=True)
@@ -135,10 +76,6 @@ def _first_sets(r: int) -> tuple[tuple[int, ...], ...]:
     return tuple((0,) + rest for k in range(r) for rest in combinations(range(1, r), k))
 
 
-def _is_constant(p: CoefficientPattern) -> bool:
-    return len(p) > 1 and min(p) == max(p)
-
-
 def _ratio(l1: float, fl: int) -> float:
     if fl.bit_length() > _FLOOR_BITS_CAP:
         return 0.0
@@ -154,16 +91,13 @@ def _unscale(s: float, v: float) -> float:
 
 
 class _Pieces:
-    """The sups of the fixed-point equation, each memoised by pattern: the
-    norm, best partition sums, triple norms and the family search.
+    """Exhaustive mode: the sups of the fixed-point equation memoised by
+    pattern.  Pieces are valued by the norm, or by given values (`norm_of`) in
+    `iterate_levels` and `fixed_point_residual`.  Search states are kept for
+    one root."""
 
-    Pieces are valued by the norm (`norm_of`), or by given values when
-    `norm_of` is passed: a level's values in `iterate_levels`, the engine's
-    norm in `fixed_point_residual`.  Search states are kept for one root.
-    """
-
-    def __init__(self, segment: bool, norm_of: Callable[[CoefficientPattern], float] | None = None):
-        self.segment, self.root = segment, None
+    def __init__(self, norm_of: Callable[[CoefficientPattern], float] | None = None):
+        self.root = None
         if norm_of is not None:
             self.norm_of = norm_of
         self._norm: dict[CoefficientPattern, float] = {}
@@ -263,12 +197,11 @@ class _Pieces:
             return hit
         # skip p[0] (never on a constant pattern), or take a set whose first
         # point is p[0]
-        const = _is_constant(p)
-        runs = const or self.segment
+        const = r > 1 and min(p) == max(p)
         best = [0.0] if const else list(self.family(p[1:], c, ff)[0])
         arg = [None] * len(best)
-        for offs in [range(t) for t in range(1, r + 1)] if runs else _first_sets(r):
-            tnv = self.tn(p[: len(offs)] if runs else tuple(map(p.__getitem__, offs)), fl)
+        for offs in [range(t) for t in range(1, r + 1)] if const else _first_sets(r):
+            tnv = self.tn(p[: len(offs)] if const else tuple(map(p.__getitem__, offs)), fl)
             rest = self.family(p[offs[-1] + 1 :], c + len(offs), ff)[0]
             grow = len(rest) + 1 - len(best)
             if grow > 0:
@@ -282,44 +215,201 @@ class _Pieces:
         return out
 
 
-class FamilyEngine:
-    """Shared-memo evaluator for the family norm and its seminorms.
+class _Root:
+    """Exhaustive mode's answers on one root q = p / s, by positions of q;
+    one per operation, so threads sharing an engine never mix roots."""
 
-    Every memo entry is a function of its key alone, so no value depends on
-    the operations run before it.  Search states are dropped whenever an
-    operation starts on another root, so an instance shared across threads
-    stays correct but may repeat a search.
-    """
+    __slots__ = ("pieces", "q", "s")
+
+    def __init__(self, pieces: _Pieces, q: CoefficientPattern, s: float):
+        self.pieces, self.q, self.s = pieces, q, s
+
+    def _at(self, pos: Sequence[int]) -> CoefficientPattern:
+        # positions are increasing, so len(pos) == len(q) means the root
+        return self.q if len(pos) == len(self.q) else tuple(map(self.q.__getitem__, pos))
+
+    def value(self, pos: Sequence[int] | None = None) -> float:
+        return self.pieces.norm_of(self.q if pos is None else self._at(pos))
+
+    def best(self, pos: Sequence[int] | None, m: int) -> float:
+        return self.pieces.bps(self.q if pos is None else self._at(pos), m)
+
+    def root_best(self, m0: int) -> list:
+        return self.pieces.family(self.q, 0, m0)[0]
+
+    def unscale(self, v: float) -> float:
+        return _unscale(self.s, v)
+
+    def sets(self, pos: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+        """(positions, scale) of the sets of a family attaining the norm at
+        pos; empty if the sup norm attains it."""
+        p = self._at(pos)
+        if self.pieces.norm_of(p) <= max(p):
+            return []
+        best = self.pieces.family(p, 0, 2)[0]
+        k = max(range(1, len(best)), key=lambda k: best[k] / f(k))
+        out, a, c = [], 0, 0
+        for left in range(k, 0, -1):
+            offs = self.pieces.family(p[a:], c, 2)[1][left]
+            while offs is None:  # the family leaves p[a] out
+                a += 1
+                offs = self.pieces.family(p[a:], c, 2)[1][left]
+            sub = [a + o for o in offs]
+            m = self.pieces.scale(tuple(p[i] for i in sub), min_m_for_budget(c))[1]
+            out.append((tuple(pos[i] for i in sub), m))
+            a, c = sub[-1] + 1, c + len(sub)
+        return out
+
+    def parts(self, pos: Sequence[int], m: int) -> list[Sequence[int]]:
+        """The pieces of a partition of pos into at most m runs attaining `best`."""
+        p, out, a = self._at(pos), [], 0
+        while a < len(p):
+            t = self.pieces.split(p[a:], m - len(out))[1]
+            out.append(pos[a : a + t])
+            a += t
+        return out
+
+
+class _Segment(RunTables):
+    """Segment mode: the run tables of one root with C_m for every m <= n,
+    the family states F = `_family` of `run_tables` (c < nc, k < K) with the
+    first run's length in `fbp` (0: skip), and the norms N."""
+
+    def __init__(self, p: CoefficientPattern):
+        n = len(p)
+        super().__init__(p, range(1, max(n, 1) + 1))
+        self.nc = max(2, (n - 1).bit_length())  # c = 0 .. floor(log2(n - 1))
+        self.K = self.nc + 2  # at most nc + 1 sets
+        self.floors = np.array([max(2, 1 << c) for c in range(self.nc)])
+        self.fk = np.array([f(k) for k in range(1, self.K)])
+        self.mvals = np.arange(1.0, self.l1.shape[1] + 1)
+        self.starts = np.arange(n)
+        self.pow2 = np.ldexp(1.0, -np.add.outer(np.arange(self.nc), np.arange(n + 1)))
+
+    def outer(self, C, values, keep):
+        nc, (rows, cols) = self.nc, self.l1.shape
+        # every state starts as a merged tail, one run of all L points at
+        # tn = l1 / fl(c); the search below replaces the states with fl(c) < L
+        tn = self.l1 / self.floors[:, None, None]  # at floor fl(c), by length and start
+        F = np.full((nc, rows, cols + 1, self.K), _NEG)
+        F[..., 0] = 0.0
+        F[:, 1:, :cols, 1] = tn[:, 1:]
+        fbp = np.zeros(F.shape, dtype=np.int16)
+        fbp[..., 1] = np.arange(rows)[:, None]
+        if keep:
+            self._family, self.fbp = F, fbp
+
+        def step(L, cnt):
+            cl = min(nc, (L - 1).bit_length()) if L > 2 else 0  # the c with fl(c) < L
+            if cl:
+                r = C[1:L, L, :cnt] / self.mvals[1:L, None]  # max over m >= fl of C_m / m
+                r = np.maximum.accumulate(r[::-1], axis=0)[::-1]
+                tn[:cl, L, :cnt] = r[self.floors[:cl] - 2]
+                take, t = self._take(tn[:cl, 1 : L + 1, :cnt], F, L, self.starts[:cnt])
+                skip = F[:cl, L - 1, 1 : cnt + 1, 1:]
+                win = take > skip
+                F[:cl, L, :cnt, 1:] = np.where(win, take, skip)
+                fbp[:cl, L, :cnt, 1:] = np.where(win, t, 0)
+            family = (F[0, L, :cnt, 1:] / self.fk).max(axis=1)
+            values[L, :cnt] = np.maximum(self.sup[L, :cnt], family)
+        return step
+
+    def _take(self, A, F, L, s):
+        """Best sums over families of runs in the suffixes [s_j, s_j + L_j)
+        whose first set starts at s_j, after c consumed points, where
+        A[c, t-1, j] is the triple norm at fl(c) of the first t points (-inf
+        for t > L_j).  Returns (best[c, j, k-1], first run's length), k >= 1."""
+        cl, T, _ = A.shape
+        nc, K, n = self.nc, self.K, len(self.p)
+        t = np.arange(1, T + 1)[:, None]
+        rest_len, rest_at = np.maximum(L - t, 0), np.minimum(s + t, n)  # [t-1, j]
+        # k = 2 over every t: a rest of c + t >= nc consumed points is one merged run
+        rest1 = np.where(L > t, self.l1[rest_len, np.minimum(rest_at, n - 1)], _NEG)
+        B = A + self.pow2[:cl, 1 : T + 1, None] * rest1
+        D = np.full((cl, min(T, nc - 1), len(s), K - 3), _NEG)  # k >= 3
+        for t in range(1, D.shape[1] + 1):  # rests with c + t < nc are stored
+            h = min(cl, nc - t)
+            rest = F[t : t + h, rest_len[t - 1], rest_at[t - 1]]  # [c, j] = F[c+t, L_j-t, s_j+t]
+            B[:h, t - 1] = A[:h, t - 1] + rest[..., 1]
+            D[:h, t - 1] = A[:h, t - 1, :, None] + rest[..., 2 : K - 1]
+        best = [A.max(axis=1)[..., None], B.max(axis=1)[..., None], D.max(axis=1)]
+        arg = [A.argmax(axis=1)[..., None], B.argmax(axis=1)[..., None], D.argmax(axis=1)]
+        return np.concatenate(best, axis=-1), np.concatenate(arg, axis=-1) + 1
+
+    def root_best(self, m0: int) -> np.ndarray:
+        """best[k] of the root's family search whose first set has scale >= m0:
+        a first run at some start a, then the family states after it."""
+        n, F = len(self.p), self._family
+        if m0 == 2 or not n:
+            return F[0, n, 0]
+        if m0 <= n:  # C_m = l1 for m >= L, so rows m0..n hold every candidate
+            tnm = (self.C[m0 - 1 :] / self.mvals[m0 - 1 :, None, None]).max(axis=0)
+        else:
+            tnm = self.l1 / m0 if m0.bit_length() <= _FLOOR_BITS_CAP else 0.0 * self.l1
+        a, t = np.arange(n), np.arange(1, n + 1)[:, None]
+        take = self._take(np.where(t <= n - a, tnm[t, a], _NEG)[None], F, n - a, a)[0]
+        return np.concatenate([[0.0], take[0].max(axis=0)])
+
+    def value(self, pos: Sequence[int] | None = None) -> float:
+        return self.N[len(self.p), 0] if pos is None else self.N[len(pos), pos[0]]
+
+    def best(self, pos: Sequence[int] | None, m: int) -> float:
+        return self.bps(m) if pos is None else self.bps(m, len(pos), pos[0])
+
+    def sets(self, pos: Sequence[int]) -> list[tuple[Sequence[int], int]]:
+        s, L = pos[0], len(pos)
+        if self.N[L, s] <= self.sup[L, s]:
+            return []
+        k = int(np.argmax(self._family[0, L, s, 1:] / self.fk)) + 1
+        out, a, c, e = [], s, 0, s + L
+        for left in range(k, 0, -1):
+            t = e - a if c >= self.nc else int(self.fbp[c, e - a, a, left])
+            while t == 0:  # the family leaves p[a] out
+                a += 1
+                t = int(self.fbp[c, e - a, a, left])
+            m = max(2, 1 << c)  # the least scale attaining tn
+            if m < t:
+                m += int(np.argmax(self.C[m - 1 : t, t, a] / self.mvals[m - 1 : t]))
+            out.append((range(a, a + t), m))
+            a, c = a + t, c + t
+        return out
+
+    def parts(self, pos: Sequence[int], m: int) -> list[Sequence[int]]:
+        return [range(a, a + w) for a, w in self.runs(m, pos[0], len(pos))]
+
+
+class FamilyEngine:
+    """Evaluator for the family norm and its seminorms.  Every memo entry is
+    a function of its key alone, and search states or tables of a root are
+    dropped when an operation starts on another, so an instance shared across
+    threads stays correct but may repeat a search."""
 
     def __init__(self, mode: SearchMode):
         self.mode = mode
-        self._pieces = _Pieces(mode.kind == "segment")
-
-    # ------------------------------------------------------------------
-    # public operations
-    # ------------------------------------------------------------------
+        # exhaustive: the pattern memos; segment: the last root's tables
+        self._pieces: _Pieces | _Segment | None = _Pieces() if mode.kind == "exhaustive" else None
 
     def norm(self, x: FiniteVector, with_witness: bool = False):
         self._check_support(x)
-        s, q = self._root(x)
-        value = _unscale(s, self._pieces.norm_of(q))
+        S = self._root(x)
+        value = S.unscale(S.value())
         if not with_witness:
             return value
-        return value, self._node(x, q, s, tuple(range(len(q))))
+        return value, self._node(x, S, range(x.support_size))
 
     def triple_norm(self, x: FiniteVector, m: int) -> float:
         if m < 2:
             raise ValueError("the triple norm is defined for m >= 2")
         self._check_support(x)
-        s, q = self._root(x)
-        return _unscale(s, _ratio(self._pieces.bps(q, m), m))
+        S = self._root(x)
+        return S.unscale(_ratio(S.best(None, m), m))
 
     def best_partition_sum(self, x: FiniteVector, m: int) -> float:
         if m < 1:
             raise ValueError("need m >= 1")
         self._check_support(x)
-        s, q = self._root(x)
-        return _unscale(s, self._pieces.bps(q, m))
+        S = self._root(x)
+        return S.unscale(S.best(None, m))
 
     def norm_ell(self, x: FiniteVector, ell: int) -> float:
         """Best family value at exactly `ell` pairs (trailing empty sets allowed)."""
@@ -332,136 +422,97 @@ class FamilyEngine:
         if m0 < 2:
             raise ValueError("need m0 >= 2")
         self._check_support(x)
-        s, q = self._root(x)
+        S = self._root(x)
         # best[0] = 0 is the empty family: the max is over at most ell sets
-        best = self._pieces.family(q, 0, m0)[0]
-        return _unscale(s, max(best[: ell + 1]) / f(ell))
+        return S.unscale(max(S.root_best(m0)[: ell + 1]) / f(ell))
 
     def evaluate_family(self, x: FiniteVector, fam: AdmissibleFamily) -> float:
-        """Value of one explicit family: a certified lower bound for the norm."""
+        """Value of one explicit family: a certified lower bound for the norm.
+        Each set is valued on its own, so the root's search states stay."""
         fam.validate()
-        s, _ = self._root(x)
-        total = 0.0
+        s, total = max(x.pattern(), default=1.0), 0.0
         for m, E in fam.pairs:
-            sub = tuple(v / s for v in x.restrict(E).pattern())
-            if sub:
-                total += _ratio(self._pieces.bps(sub, m), m)
+            sub = x.restrict(E).pattern()
+            if sub and self.mode.kind == "exhaustive":
+                total += _ratio(self._pieces.bps(tuple(v / s for v in sub), m), m)
+            elif sub:
+                T = _Segment(sub)
+                T.fill()
+                total += T.unscale(_ratio(T.bps(m), m)) / s
         return _unscale(s, total / f(fam.length))
 
     def fixed_point_residual(self, x: FiniteVector) -> float:
         """|LHS - RHS| of the implicit equation, the RHS supremum re-evaluated
         one step with the computed norm as the piece oracle."""
         self._check_support(x)
-        s, q = self._root(x)
-        if not q:
+        S = self._root(x)
+        if not x.support_size:
             return 0.0
-        rhs = _Pieces(self._pieces.segment, self._pieces.norm_of).rhs(q)
-        return _unscale(s, abs(self._pieces.norm_of(q) - rhs))
+        if isinstance(S, _Segment):
+            return S.residual()
+        norm_of = S.pieces.norm_of
+        return S.unscale(abs(norm_of(S.q) - _Pieces(norm_of).rhs(S.q)))
 
     def iterate_levels(self, x: FiniteVector) -> list[float]:
-        """Level values of the inductive norm construction, up to stabilization.
-
-        Starts every restriction at its sup norm and applies the one-step map
-        to all of them simultaneously until nothing moves by EQ_TOL times the
-        largest coefficient.  An independent route to the fixed point the
-        recursion computes directly.
-        """
+        """Level values of the inductive norm construction, up to stabilization:
+        every restriction starts at its sup norm and the one-step map is
+        applied to all at once until nothing moves by EQ_TOL times the largest
+        coefficient (`RunTables.levels` in segment mode)."""
         self._check_support(x)
-        s, q = self._root(x)
-        if not q:
-            return [0.0]
-        closure = self._closure(q)
-        values = {z: max(z) for z in closure}
-        levels = [_unscale(s, values[q])]
-        cap = 10 * len(q)
-        for _ in range(cap):
-            pieces = _Pieces(self._pieces.segment, values.__getitem__)
-            new_values = {z: max(values[z], pieces.rhs(z)) for z in closure}
-            delta = max(new_values[z] - values[z] for z in closure)
-            values = new_values
-            levels.append(_unscale(s, values[q]))
+        p = x.pattern()
+        if not p or self.mode.kind == "segment":
+            return _Segment(p).levels() if p else [0.0]
+        S = self._root(x)
+        closure = {z for k in range(1, len(p) + 1) for z in combinations(S.q, k)}
+        values, levels = {z: max(z) for z in closure}, [S.unscale(1.0)]
+        for _ in range(10 * len(p)):
+            pieces = _Pieces(values.__getitem__)
+            new = {z: max(values[z], pieces.rhs(z)) for z in closure}
+            delta, values = max(new[z] - values[z] for z in closure), new
+            levels.append(S.unscale(values[S.q]))
             if delta < EQ_TOL:  # q has largest coefficient 1
                 return levels
         raise IterationCapError(
-            f"no stabilization within {cap} levels; last value {levels[-1]}"
-        )
-
-    # ------------------------------------------------------------------
-    # pattern-level core
-    # ------------------------------------------------------------------
+            f"no stabilization within {10 * len(p)} levels; last value {levels[-1]}")
 
     def _check_support(self, x: FiniteVector) -> None:
         if self.mode.kind == "exhaustive" and x.support_size > self.mode.max_support:
-            raise SupportLimitError(
-                f"support {x.support_size} exceeds exhaustive limit "
-                f"{self.mode.max_support}; use segment mode"
-            )
+            raise SupportLimitError(f"support {x.support_size} exceeds exhaustive limit "
+                                    f"{self.mode.max_support}; use segment mode")
 
-    def _root(self, x: FiniteVector) -> tuple[float, CoefficientPattern]:
-        """(max(p), p / max(p)) for the pattern p of x, whose normalised
-        pattern becomes the root of the search states.  A value on the second
-        times the first is the value on p."""
+    def _root(self, x: FiniteVector) -> _Root | _Segment:
+        """The search over x's pattern p as the root: the memos' answers on
+        p / max(p), or the tables of p (the last root's if it was p)."""
         p = x.pattern()
-        s = max(p, default=1.0)
-        q = tuple(v / s for v in p)
-        self._pieces.start(q)
-        return s, q
-
-    def _closure(self, p: CoefficientPattern) -> set[CoefficientPattern]:
-        """Every sub-pattern the one-step map can touch."""
-        n = len(p)
         if self.mode.kind == "exhaustive":
-            return {z for k in range(1, n + 1) for z in combinations(p, k)}
-        return {p[a:b] for a in range(n) for b in range(a + 1, n + 1)}
+            s = max(p, default=1.0)
+            q = tuple(v / s for v in p)
+            self._pieces.start(q)
+            return _Root(self._pieces, q, s)
+        T = self._pieces
+        if T is None or T.p != p:
+            T = _Segment(p)
+            T.fill()
+            self._pieces = T
+        return T
 
-    # ------------------------------------------------------------------
-    # witness extraction
-    # ------------------------------------------------------------------
-
-    def _node(self, x: FiniteVector, q: CoefficientPattern, s: float, pos: tuple[int, ...]) -> Witness:
-        """Certificate for the norm of x on the support positions pos; the
-        pattern of x is s * q."""
+    def _node(self, x: FiniteVector, S: _Root | _Segment, pos: Sequence[int]) -> Witness:
+        """Certificate for the norm of x on the support positions pos."""
         if not pos:
             return SupWitness(0.0, None)
-        pieces = self._pieces
-        p = tuple(q[i] for i in pos)
-        top = max(p)
-        if pieces.norm_of(p) <= top:
-            i = pos[p.index(top)]
+        sets = S.sets(pos)
+        if not sets:
+            i = max(pos, key=lambda i: abs(x.coefficients[i]))
             return SupWitness(abs(x.coefficients[i]), x.indices[i])
-        best = pieces.family(p, 0, 2)[0]
-        k = max(range(1, len(best)), key=lambda k: best[k] / f(k))
-        pairs, children, a, c = [], [], 0, 0
-        for left in range(k, 0, -1):
-            offs = pieces.family(p[a:], c, 2)[1][left]
-            while offs is None:  # the family leaves p[a] out
-                a += 1
-                offs = pieces.family(p[a:], c, 2)[1][left]
-            sub = [a + o for o in offs]
-            m = pieces.scale(tuple(p[i] for i in sub), min_m_for_budget(c))[1]
-            E = tuple(pos[i] for i in sub)
+        pairs, children = [], []
+        for E, m in sets:
+            pieces = tuple((IndexSet.of(x.indices[i] for i in P), self._node(x, S, P))
+                           for P in S.parts(E, m))
             pairs.append((m, IndexSet.of(x.indices[i] for i in E)))
-            children.append(self._partition(x, q, s, E, m))
-            a, c = sub[-1] + 1, c + len(sub)
-        return FamilyWitness(_unscale(s, pieces.norm_of(p)), tuple(pairs), tuple(children))
+            value = S.unscale(_ratio(S.best(E, m), m))
+            children.append(PartitionWitness(value, m, float(m), pieces))
+        return FamilyWitness(S.unscale(S.value(pos)), tuple(pairs), tuple(children))
 
-    def _partition(self, x: FiniteVector, q: CoefficientPattern, s: float,
-                   pos: tuple[int, ...], m: int) -> PartitionWitness:
-        pieces = self._pieces
-        p = tuple(q[i] for i in pos)
-        parts, a, left = [], 0, m
-        while a < len(p):
-            t = pieces.split(p[a:], left)[1]
-            seg = pos[a : a + t]
-            parts.append((IndexSet.of(x.indices[i] for i in seg), self._node(x, q, s, seg)))
-            a, left = a + t, left - 1
-        value = _unscale(s, _ratio(pieces.bps(p, m), m))
-        return PartitionWitness(value=value, m=m, divisor=float(m), pieces=tuple(parts))
-
-
-# ----------------------------------------------------------------------
-# module-level functional surface
-# ----------------------------------------------------------------------
 
 _ENGINES: dict[SearchMode, FamilyEngine] = {}
 

@@ -5,43 +5,21 @@ The norm satisfies
     ||x|| = max( ||x||_inf , ( sum_k ||x||_{n_k}^2 )^(1/2) )
     ||x||_k = max_{E_1 < ... < E_k} (1/f(k)) * sum_i ||E_i x||
 
-for a configurable strictly increasing integer sequence (n_k).  The square
-sum runs over infinitely many scales, but every scale with n_k >= |supp(x)|
-is exact in closed form: singleton pieces are optimal there (piece norms are
-dominated by their l1 mass), so ||x||_{n_k} = l1(x)/f(n_k) and the whole tail
-aggregates analytically.  In particular, whenever |supp(x)| <= n_1 the norm
-collapses to max(||x||_inf, Q * l1(x)) with Q = (sum_k f(n_k)^-2)^(1/2); the
-``paper`` preset has n_1 ~ 2**40, so at desk scale it always hits this
-closed form (asserted, not hidden).
+for a configurable strictly increasing integer sequence (n_k).  Every scale
+with n_k >= |supp(x)| is exact in closed form: singleton pieces are optimal
+there (piece norms are dominated by their l1 mass), so ||x||_{n_k} =
+l1(x)/f(n_k) and the tail of the square sum aggregates analytically.  In
+particular, whenever |supp(x)| <= n_1 the norm is max(||x||_inf, Q * l1(x))
+with Q = (sum_k f(n_k)^-2)^(1/2); the ``paper`` preset has n_1 ~ 2**40, so at
+desk scale it always hits this closed form (asserted, not hidden).
 
-Partition suprema are searched over consecutive runs of support points, which
-is exact here: there is no cardinality budget, so enlarging a piece never
-costs anything at any level.  Every piece is then a run p[s:s+L] of the
-root's coefficient pattern p.  By length L and start s the engine tabulates
-the run norms N[L, s], the best sums C_m[L, s] of run norms over partitions
-into at most m runs, and back-pointers to the splits attaining them.
-C_1 = N, C_m = l1 once m >= L, and for 2 <= m < L
-
-    C_m[L, s] = max_{0<t<L}  C_{ceil(m/2)}[t, s] + C_{floor(m/2)}[L-t, s+t].
-
-Proof: a single piece is dominated by any two-way split (triangle
-inequality), so C_m is the best sum over r-run partitions, 2 <= r <= m, and
-each right-hand term is one.  Conversely, cut an r-run partition after its
-run j = max(1, r - floor(m/2)): if r > floor(m/2) the left part has
-j <= ceil(m/2) runs and the right part floor(m/2); otherwise the left part has
-one run and the right r - 1 < floor(m/2).  Only subadditivity of the piece
-values is used, and every level of the inductive construction is a norm, so
-`iterate_levels` and `fixed_point_residual` run the same fill on given values.
-
-Only the counts reachable from {n_k < n} (and from a count asked of `norm_k`
-or `best_partition_sum`) under m -> (ceil(m/2), floor(m/2)) get a table:
-O(log n) tables when the scales grow geometrically, as in both presets.  With
-one numpy reduction over starts, split points and counts per length, an
-n-point root costs O(n^3 log n) additions and O(n^2 log n) memory.  Only the
-last root's tables are kept, which a witness right after the norm reuses.
-They hold p scaled by the power of two that puts max(p) in [0.5, 1): exact,
-free of overflow in the squares and homogeneous over the whole double range.
-A value beyond that range raises OverflowError.
+Partition pieces are consecutive runs of support points, which is exact here:
+no cardinality budget makes a larger piece cost anything.  The engine fills
+the interval tables of `run_tables`, whose hook here is the square sum over
+the scales that split a run, for the counts reachable from {n_k < n} (and
+from a count asked of `norm_k` or `best_partition_sum`) under
+m -> (ceil(m/2), floor(m/2)): O(log n) counts for geometric scales, as in both
+presets.  The last root's tables are kept for a witness right after the norm.
 
 Presets:
 
@@ -60,11 +38,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.special import zeta as _hurwitz_zeta
 
-from .core import CoefficientPattern, EQ_TOL, FiniteVector, IndexSet, INEQ_TOL, f
-from .family_engine import IterationCapError
+from .core import CoefficientPattern, FiniteVector, IndexSet, INEQ_TOL, f
+from .run_tables import RunTables
 from .witness import PartitionWitness, QuadraticWitness, SupWitness, Witness
 
 
@@ -178,14 +155,12 @@ class QSumConfig:
         raise ConfigError(f"cannot parse config {obj!r}")
 
 
-class _Tables:
-    """Interval tables of root pattern p: entry [L, s] is for p[s:s+L].
-    The run sums and maxima are built here; `fill` adds the norm tables."""
+class _Tables(RunTables):
+    """Run tables of an x1 root, with C_m for the counts reachable from the
+    scales that split it (and from `count`, if given)."""
 
     def __init__(self, engine: "QSumEngine", p: CoefficientPattern, count: int | None = None):
-        n = len(p)
-        self.p, self.exp = p, math.frexp(max(p))[1]
-        self.scales = engine._scales(n)
+        self.scales = engine._scales(len(p))
         self.nks = [nk for nk, _ in self.scales]
         self.tails = [engine.cfg.tail(c + 1) for c in range(len(self.scales) + 1)]
         todo, ms = self.nks + ([count] if count else []), {1}
@@ -194,73 +169,17 @@ class _Tables:
             if m not in ms:
                 ms.add(m)
                 todo += [(m + 1) // 2, m // 2]
-        self.ms = sorted(ms)
-        self.row = {m: i for i, m in enumerate(self.ms)}
-        z = np.ldexp(np.array(p), -self.exp)
-        self.l1, self.sup = np.zeros((n + 1, n)), np.zeros((n + 1, n))
-        for L in range(1, n + 1):
-            self.l1[L, : n - L + 1] = self.l1[L - 1, : n - L + 1] + z[L - 1 :]
-            self.sup[L, : n - L + 1] = np.maximum(self.sup[L - 1, : n - L + 1], z[L - 1 :])
+        super().__init__(p, ms)
 
-    def fill(self, piece: np.ndarray | None = None) -> np.ndarray:
-        """Fill C[i] = C_{ms[i]} by increasing length; return the run values.
-
-        Without `piece` these are the norms, kept with C and back-pointers bp.
-        With it, C[0] holds the given piece values and the result is one
-        application of the fixed-point map to them."""
-        n = len(self.p)
-        C = np.empty((len(self.ms),) + self.l1.shape)
-        C[:] = self.l1
-        if piece is None:
-            self.C, self.N, values = C, C[0], C[0]
-            self.bp = np.zeros(C.shape, dtype=np.int32)
-        else:
-            C[0], values = piece, self.sup.copy()
-        up = np.array([self.row[(m + 1) // 2] for m in self.ms[1:]], dtype=np.intp)
-        down = np.array([self.row[m // 2] for m in self.ms[1:]], dtype=np.intp)
-        s0, s1, s2 = C.strides
-        for L in range(2, n + 1):
-            cnt = n - L + 1
-            j = bisect_left(self.ms, L)  # ms[1:j] are the counts 2 <= m < L
-            if j > 1:
-                left = C[up[: j - 1], 1:L, :cnt]  # [., t-1, s] = C_a[t, s]
-                # [., t-1, s] = C_b[L-t, s+t]: one row up, one column right per t
-                right = as_strided(C[:, L - 1, 1:], (len(self.ms), L - 1, cnt),
-                                   (s0, s2 - s1, s2), writeable=False)[down[: j - 1]]
-                np.add(left, right, out=left)
-                t = left.argmax(axis=1)
-                C[1:j, L, :cnt] = np.take_along_axis(left, t[:, None, :], axis=1)[:, 0, :]
-                if piece is None:
-                    self.bp[1:j, L, :cnt] = t + 1
+    def outer(self, C, values, keep):
+        def step(L, cnt):  # the square sum over the scales that split length L
             l1, sup = self.l1[L, :cnt], self.sup[L, :cnt]
-            c = bisect_left(self.nks, L)  # scales 1..c split runs of length L
+            c = bisect_left(self.nks, L)
             ssq = 0.0
             for nk, f_nk in self.scales[:c]:
                 ssq = ssq + (C[self.row[nk], L, :cnt] / f_nk) ** 2
             values[L, :cnt] = np.maximum(sup, np.sqrt(ssq + l1 * l1 * self.tails[c]))
-        return values
-
-    def bps(self, m: int) -> float:
-        """C_m of the whole root, scaled."""
-        n = len(self.p)
-        return self.l1[n, 0] if m >= n else self.C[self.row[m], n, 0]
-
-    def runs(self, m: int, s: int, L: int) -> list[tuple[int, int]]:
-        """(start, length) of the runs of p[s:s+L] whose norms sum to C_m."""
-        if m >= L:
-            return [(s + i, 1) for i in range(L)]
-        if m == 1:
-            return [(s, L)]
-        t = int(self.bp[self.row[m], L, s])
-        return self.runs((m + 1) // 2, s, t) + self.runs(m // 2, s + t, L - t)
-
-    def unscale(self, v: float) -> float:
-        """Undo the power-of-two scaling; a result beyond the double range raises."""
-        try:
-            return math.ldexp(float(v), self.exp)
-        except OverflowError:
-            raise OverflowError(
-                f"x1 value {float(v)} * 2**{self.exp} exceeds the double range") from None
+        return step
 
 
 class QSumEngine:
@@ -309,32 +228,12 @@ class QSumEngine:
 
     def fixed_point_residual(self, x: FiniteVector) -> float:
         p = x.pattern()
-        if not p:
-            return 0.0
-        T = self._tables(p)
-        rhs = T.fill(piece=T.N)[len(p), 0]
-        return abs(T.unscale(T.N[len(p), 0]) - T.unscale(rhs))
+        return self._tables(p).residual() if p else 0.0
 
     def iterate_levels(self, x: FiniteVector) -> list[float]:
         """Level values of the inductive construction, up to stabilization."""
         p = x.pattern()
-        if not p:
-            return [0.0]
-        n = len(p)
-        T = _Tables(self, p)
-        values = T.sup
-        levels = [T.unscale(values[n, 0])]
-        cap = 10 * n
-        for _ in range(cap):
-            new_values = np.maximum(values, T.fill(piece=values))
-            delta = (new_values - values).max()
-            values = new_values
-            levels.append(T.unscale(values[n, 0]))
-            if delta < EQ_TOL * T.sup[n, 0]:  # relative to the largest coefficient
-                return levels
-        raise IterationCapError(
-            f"no stabilization within {cap} levels; last value {levels[-1]}"
-        )
+        return _Tables(self, p).levels() if p else [0.0]
 
     def block_sum_lower_bound(self, blocks: list[FiniteVector]) -> float:
         """Margin ||sum y_j|| - count/f(count) for count = some n_i, blocks normalized."""

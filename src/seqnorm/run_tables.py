@@ -1,0 +1,166 @@
+"""Interval tables over the runs of one root: the partition kernel of both engines.
+
+Every partition piece either norm needs is a run p[s:s+L] of the root's
+coefficient pattern p (``x1``: no cardinality budget makes a larger piece
+cost anything; ``x2`` segment mode: admissible sets are runs).  By length L
+and start s, `RunTables` holds run sums l1[L, s], maxima sup[L, s], values
+N[L, s], the best sums C_m[L, s] of run values over partitions into at most
+m runs, and back-pointers to the splits.  C_1 = N, C_m = l1 once m >= L, and
+
+    C_m[L, s] = max_{0<t<L}  C_{ceil(m/2)}[t, s] + C_{floor(m/2)}[L-t, s+t].
+
+Proof: a single piece is dominated by any two-way split (triangle
+inequality), so C_m is the best sum over r-run partitions, 2 <= r <= m, and
+each right-hand term is one.  Conversely, cut an r-run partition after its
+run j = max(1, r - floor(m/2)): if r > floor(m/2) the left part has
+j <= ceil(m/2) runs and the right part floor(m/2); otherwise the left part has
+one run and the right r - 1 < floor(m/2).  Only subadditivity of the piece
+values is used, and every level of the inductive construction is a norm, so
+`levels` and `residual` run the same fill on given values.
+
+The fill goes by increasing length, one numpy reduction per length; then one
+hook of the engine (`outer`) turns the sums into the values of the runs of
+that length.  ``x1`` tabulates the halving closure of its scales (O(log n)
+counts, O(n^3 log n) additions), ``x2`` every m <= n (O(n^4)): its triple
+norm of a run at floor fl is max_{m >= fl} C_m / m.  Values are kept for p
+scaled by the power of two that puts max(p) in [0.5, 1): exact, free of
+overflow, homogeneous over the double range.
+
+Family states of ``x2``: after c consumed points the next scale is at least
+fl(c) = max(2, 2**c).  F[c, L, s, k] is the best sum of tn(E_i, fl(c_i)) over
+families of exactly k runs inside the suffix p[s:s+L], c points consumed
+before it; it serves every run of the root ending at s + L.  F[c, 0] = [0];
+otherwise F[c, L, s] is the better of skipping p[s] (F[c, L-1, s+1]) and
+
+    F[c, L, s, k] = max_{1<=t<=L}  tn(p[s:s+t], fl(c)) + F[c+t, L-t, s+t, k-1].
+
+Merged tail: once fl(c) >= L, every run E left has C_m(E) = l1(E) for all
+m >= fl(c) >= |E|, so tn(E, fl) = l1(E) / fl with floors that only grow, and
+any family of j >= 1 runs sums to at most l1(p[s:s+L]) / fl(c), the value of
+one merged run of all points left.  So F[c, L, s] = [0, l1 / fl(c)] keeps the
+best sum over at most k sets for every k, all that the norm
+(max_k F[0, L, s, k] / f(k), f increasing) and the seminorms read.  Every
+state with 2**c >= n is such a tail: only c <= floor(log2(n - 1)) is stored,
+a rest past it is the closed form [0, l1 / 2**(c+t)], and a family has at
+most floor(log2(n - 1)) + 2 sets.
+"""
+from __future__ import annotations
+
+import math
+from bisect import bisect_left
+
+import numpy as np
+from numpy.lib.stride_tricks import as_strided
+
+from .core import EQ_TOL
+
+
+class IterationCapError(RuntimeError):
+    """Level iteration exceeded its cap without stabilizing."""
+
+
+class RunTables:
+    """Tables of root pattern p: entry [L, s] is for the run p[s:s+L].
+
+    `ms` are the counts m to tabulate C_m for; it must contain 1 and be closed
+    under m -> (ceil(m/2), floor(m/2)).  A subclass supplies `outer`."""
+
+    def __init__(self, p, ms):
+        n = len(p)
+        self.p, self.exp = p, math.frexp(max(p, default=1.0))[1]
+        self.ms = sorted(ms)
+        self.row = {m: i for i, m in enumerate(self.ms)}
+        z = np.ldexp(np.array(p, dtype=float), -self.exp)
+        # an empty root gets one row and column of zeros, so N[0, 0] = 0
+        self.l1 = np.zeros((max(n, 1) + 1, max(n, 1)))
+        self.sup = np.zeros(self.l1.shape)
+        for L in range(1, n + 1):
+            self.l1[L, : n - L + 1] = self.l1[L - 1, : n - L + 1] + z[L - 1 :]
+            self.sup[L, : n - L + 1] = np.maximum(self.sup[L - 1, : n - L + 1], z[L - 1 :])
+
+    def outer(self, C: np.ndarray, values: np.ndarray, keep: bool):
+        """The hook: a function of (L, cnt) setting values[L, :cnt] from C[:, L, :cnt];
+        only with `keep` may it store what a witness needs."""
+        raise NotImplementedError
+
+    def fill(self, piece: np.ndarray | None = None) -> np.ndarray:
+        """Fill C[i] = C_{ms[i]} by increasing length; return the run values.
+
+        Without `piece` these are the norms, kept with C and back-pointers bp.
+        With it, C[0] holds the given piece values and the result is one
+        application of the fixed-point map to them."""
+        n = len(self.p)
+        C = np.empty((len(self.ms),) + self.l1.shape)
+        C[:] = self.l1
+        if piece is None:
+            self.C, self.N, values = C, C[0], C[0]
+            self.bp = np.zeros(C.shape, dtype=np.int32)
+        else:
+            C[0], values = piece, self.sup.copy()
+        step = self.outer(C, values, piece is None)
+        up = np.array([self.row[(m + 1) // 2] for m in self.ms[1:]], dtype=np.intp)
+        down = np.array([self.row[m // 2] for m in self.ms[1:]], dtype=np.intp)
+        s0, s1, s2 = C.strides
+        for L in range(2, n + 1):
+            cnt = n - L + 1
+            j = bisect_left(self.ms, L)  # ms[1:j] are the counts 2 <= m < L
+            if j > 1:
+                left = C[up[: j - 1], 1:L, :cnt]  # [., t-1, s] = C_a[t, s]
+                # [., t-1, s] = C_b[L-t, s+t]: one row up, one column right per t
+                right = as_strided(C[:, L - 1, 1:], (len(self.ms), L - 1, cnt),
+                                   (s0, s2 - s1, s2), writeable=False)[down[: j - 1]]
+                np.add(left, right, out=left)
+                t = left.argmax(axis=1)
+                C[1:j, L, :cnt] = np.take_along_axis(left, t[:, None, :], axis=1)[:, 0, :]
+                if piece is None:
+                    self.bp[1:j, L, :cnt] = t + 1
+            step(L, cnt)
+        return values
+
+    def bps(self, m: int, L: int | None = None, s: int = 0) -> float:
+        """C_m of the run p[s:s+L] (default: the whole root), scaled."""
+        L = len(self.p) if L is None else L
+        return self.l1[L, s] if m >= L else self.C[self.row[m], L, s]
+
+    def runs(self, m: int, s: int, L: int) -> list[tuple[int, int]]:
+        """(start, length) of the runs of p[s:s+L] whose values sum to C_m."""
+        if m >= L:
+            return [(s + i, 1) for i in range(L)]
+        if m == 1:
+            return [(s, L)]
+        t = int(self.bp[self.row[m], L, s])
+        return self.runs((m + 1) // 2, s, t) + self.runs(m // 2, s + t, L - t)
+
+    def unscale(self, v: float) -> float:
+        """Undo the power-of-two scaling; a result beyond the double range raises."""
+        try:
+            return math.ldexp(float(v), self.exp)
+        except OverflowError:
+            raise OverflowError(
+                f"value {float(v)} * 2**{self.exp} exceeds the double range") from None
+
+    def residual(self) -> float:
+        """|N - fixed-point map of N| at the root, the map re-evaluated once
+        with the filled norms as piece values."""
+        n = len(self.p)
+        return abs(self.unscale(self.N[n, 0]) - self.unscale(self.fill(piece=self.N)[n, 0]))
+
+    def levels(self) -> list[float]:
+        """Level values of the inductive construction at the root: every run
+        starts at its sup norm, and the fixed-point map is applied to all of
+        them at once until nothing moves by EQ_TOL times the largest
+        coefficient."""
+        n = len(self.p)
+        values = self.sup
+        levels = [self.unscale(values[n, 0])]
+        cap = 10 * n
+        for _ in range(cap):
+            new_values = np.maximum(values, self.fill(piece=values))
+            delta = (new_values - values).max()
+            values = new_values
+            levels.append(self.unscale(values[n, 0]))
+            if delta < EQ_TOL * self.sup[n, 0]:
+                return levels
+        raise IterationCapError(
+            f"no stabilization within {cap} levels; last value {levels[-1]}"
+        )

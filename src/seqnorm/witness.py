@@ -74,22 +74,28 @@ Witness = Union[SupWitness, PartitionWitness, FamilyWitness, QuadraticWitness]
 def evaluate_witness(w: Witness, x: FiniteVector) -> float:
     """Recompute the witness value bottom-up against x.
 
+    Each child is evaluated against x restricted to its set, read by index
+    lookups into x: a sup index counts only if every enclosing set holds it.
     Each term is divided before the terms are summed, so a value near the
     top of the double range re-evaluates without overflowing."""
+    return _evaluate(w, dict(zip(x.indices, x.coefficients)), ())
+
+
+def _evaluate(w: Witness, coef: dict[int, float], within: tuple[IndexSet, ...]) -> float:
     if isinstance(w, SupWitness):
-        if w.index is None:
+        if w.index is None or not all(w.index in E for E in within):
             return 0.0
-        return abs(x.coefficient(w.index))
+        return abs(coef.get(w.index, 0.0))
     if isinstance(w, PartitionWitness):
-        return sum(evaluate_witness(child, x.restrict(E)) / w.divisor for E, child in w.pieces)
+        return sum(_evaluate(child, coef, (*within, E)) / w.divisor for E, child in w.pieces)
     if isinstance(w, FamilyWitness):
         div = f(len(w.pairs))
         return sum(
-            evaluate_witness(child, x.restrict(E)) / div
+            _evaluate(child, coef, (*within, E)) / div
             for (_, E), child in zip(w.pairs, w.children)
         )
     if isinstance(w, QuadraticWitness):
-        return math.hypot(*(evaluate_witness(child, x) for _, child in w.head), w.tail_l2)
+        return math.hypot(*(_evaluate(child, coef, within) for _, child in w.head), w.tail_l2)
     raise TypeError(f"not a witness: {w!r}")
 
 

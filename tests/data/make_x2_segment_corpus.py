@@ -1,0 +1,89 @@
+"""Writes x2_segment_corpus.json: segment-mode values of a reference checkout.
+
+Run from the root of a checkout, with the reference version of seqnorm first
+on the path, for instance the commit before the interval-table segment search:
+
+    mkdir ref && git archive 188da34 | tar -x -C ref
+    PYTHONPATH=ref/src python3 tests/data/make_x2_segment_corpus.py
+
+Values depend only on the coefficient pattern, so each entry is keyed by its
+pattern.  The patterns cover seeded random roots (n <= 40), ones(n) for
+n <= 70, piecewise-constant roots and every pattern of test_c04's 1,224
+vectors (its 0/1 vectors are the ones(r), r <= 10).  `levels` (the length and
+last value of `iterate_levels`) is recorded for random roots of n <= 24 and
+for ones(n) only, which keeps the test that reads the corpus short.
+"""
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from seqnorm.core import FiniteVector
+from seqnorm.family_engine import FamilyEngine, SegmentDP
+from seqnorm.suites import random_vector as random_test_vector
+
+HERE = Path(__file__).resolve().parent
+C04_SEED = 20240817 + 1  # test_acceptance.SEED + 1
+ELLS = range(1, 9)
+M0S = (4, 8)  # m0 = 2 is norm_ell itself
+
+
+def c04_random_patterns():
+    rng = np.random.default_rng(C04_SEED)
+    return [random_test_vector(rng, 10).pattern() for _ in range(200)]
+
+
+def random_root(rng, n):
+    return FiniteVector.from_dense(rng.uniform(0.1, 3.0, size=n).tolist())
+
+
+def piecewise_constant(rng, runs, max_len):
+    values = rng.uniform(0.1, 3.0, size=runs)
+    lengths = rng.integers(1, max_len + 1, size=runs)
+    return FiniteVector.from_dense([v for v, n in zip(values, lengths) for _ in range(n)])
+
+
+def corpus_patterns():
+    """(pattern, with_levels) in a fixed order, first occurrence kept."""
+    rng = np.random.default_rng(7)
+    out = [(p, False) for p in c04_random_patterns()]
+    out += [(random_root(rng, n).pattern(), n <= 24) for n in range(1, 41) for _ in range(2)]
+    out += [((1.0,) * n, True) for n in range(71)]
+    out += [(piecewise_constant(rng, runs, 8).pattern(), False)
+            for runs in (2, 3, 4, 5) for _ in range(5)]
+    seen, unique = set(), []
+    for p, lv in out:
+        if p not in seen:
+            seen.add(p)
+            unique.append((p, lv))
+    return unique
+
+
+def entry(p, with_levels):
+    engine = FamilyEngine(SegmentDP())
+    x = FiniteVector.from_dense(list(p))
+    rec = {
+        "pattern": list(p),
+        "norm": engine.norm(x),
+        "ell": [engine.norm_ell(x, ell) for ell in ELLS],
+        "ell_m0": {str(m0): [engine.norm_ell_m0(x, ell, m0) for ell in ELLS] for m0 in M0S},
+        "triple": [engine.triple_norm(x, m) for m in range(2, len(p) + 1)],
+    }
+    if with_levels:
+        levels = engine.iterate_levels(x)
+        rec["levels"] = [len(levels), levels[-1]]
+    return rec
+
+
+def main() -> int:
+    entries = [entry(p, lv) for p, lv in corpus_patterns()]
+    text = json.dumps({"ells": list(ELLS), "m0s": list(M0S), "entries": entries},
+                      separators=(",", ":"))
+    (HERE / "x2_segment_corpus.json").write_text(text + "\n")
+    print(f"{len(entries)} patterns", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -251,3 +251,26 @@ class RunScaleNorm:
                 self.norm(a, t) + self.bps(t, b, m - 1) for t in range(a + 1, b)
             )
         return self.memo[(a, b, m)]
+
+
+def evaluate_witness_restrict(w, x) -> float:
+    """Reference witness evaluator: every child is evaluated against a new
+    restriction x.restrict(E), terms divided before they are summed."""
+    from seqnorm.core import f
+    from seqnorm.witness import FamilyWitness, PartitionWitness, QuadraticWitness, SupWitness
+
+    if isinstance(w, SupWitness):
+        if w.index is None:
+            return 0.0
+        return abs(x.coefficient(w.index))
+    if isinstance(w, PartitionWitness):
+        return sum(evaluate_witness_restrict(child, x.restrict(E)) / w.divisor
+                   for E, child in w.pieces)
+    if isinstance(w, FamilyWitness):
+        div = f(len(w.pairs))
+        return sum(evaluate_witness_restrict(child, x.restrict(E)) / div
+                   for (_, E), child in zip(w.pairs, w.children))
+    if isinstance(w, QuadraticWitness):
+        return math.hypot(*(evaluate_witness_restrict(child, x) for _, child in w.head),
+                          w.tail_l2)
+    raise TypeError(f"not a witness: {w!r}")

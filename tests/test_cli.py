@@ -214,6 +214,7 @@ def test_verify_contract_every_suite(capsys, suite):
         (["construct", "grid", "--eps", "0"], "eps"),
         (["construct", "localized", "--l0", "0"], "L0"),
         (["construct", "localized", "--eps", "-1"], "eps"),
+        (["construct", "grid", "--samples", "-1"], "samples"),
     ],
 )
 def test_out_of_range_numbers_rejected(capsys, tmp_path, args, names):
@@ -226,6 +227,17 @@ def test_out_of_range_numbers_rejected(capsys, tmp_path, args, names):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert names in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["grid", "--n", "0"], ["grid", "--samples", "-1"], ["localized", "--l0", "0"],
+     ["lp-average", "--p", "1"]],
+)
+def test_rejected_construct_leaves_no_directory(capsys, tmp_path, args):
+    code = main(["construct", *args, "--out-dir", str(tmp_path / "art")])
+    capsys.readouterr()
+    assert code == 2 and not (tmp_path / "art").exists()
 
 
 @pytest.mark.parametrize(

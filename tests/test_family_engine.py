@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_test_vector
-from oracles import BruteFamilyNorm
+from oracles import BruteFamilyNorm, evaluate_witness_restrict
 import seqnorm
 from seqnorm import QSumConfig, norm_ell, norm_x1, norm_x2
 from seqnorm.admissible import AdmissibleFamily, FamilyValidationError
@@ -395,6 +395,19 @@ def test_witness_constant_and_piecewise_constant(ex_engine, seg_engine, rng):
             validate_witness(w, x)
             assert evaluate_witness(w, x) == pytest.approx(v, rel=EQ_TOL)
             assert w.value == pytest.approx(v, rel=EQ_TOL)
+
+
+def test_witness_evaluation_matches_restrict_reference(ex_engine, seg_engine, small_engine, rng):
+    # index lookups reproduce the restrict-based evaluation bit for bit
+    cases = [(ex_engine, 9, 20), (seg_engine, 30, 20), (small_engine, 40, 10)]
+    for engine, size, count in cases:
+        for _ in range(count):
+            x = random_test_vector(rng, size)
+            _, w = engine.norm(x, with_witness=True)
+            assert evaluate_witness(w, x) == evaluate_witness_restrict(w, x)
+            # a vector the witness was not built for reads 0 off its sets
+            y = x.restrict(IndexSet.of(x.indices[::2]))
+            assert evaluate_witness(w, y) == evaluate_witness_restrict(w, y)
 
 
 def test_witness_families_are_admissible(ex_engine, rng):
