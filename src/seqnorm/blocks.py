@@ -195,6 +195,8 @@ def assemble_lp_average(blocks: BlockBasis, p: float, engine) -> AssembledAverag
     `equivalence_constant` reads between the block norm and l_p^n; when it is
     exact, meets the sandwich, or n = 1, it is the constant.
     """
+    if not p >= 1:  # below 1 l_p is only a quasi-norm
+        raise ValueError(f"an l_p average needs p >= 1, got p={p}")
     n = len(blocks)
     if n == 0:
         raise BlockBasisError("an l_p average needs at least one block")

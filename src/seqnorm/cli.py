@@ -143,91 +143,68 @@ def cmd_construct(args) -> int:
         return outdir / name
 
     report = {"command": "construct", "what": args.what, "out_dir": str(outdir)}
-
+    code = 0
     if args.what == "chain":
-        engine = get_engine(SegmentDP())
         plan = plan_chain(args.l)
         report["planned_sizes"] = [str(s) for s in plan.sizes]
         report["min_support"] = plan.min_support_desc
         try:
-            cert = build_chain(args.l, args.budget, engine)
+            cert = build_chain(args.l, args.budget, get_engine(SegmentDP()))
         except BudgetExceededError:
-            report["status"] = "budget-exceeded"
-            report["budget"] = args.budget
-            _emit(report, args, t0)
-            return 0
-        for i, block in enumerate(cert.blocks.vectors, start=1):
-            save_vector(block, str(out(f"chain_block_{i}.json")))
-        out("chain_family.json").write_text(
-            canonical_json(cert.family.to_json()) + "\n"
-        )
-        report["status"] = "ok" if cert.ok else "certificate-failed"
-        report["certificate"] = cert.value
-        report["bound"] = cert.bound
-        report["block_norms"] = list(cert.block_norms)
-        _emit(report, args, t0)
-        return 0 if cert.ok else 1
-
-    if args.what == "localized":
-        engine = get_engine(SegmentDP())
+            report.update(status="budget-exceeded", budget=args.budget)
+        else:
+            for i, block in enumerate(cert.blocks.vectors, start=1):
+                save_vector(block, str(out(f"chain_block_{i}.json")))
+            out("chain_family.json").write_text(
+                canonical_json(cert.family.to_json()) + "\n"
+            )
+            code = 0 if cert.ok else 1
+            report.update(status="ok" if cert.ok else "certificate-failed",
+                          certificate=cert.value, bound=cert.bound,
+                          block_norms=list(cert.block_norms))
+    elif args.what == "localized":
         params = LocalizedParams(
             L0=args.l0, eps=args.eps, m0=args.m0, relaxed=not args.faithful,
             L1=args.l1, L1_prime=args.l1_prime, budget=args.budget,
         )
         try:
-            res = build_localized_vector(params, engine)
+            res = build_localized_vector(params, get_engine(SegmentDP()))
         except (BudgetExceededError, ValueError) as exc:
-            report["status"] = "infeasible"
-            report["detail"] = str(exc)
-            _emit(report, args, t0)
-            return 0
-        save_vector(res.x, str(out("localized_vector.json")))
-        out("localized_family.json").write_text(
-            canonical_json(res.witness_family.to_json()) + "\n"
-        )
-        report["status"] = "ok" if res.ok else "asserted-check-failed"
-        report["witness_value"] = res.witness_value
-        report["stack_sizes"] = list(res.stack_sizes)
-        report["report"] = res.report.to_json()
-        _emit(report, args, t0)
-        return 0 if res.ok else 1
-
-    if args.what == "grid":
-        engine = get_engine(SegmentDP())
+            report.update(status="infeasible", detail=str(exc))
+        else:
+            save_vector(res.x, str(out("localized_vector.json")))
+            out("localized_family.json").write_text(
+                canonical_json(res.witness_family.to_json()) + "\n"
+            )
+            code = 0 if res.ok else 1
+            report.update(status="ok" if res.ok else "asserted-check-failed",
+                          witness_value=res.witness_value,
+                          stack_sizes=list(res.stack_sizes), report=res.report.to_json())
+    elif args.what == "grid":
         params = GridParams(
             n=args.n, eps=args.eps, k0=args.k0, budget=args.budget,
             seed=args.seed, samples=args.samples,
         )
         try:
-            res = build_matrix_grid(params, engine)
+            res = build_matrix_grid(params, get_engine(SegmentDP()))
         except BudgetExceededError as exc:
-            report["status"] = "budget-exceeded"
-            report["detail"] = str(exc)
-            _emit(report, args, t0)
-            return 0
-        for (i, j), cell in sorted(res.cells.items()):
-            save_vector(cell, str(out(f"grid_cell_{i}_{j}.json")))
-        report["status"] = "ok" if res.ok else "asserted-check-failed"
-        report["worst_lower_ratio"] = res.worst_lower_ratio
-        report["worst_upper_ratio"] = res.worst_upper_ratio
-        report["target"] = res.target
-        report["report"] = res.report.to_json()
-        _emit(report, args, t0)
-        return 0 if res.ok else 1
-
-    # lp-average
-    engine = get_engine(_mode(args))
-    blocks = BlockBasis(tuple(load_vector(p) for p in args.blocks))
-    avg = assemble_lp_average(blocks, args.p, engine)
-    save_vector(avg.vector, str(out("average.json")))
-    report["status"] = "ok"
-    report["p"] = args.p
-    report["n"] = avg.n
-    report["constant"] = avg.constant
-    report["sampled_lower"] = avg.sampled_lower
-    report["exact"] = avg.exact
+            report.update(status="budget-exceeded", detail=str(exc))
+        else:
+            for (i, j), cell in sorted(res.cells.items()):
+                save_vector(cell, str(out(f"grid_cell_{i}_{j}.json")))
+            code = 0 if res.ok else 1
+            report.update(status="ok" if res.ok else "asserted-check-failed",
+                          worst_lower_ratio=res.worst_lower_ratio,
+                          worst_upper_ratio=res.worst_upper_ratio,
+                          target=res.target, report=res.report.to_json())
+    else:  # lp-average
+        blocks = BlockBasis(tuple(load_vector(p) for p in args.blocks))
+        avg = assemble_lp_average(blocks, args.p, get_engine(_mode(args)))
+        save_vector(avg.vector, str(out("average.json")))
+        report.update(status="ok", p=args.p, n=avg.n, constant=avg.constant,
+                      sampled_lower=avg.sampled_lower, exact=avg.exact)
     _emit(report, args, t0)
-    return 0
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

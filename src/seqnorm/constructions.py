@@ -26,7 +26,7 @@ import numpy as np
 
 from .admissible import AdmissibleFamily
 from .blocks import AssembledAverage, BlockBasis, assemble_lp_average, matrix_basis_norm
-from .core import FiniteVector, IndexSet, INEQ_TOL, f, min_m_for_budget
+from .core import FiniteVector, IndexSet, f, min_m_for_budget
 from .inequalities import Report, bound, premise
 
 
@@ -84,7 +84,7 @@ class ChainCertificate:
 
     @property
     def ok(self) -> bool:
-        return self.value >= self.bound - INEQ_TOL
+        return bound("chain_certificate", self.bound, self.value).ok
 
 
 def build_chain(ell: int, budget: int, engine) -> ChainCertificate:
@@ -190,6 +190,9 @@ class LocalizedParams:
             raise ValueError(f"lower localization scale L0 must be >= 1, got {self.L0}")
         if not self.eps > 0:
             raise ValueError(f"eps must be > 0, got {self.eps}")
+        if self.L1_prime is not None and self.L1_prime < 1:
+            raise ValueError(f"upper localization scale L1_prime must be >= 1, "
+                             f"got {self.L1_prime}")
 
 
 @dataclass
@@ -278,8 +281,9 @@ def build_localized_vector(params: LocalizedParams, engine) -> LocalizedResult:
         )
     )
 
-    # stack runs of unit vectors with exact (or budget-capped) growth
-    sizes: list[int] = []
+    # stack runs of unit vectors with exact (or budget-capped) growth; each
+    # family scale is the uncapped count, which keeps the family admissible
+    pairs: list[tuple[int, IndexSet]] = []
     consumed = 0
     capped = False
     for i in range(L1):
@@ -299,7 +303,7 @@ def build_localized_vector(params: LocalizedParams, engine) -> LocalizedResult:
                     min_support=consumed + want if want < (1 << 62) else None,
                 )
             capped = True
-        sizes.append(size)
+        pairs.append((want, IndexSet.interval(consumed + 1, consumed + size)))
         consumed += size
     if capped:
         report.notes.append(
@@ -316,23 +320,15 @@ def build_localized_vector(params: LocalizedParams, engine) -> LocalizedResult:
         )
     )
 
-    vectors = []
-    pairs = []
-    start = 1
-    consumed = 0
-    for size in sizes:
-        vectors.append(FiniteVector.ones(size, start=start))
-        scale = max(size, max(2, params.m0) if consumed == 0 else min_m_for_budget(consumed))
-        pairs.append((scale, IndexSet.interval(start, start + size - 1)))
-        start += size
-        consumed += size
     fam = AdmissibleFamily.of(pairs)
     eps_prime = params.eps / L1
-    raw = BlockBasis(tuple(vectors)).combine([1.0] * L1)
-    xbar = (f(L1) / L1 / (1.0 + eps_prime)) * raw
+    # the stacks are consecutive unit runs: their sum is the ones vector
+    xbar = (f(L1) / L1 / (1.0 + eps_prime)) * FiniteVector.ones(consumed)
     nbar = engine.norm(xbar)
     x = (1.0 / nbar) * xbar
     report.notes.append(f"pre-normalization norm {nbar}")
+    # valued before the level checks, which then share x's search
+    witness_value = engine.evaluate_family(x, fam)
 
     status = "met" if report.premises_hold else "UNMET"
     asserted = report.premises_hold and not params.relaxed
@@ -343,7 +339,6 @@ def build_localized_vector(params: LocalizedParams, engine) -> LocalizedResult:
         )
     mid = engine.norm_ell_m0(x, L1, max(2, params.m0))
     report.items.append(bound("mid_level_lower", 1.0 - params.eps, mid, asserted, status))
-    witness_value = engine.evaluate_family(x, fam)
     report.items.append(bound("mid_level_witness", witness_value, mid))
     for ell in (L1p, L1p + 7):
         report.items.append(
@@ -356,7 +351,7 @@ def build_localized_vector(params: LocalizedParams, engine) -> LocalizedResult:
         witness_family=fam,
         witness_value=witness_value,
         report=report,
-        stack_sizes=tuple(sizes),
+        stack_sizes=tuple(E.cardinality for _, E in pairs),
     )
 
 
@@ -373,7 +368,6 @@ class GridParams:
     budget: int = 400
     seed: int = 0
     samples: int = 8
-    relaxed: bool = True
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -454,7 +448,7 @@ def build_matrix_grid(params: GridParams, engine) -> GridResult:
             "faithful_scale_chain",
             0.0,
             req["log2_L0_prime"],
-            holds=False if params.relaxed else True,
+            holds=False,
             note="relaxed grids use unit-run chains instead of faithful scales",
         )
     )
@@ -474,8 +468,6 @@ def build_matrix_grid(params: GridParams, engine) -> GridResult:
     cells: dict[tuple[int, int], FiniteVector] = {}
     cell_families: dict[tuple[int, int, int], list[tuple[int, IndexSet]]] = {}
     pos = 1
-    consumed = 0
-    waived = 0
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             parts = []
@@ -490,11 +482,11 @@ def build_matrix_grid(params: GridParams, engine) -> GridResult:
                 part = (1.0 / nrm) * xbar
                 parts.append(part)
                 cell_families[(i, j, s)] = pairs
-                if consumed > 0 and cell_sizes[0] < (1 << min(consumed, 60)):
-                    waived += 1
-                consumed += cell_span
             cell = (1.0 / k0) * FiniteVector.sum(parts)
             cells[(i, j)] = cell
+    # every cell after the first opens with a 2-point run, below the scale
+    # 2**consumed >= 2**6 that an admissible concatenation would need there
+    waived = n * n * k0 - 1
     report.items.append(
         premise(
             "cell_start_scales",

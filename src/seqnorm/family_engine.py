@@ -428,17 +428,14 @@ class FamilyEngine:
 
     def evaluate_family(self, x: FiniteVector, fam: AdmissibleFamily) -> float:
         """Value of one explicit family: a certified lower bound for the norm.
-        Each set is valued on its own, so the root's search states stay."""
+        Each set is valued by `triple_norm`, so it becomes the last root; the
+        sum is taken in units of max|x|, as every other operation is."""
         fam.validate()
         s, total = max(x.pattern(), default=1.0), 0.0
         for m, E in fam.pairs:
-            sub = x.restrict(E).pattern()
-            if sub and self.mode.kind == "exhaustive":
-                total += _ratio(self._pieces.bps(tuple(v / s for v in sub), m), m)
-            elif sub:
-                T = _Segment(sub)
-                T.fill()
-                total += T.unscale(_ratio(T.bps(m), m)) / s
+            piece = x.restrict(E)
+            if piece.support_size:
+                total += self.triple_norm(piece, m) / s
         return _unscale(s, total / f(fam.length))
 
     def fixed_point_residual(self, x: FiniteVector) -> float:

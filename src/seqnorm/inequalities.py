@@ -13,7 +13,8 @@ Every verifier returns a `Report` of `Check` records, the one result shape
 the suites and the constructions share.  A premise is an unasserted check
 named "premise <name>" whose status reads met or UNMET; a conditional
 verifier stamps UNMET on the bounds that rest on premises that fail.  The
-rule that decides a failure lives in `Check.ok` alone.
+rule that decides a failure lives in `Check.ok`, with one exception:
+`DropCheck`, whose strict inequality is evaluated literally, with no tolerance.
 """
 from __future__ import annotations
 
@@ -129,6 +130,15 @@ def _require_constant(avg: AssembledAverage, cap: float) -> None:
         )
 
 
+def _combination(averages: list[AssembledAverage], coeffs) -> tuple[FiniteVector, int, int]:
+    """x = sum a_i x_i for |a_i| <= 1, the number n of averages, and the
+    smallest block count k0."""
+    if any(abs(a) > 1.0 + 1e-15 for a in coeffs):
+        raise ValueError("coefficients must lie in [-1, 1]")
+    x = FiniteVector.sum([avg.vector for avg in averages], coeffs)
+    return x, len(averages), min(avg.n for avg in averages)
+
+
 # ----------------------------------------------------------------------
 # unconditional bounds
 # ----------------------------------------------------------------------
@@ -186,11 +196,7 @@ def verify_offpeak_sum(
     p = ps.pop()
     for avg in averages:
         _require_constant(avg, 2.0)
-    if any(abs(a) > 1.0 + 1e-15 for a in coeffs):
-        raise ValueError("coefficients must lie in [-1, 1]")
-    n = len(averages)
-    k0 = min(avg.n for avg in averages)
-    x = FiniteVector.sum([avg.vector for avg in averages], coeffs)
+    x, n, k0 = _combination(averages, coeffs)
     j0 = peak_index(fam, k0, p)
     lhs = 0.0
     for j, (m, E) in enumerate(fam.pairs, start=1):
@@ -215,11 +221,7 @@ def verify_stack_seminorm(
         if avg.p != 1:
             raise ValueError("stack bound is about l_1 averages")
         _require_constant(avg, 2.0)
-    if any(abs(a) > 1.0 + 1e-15 for a in coeffs):
-        raise ValueError("coefficients must lie in [-1, 1]")
-    n = len(averages)
-    k0 = min(avg.n for avg in averages)
-    x = FiniteVector.sum([avg.vector for avg in averages], coeffs)
+    x, n, k0 = _combination(averages, coeffs)
     lhs = engine.norm_ell(x, ell) if x.support_size else 0.0
     rhs = (engine.norm(x) + 6.0 * ell * n * k0 ** -0.5) / f(ell)
     return Report([bound("stack_seminorm_bound", lhs, rhs)])
@@ -238,12 +240,11 @@ class DropCheck:
 def strict_drop_check(
     averages: list[AssembledAverage], coeffs, ell: int, engine
 ) -> DropCheck:
-    """If (f(ell)-1)/ell > 12 n k0^(-1/2) the level norm drops strictly below
-    the norm.  Evaluated literally as an implication (scale invariant)."""
-    n = len(averages)
-    k0 = min(avg.n for avg in averages)
+    """If (f(ell)-1)/ell > 12 n k0^(-1/2) the level norm of sum a_i x_i
+    (|a_i| <= 1) drops strictly below its norm.  Evaluated literally as an
+    implication (scale invariant)."""
+    x, n, k0 = _combination(averages, coeffs)
     premise_holds = (f(ell) - 1.0) / ell > 12.0 * n * k0 ** -0.5
-    x = FiniteVector.sum([avg.vector for avg in averages], coeffs)
     if x.support_size == 0:
         return DropCheck(premise_holds=premise_holds, conclusion_holds=True)
     conclusion = engine.norm_ell(x, ell) < engine.norm(x)

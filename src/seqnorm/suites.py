@@ -77,18 +77,11 @@ def random_family(rng, x: FiniteVector, max_sets: int = 4) -> AdmissibleFamily:
     return AdmissibleFamily.of(pairs)
 
 
-def random_average(rng, engine, start: int = 1):
-    p = float(rng.choice([1.0, 2.0]))
+def random_average(rng, p: float, engine, start: int = 1):
     k = int(rng.integers(1, feasible_average_sizes(p) + 1))
     # keep k blocks within the exhaustive support limit used to certify them
     length = min(int(rng.choice([1, 1, 2, 3, 4])), 12 // k)
     return build_average(p, k, engine, start=start, lengths=[length], gap_rng=rng)
-
-
-def random_l1_average(rng, engine, start: int = 1):
-    k = int(rng.integers(1, 3))
-    length = min(int(rng.choice([1, 1, 2, 3, 4])), 12 // k)
-    return build_average(1.0, k, engine, start=start, lengths=[length], gap_rng=rng)
 
 
 # ----------------------------------------------------------------------
@@ -101,16 +94,11 @@ def suite_fixedpoint(count: int, seed: int) -> Report:
     scale norm (small preset, support <= 30)."""
     rng = np.random.default_rng(seed)
     report = Report(suite="fixedpoint", seed=seed)
-    fam_engine = get_engine(Exhaustive())
-    qs_engine = get_qsum_engine(QSumConfig.small())
-    for t in range(count):
-        x = random_vector(rng, 10)
-        res = fam_engine.fixed_point_residual(x)
-        report.items.append(Check(f"x2[{t}]", "met", res, 0.0, -res))
-    for t in range(count):
-        x = random_vector(rng, 30)
-        res = qs_engine.fixed_point_residual(x)
-        report.items.append(Check(f"x1[{t}]", "met", res, 0.0, -res))
+    for space, engine, support in (("x2", get_engine(Exhaustive()), 10),
+                                   ("x1", get_qsum_engine(QSumConfig.small()), 30)):
+        for t in range(count):
+            res = engine.fixed_point_residual(random_vector(rng, support))
+            report.items.append(Check(f"{space}[{t}]", "met", res, 0.0, -res))
     return report
 
 
@@ -118,39 +106,17 @@ def suite_unconditional(count: int, seed: int) -> Report:
     """Exact norm invariance under sign flips and spreads (same memo key)."""
     rng = np.random.default_rng(seed)
     report = Report(suite="unconditional", seed=seed)
-    fam_engine = get_engine(Exhaustive())
-    qs_engine = get_qsum_engine(QSumConfig.small())
-    for t in range(count):
-        x = random_vector(rng, 8)
-        y = x.flip_signs(random_signs(rng, x.support_size)).spread(random_sigma(rng, x))
-        same_key = x.pattern() == y.pattern()
-        a, b = fam_engine.norm(x), fam_engine.norm(y)
-        report.items.append(
-            Check(
-                f"x2[{t}]",
-                "met" if same_key else "KEY MISMATCH",
-                a,
-                b,
-                -abs(a - b),
-                tol=0.0,
-                note="exact equality required",
-            )
-        )
-    for t in range(count):
-        x = random_vector(rng, 20)
-        y = x.flip_signs(random_signs(rng, x.support_size)).spread(random_sigma(rng, x))
-        same_key = x.pattern() == y.pattern()
-        a, b = qs_engine.norm(x), qs_engine.norm(y)
-        report.items.append(
-            Check(
-                f"x1[{t}]",
-                "met" if same_key else "KEY MISMATCH",
-                a,
-                b,
-                -abs(a - b),
-                tol=0.0,
-            )
-        )
+    for space, engine, support, note in (
+        ("x2", get_engine(Exhaustive()), 8, "exact equality required"),
+        ("x1", get_qsum_engine(QSumConfig.small()), 20, ""),
+    ):
+        for t in range(count):
+            x = random_vector(rng, support)
+            y = x.flip_signs(random_signs(rng, x.support_size)).spread(random_sigma(rng, x))
+            status = "met" if x.pattern() == y.pattern() else "KEY MISMATCH"
+            a, b = engine.norm(x), engine.norm(y)
+            report.items.append(Check(f"{space}[{t}]", status, a, b, -abs(a - b), tol=0.0,
+                                      note=note))
     return report
 
 
@@ -171,7 +137,8 @@ def suite_avgbounds(count: int, seed: int) -> Report:
     rng = np.random.default_rng(seed)
     report = Report(suite="avgbounds", seed=seed)
     for t in range(count):
-        avg = random_average(rng, get_engine(Exhaustive()))
+        p = float(rng.choice([1.0, 2.0]))
+        avg = random_average(rng, p, get_engine(Exhaustive()))
         engine = _suite_engine(avg.vector.support_size)
         m = int(rng.integers(2, 9))
         ell = int(rng.integers(1, 9))
@@ -215,7 +182,7 @@ def suite_stackbound(count: int, seed: int) -> Report:
         averages = []
         start = 1
         for _ in range(n):
-            avg = random_l1_average(rng, get_engine(Exhaustive()), start=start)
+            avg = random_average(rng, 1.0, get_engine(Exhaustive()), start=start)
             averages.append(avg)
             start = avg.vector.indices[-1] + 1 + int(rng.integers(0, 3))
         coeffs = [float(c) for c in rng.uniform(-1.0, 1.0, size=n)]
@@ -271,7 +238,7 @@ def suite_chainstacks(count: int, seed: int, relaxed: bool = False) -> Report:
         for _ in range(m):
             stack = []
             for _ in range(int(rng.integers(1, 3))):
-                avg = random_l1_average(rng, get_engine(Exhaustive()), start=start)
+                avg = random_average(rng, 1.0, get_engine(Exhaustive()), start=start)
                 stack.append(avg)
                 start = avg.vector.indices[-1] + 1
             stacks.append(stack)

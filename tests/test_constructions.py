@@ -126,6 +126,9 @@ def test_grid_single_cell_reduces_to_average(seg_engine):
         seg_engine.norm(res.cells[(1, 1)]), abs=1e-9
     )
     assert res.ok
+    # a single cell concatenates with nothing, so no start scale is waived
+    starts = next(b for b in res.report.items if b.instance == "premise cell_start_scales")
+    assert starts.premise_status == "met" and starts.rhs == 0.0
 
 
 def test_grid_two_by_two(seg_engine):
@@ -139,6 +142,9 @@ def test_grid_two_by_two(seg_engine):
     assert not any(b.asserted for b in res.report.items)
     # faithful premises are reported as unmet
     assert not res.report.premises_hold
+    # every cell but the first opens below scale 2**consumed: n * n * k0 - 1
+    starts = next(b for b in res.report.items if b.instance == "premise cell_start_scales")
+    assert starts.premise_status == "UNMET" and starts.rhs == 7.0
 
 
 def test_grid_budget(seg_engine):
