@@ -188,8 +188,10 @@ class LocalizedParams:
     def __post_init__(self) -> None:
         if self.L0 < 1:
             raise ValueError(f"lower localization scale L0 must be >= 1, got {self.L0}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if not 0 < self.eps < 1:
+            raise ValueError(f"eps must be in (0, 1), got {self.eps}")
+        if self.m0 < 2:
+            raise ValueError(f"first-scale floor m0 must be >= 2, got {self.m0}")
         if self.L1_prime is not None and self.L1_prime < 1:
             raise ValueError(f"upper localization scale L1_prime must be >= 1, "
                              f"got {self.L1_prime}")
@@ -287,7 +289,7 @@ def build_localized_vector(params: LocalizedParams, engine) -> LocalizedResult:
     consumed = 0
     capped = False
     for i in range(L1):
-        want = max(2, params.m0) if i == 0 else min_m_for_budget(consumed)
+        want = params.m0 if i == 0 else min_m_for_budget(consumed)
         room = params.budget - consumed
         if room < 2:
             raise BudgetExceededError(
@@ -337,7 +339,7 @@ def build_localized_vector(params: LocalizedParams, engine) -> LocalizedResult:
             bound(f"low_level[ell={ell}]", engine.norm_ell(x, ell), 2.0 / f(ell),
                   asserted, status)
         )
-    mid = engine.norm_ell_m0(x, L1, max(2, params.m0))
+    mid = engine.norm_ell_m0(x, L1, params.m0)
     report.items.append(bound("mid_level_lower", 1.0 - params.eps, mid, asserted, status))
     report.items.append(bound("mid_level_witness", witness_value, mid))
     for ell in (L1p, L1p + 7):

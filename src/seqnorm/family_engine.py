@@ -40,7 +40,7 @@ import numpy as np
 
 from .admissible import AdmissibleFamily
 from .core import CoefficientPattern, EQ_TOL, FiniteVector, IndexSet, f, min_m_for_budget
-from .run_tables import IterationCapError, RunTables
+from .run_tables import IterationCapError, RunTables, rests
 from .witness import FamilyWitness, PartitionWitness, SupWitness, Witness
 
 _NEG = float("-inf")
@@ -271,70 +271,79 @@ class _Root:
 
 
 class _Segment(RunTables):
-    """Segment mode: the run tables of one root with C_m for every m <= n,
-    the family states F = `_family` of `run_tables` (c < nc, k < K) with the
-    first run's length in `fbp` (0: skip), and the norms N."""
+    """Segment mode: the run tables of one root with C_m for every m <= n, the
+    family states F = `_family` of `run_tables` (k < K) and the triple norms
+    `tn` they were searched on.  Rows c >= nc pad F with merged tails
+    [0, l1 / 2**c], so one view of F holds the rest of a first run of t <= nc."""
 
     def __init__(self, p: CoefficientPattern):
         n = len(p)
         super().__init__(p, range(1, max(n, 1) + 1))
-        self.nc = max(2, (n - 1).bit_length())  # c = 0 .. floor(log2(n - 1))
+        self.nc = max(2, (n - 1).bit_length())  # c = 0 .. floor(log2(n - 1)) are searched
         self.K = self.nc + 2  # at most nc + 1 sets
-        self.floors = np.array([max(2, 1 << c) for c in range(self.nc)])
+        self.floors = np.array([max(2, 1 << c) for c in range(2 * self.nc)])
         self.fk = np.array([f(k) for k in range(1, self.K)])
         self.mvals = np.arange(1.0, self.l1.shape[1] + 1)
-        self.starts = np.arange(n)
         self.pow2 = np.ldexp(1.0, -np.add.outer(np.arange(self.nc), np.arange(n + 1)))
+        # the states searched at length L: c < cl[L], those with fl(c) < L
+        self.cl = [0, 0, 0] + [min(self.nc, (L - 1).bit_length()) for L in range(3, n + 1)]
+
+    def _views(self, F):
+        """V[c, L, t-1, s] = F[c+t, L-t, s+t] for t <= nc, a view inside F; W = rests(l1)."""
+        f0, f1, f2, f3 = F.strides
+        return (np.ndarray((self.nc, F.shape[1], self.nc, *F.shape[2:]), F.dtype, F,
+                           f0 - f1 + f2, (f0, f1, f0 - f1 + f2, f2, f3)), rests(self.l1))
 
     def outer(self, C, values, keep):
         nc, (rows, cols) = self.nc, self.l1.shape
         # every state starts as a merged tail, one run of all L points at
         # tn = l1 / fl(c); the search below replaces the states with fl(c) < L
         tn = self.l1 / self.floors[:, None, None]  # at floor fl(c), by length and start
-        F = np.full((nc, rows, cols + 1, self.K), _NEG)
+        F = np.full((2 * nc, rows, cols + 1, self.K), _NEG)
         F[..., 0] = 0.0
-        F[:, 1:, :cols, 1] = tn[:, 1:]
-        fbp = np.zeros(F.shape, dtype=np.int16)
-        fbp[..., 1] = np.arange(rows)[:, None]
+        F[:, 1:, :cols, 1], tn = tn[:, 1:], tn[:nc]
+        V, W = self._views(F) if cols > 2 else (None, None)  # no length <= 2 is searched
         if keep:
-            self._family, self.fbp = F, fbp
+            self.tn, self._family = tn, F
 
         def step(L, cnt):
-            cl = min(nc, (L - 1).bit_length()) if L > 2 else 0  # the c with fl(c) < L
+            cl = self.cl[L]
             if cl:
                 r = C[1:L, L, :cnt] / self.mvals[1:L, None]  # max over m >= fl of C_m / m
                 r = np.maximum.accumulate(r[::-1], axis=0)[::-1]
                 tn[:cl, L, :cnt] = r[self.floors[:cl] - 2]
-                take, t = self._take(tn[:cl, 1 : L + 1, :cnt], F, L, self.starts[:cnt])
-                skip = F[:cl, L - 1, 1 : cnt + 1, 1:]
-                win = take > skip
-                F[:cl, L, :cnt, 1:] = np.where(win, take, skip)
-                fbp[:cl, L, :cnt, 1:] = np.where(win, t, 0)
+                best = F[:cl, L, :cnt, 1:]
+                self._take(tn, V, W, slice(0, cl), L, slice(0, cnt), out=best)
+                np.maximum(best, F[:cl, L - 1, 1 : cnt + 1, 1:], out=best)  # or skip p[s]
             family = (F[0, L, :cnt, 1:] / self.fk).max(axis=1)
-            values[L, :cnt] = np.maximum(self.sup[L, :cnt], family)
+            np.maximum(self.sup[L, :cnt], family, out=values[L, :cnt])
         return step
 
-    def _take(self, A, F, L, s):
-        """Best sums over families of runs in the suffixes [s_j, s_j + L_j)
-        whose first set starts at s_j, after c consumed points, where
-        A[c, t-1, j] is the triple norm at fl(c) of the first t points (-inf
-        for t > L_j).  Returns (best[c, j, k-1], first run's length), k >= 1."""
-        cl, T, _ = A.shape
-        nc, K, n = self.nc, self.K, len(self.p)
-        t = np.arange(1, T + 1)[:, None]
-        rest_len, rest_at = np.maximum(L - t, 0), np.minimum(s + t, n)  # [t-1, j]
-        # k = 2 over every t: a rest of c + t >= nc consumed points is one merged run
-        rest1 = np.where(L > t, self.l1[rest_len, np.minimum(rest_at, n - 1)], _NEG)
-        B = A + self.pow2[:cl, 1 : T + 1, None] * rest1
-        D = np.full((cl, min(T, nc - 1), len(s), K - 3), _NEG)  # k >= 3
-        for t in range(1, D.shape[1] + 1):  # rests with c + t < nc are stored
-            h = min(cl, nc - t)
-            rest = F[t : t + h, rest_len[t - 1], rest_at[t - 1]]  # [c, j] = F[c+t, L_j-t, s_j+t]
-            B[:h, t - 1] = A[:h, t - 1] + rest[..., 1]
-            D[:h, t - 1] = A[:h, t - 1, :, None] + rest[..., 2 : K - 1]
-        best = [A.max(axis=1)[..., None], B.max(axis=1)[..., None], D.max(axis=1)]
-        arg = [A.argmax(axis=1)[..., None], B.argmax(axis=1)[..., None], D.argmax(axis=1)]
-        return np.concatenate(best, axis=-1), np.concatenate(arg, axis=-1) + 1
+    def _take(self, tn, V, W, c, L, s, out=None):
+        """Candidates of the states (c, L, s) (slices c, s) with a first run of t
+        points: its triple norm A[c, t-1, s] (k = 1), plus a rest of k - 1 sets
+        from F for t <= nc, R[c, t-1, s, k-2], plus the rest as one merged run for
+        nc < t < L, B[c, t-nc-1, s] (k = 2).  A walk takes their argmax; with
+        `out` they are reduced over t into out[c, s, k-1]."""
+        A = tn[c, 1 : L + 1, s]
+        T = min(L, self.nc)
+        R = A[:, :T, :, None] + V[c, L, :T, s, 1:-1]
+        B = A[:, T : L - 1] + self.pow2[c, T + 1 : L, None] * W[L, 1 : L - T, s][::-1]
+        if out is None:
+            return A, R, B
+        A.max(axis=1, out=out[..., 0])
+        R.max(axis=1, out=out[..., 1:])
+        np.maximum(out[..., 1], B.max(axis=1, initial=_NEG), out=out[..., 1])
+
+    def _first(self, V, W, c: int, L: int, s: int, k: int) -> int:
+        """The first run's length in the best k-run family of state (c, L, s), 0 if
+        it leaves p[s] out, by the fill's tie rules: the first maximal t; a skip wins."""
+        if c >= self.cl[L]:
+            return L  # a merged tail
+        A, R, B = self._take(self.tn, V, W, slice(c, c + 1), L, slice(s, s + 1))
+        cand = A if k == 1 else np.concatenate([R[..., 0], B], 1) if k == 2 else R[..., k - 2]
+        cand = cand[0, :, 0]
+        return int(cand.argmax()) + 1 if cand.max() > self._family[c, L - 1, s + 1, k] else 0
 
     def root_best(self, m0: int) -> np.ndarray:
         """best[k] of the root's family search whose first set has scale >= m0:
@@ -346,9 +355,10 @@ class _Segment(RunTables):
             tnm = (self.C[m0 - 1 :] / self.mvals[m0 - 1 :, None, None]).max(axis=0)
         else:
             tnm = self.l1 / m0 if m0.bit_length() <= _FLOOR_BITS_CAP else 0.0 * self.l1
-        a, t = np.arange(n), np.arange(1, n + 1)[:, None]
-        take = self._take(np.where(t <= n - a, tnm[t, a], _NEG)[None], F, n - a, a)[0]
-        return np.concatenate([[0.0], take[0].max(axis=0)])
+        V, W, take = *self._views(F), np.empty((n, 1, self.K - 1))
+        for a in range(n):  # take[a]: the first set starts at a, with floor m0
+            self._take(tnm[None], V, W, slice(0, 1), n - a, slice(a, a + 1), take[a : a + 1])
+        return np.concatenate([[0.0], take.max(axis=0)[0]])
 
     def value(self, pos: Sequence[int] | None = None) -> float:
         return self.N[len(self.p), 0] if pos is None else self.N[len(pos), pos[0]]
@@ -361,15 +371,13 @@ class _Segment(RunTables):
         if self.N[L, s] <= self.sup[L, s]:
             return []
         k = int(np.argmax(self._family[0, L, s, 1:] / self.fk)) + 1
+        V, W = self._views(self._family)
         out, a, c, e = [], s, 0, s + L
         for left in range(k, 0, -1):
-            t = e - a if c >= self.nc else int(self.fbp[c, e - a, a, left])
-            while t == 0:  # the family leaves p[a] out
-                a += 1
-                t = int(self.fbp[c, e - a, a, left])
+            while not (t := self._first(V, W, c, e - a, a, left)):
+                a += 1  # the family leaves p[a] out
             m = max(2, 1 << c)  # the least scale attaining tn
-            if m < t:
-                m += int(np.argmax(self.C[m - 1 : t, t, a] / self.mvals[m - 1 : t]))
+            m += int(np.argmax(self.C[m - 1 : t, t, a] / self.mvals[m - 1 : t])) if m < t else 0
             out.append((range(a, a + t), m))
             a, c = a + t, c + t
         return out
@@ -390,7 +398,6 @@ class FamilyEngine:
         self._pieces: _Pieces | _Segment | None = _Pieces() if mode.kind == "exhaustive" else None
 
     def norm(self, x: FiniteVector, with_witness: bool = False):
-        self._check_support(x)
         S = self._root(x)
         value = S.unscale(S.value())
         if not with_witness:
@@ -400,14 +407,12 @@ class FamilyEngine:
     def triple_norm(self, x: FiniteVector, m: int) -> float:
         if m < 2:
             raise ValueError("the triple norm is defined for m >= 2")
-        self._check_support(x)
         S = self._root(x)
         return S.unscale(_ratio(S.best(None, m), m))
 
     def best_partition_sum(self, x: FiniteVector, m: int) -> float:
         if m < 1:
             raise ValueError("need m >= 1")
-        self._check_support(x)
         S = self._root(x)
         return S.unscale(S.best(None, m))
 
@@ -421,7 +426,6 @@ class FamilyEngine:
             raise ValueError("need ell >= 1")
         if m0 < 2:
             raise ValueError("need m0 >= 2")
-        self._check_support(x)
         S = self._root(x)
         # best[0] = 0 is the empty family: the max is over at most ell sets
         return S.unscale(max(S.root_best(m0)[: ell + 1]) / f(ell))
@@ -441,7 +445,6 @@ class FamilyEngine:
     def fixed_point_residual(self, x: FiniteVector) -> float:
         """|LHS - RHS| of the implicit equation, the RHS supremum re-evaluated
         one step with the computed norm as the piece oracle."""
-        self._check_support(x)
         S = self._root(x)
         if not x.support_size:
             return 0.0
@@ -455,7 +458,6 @@ class FamilyEngine:
         every restriction starts at its sup norm and the one-step map is
         applied to all at once until nothing moves by EQ_TOL times the largest
         coefficient (`RunTables.levels` in segment mode)."""
-        self._check_support(x)
         p = x.pattern()
         if not p or self.mode.kind == "segment":
             return _Segment(p).levels() if p else [0.0]
@@ -472,16 +474,14 @@ class FamilyEngine:
         raise IterationCapError(
             f"no stabilization within {10 * len(p)} levels; last value {levels[-1]}")
 
-    def _check_support(self, x: FiniteVector) -> None:
-        if self.mode.kind == "exhaustive" and x.support_size > self.mode.max_support:
-            raise SupportLimitError(f"support {x.support_size} exceeds exhaustive limit "
-                                    f"{self.mode.max_support}; use segment mode")
-
     def _root(self, x: FiniteVector) -> _Root | _Segment:
         """The search over x's pattern p as the root: the memos' answers on
         p / max(p), or the tables of p (the last root's if it was p)."""
         p = x.pattern()
         if self.mode.kind == "exhaustive":
+            if len(p) > self.mode.max_support:
+                raise SupportLimitError(f"support {len(p)} exceeds exhaustive limit "
+                                        f"{self.mode.max_support}; use segment mode")
             s = max(p, default=1.0)
             q = tuple(v / s for v in p)
             self._pieces.start(q)

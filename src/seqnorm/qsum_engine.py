@@ -175,9 +175,7 @@ class _Tables(RunTables):
         def step(L, cnt):  # the square sum over the scales that split length L
             l1, sup = self.l1[L, :cnt], self.sup[L, :cnt]
             c = bisect_left(self.nks, L)
-            ssq = 0.0
-            for nk, f_nk in self.scales[:c]:
-                ssq = ssq + (C[self.row[nk], L, :cnt] / f_nk) ** 2
+            ssq = sum((C[self.row[nk], L, :cnt] / f_nk) ** 2 for nk, f_nk in self.scales[:c])
             values[L, :cnt] = np.maximum(sup, np.sqrt(ssq + l1 * l1 * self.tails[c]))
         return step
 
@@ -281,16 +279,15 @@ class QSumEngine:
         return T.unscale(T.bps(m))
 
     def _witness(self, T: _Tables, idx: tuple[int, ...], s: int, L: int) -> Witness:
-        """Certificate for the norm of the run p[s:s+L], read from the back-pointers."""
+        """Certificate for the norm of the run p[s:s+L], with the splits `runs` re-derives."""
         run = T.p[s : s + L]
         if T.N[L, s] <= T.sup[L, s]:
             return SupWitness(max(run), idx[s + run.index(max(run))])
         head = []
         for nk, f_nk in T.scales[: bisect_left(T.nks, L)]:
             runs = T.runs(nk, s, L)
-            pieces = tuple(
-                (IndexSet.of(idx[a : a + w]), self._witness(T, idx, a, w)) for a, w in runs
-            )
+            pieces = tuple((IndexSet.of(idx[a : a + w]), self._witness(T, idx, a, w))
+                           for a, w in runs)
             total = sum(T.N[w, a] for a, w in runs)
             head.append((nk, PartitionWitness(T.unscale(total / f_nk), nk, f_nk, pieces)))
         tail_l2 = T.unscale(T.l1[L, s] * math.sqrt(T.tails[len(head)]))

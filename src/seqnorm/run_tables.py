@@ -4,8 +4,8 @@ Every partition piece either norm needs is a run p[s:s+L] of the root's
 coefficient pattern p (``x1``: no cardinality budget makes a larger piece
 cost anything; ``x2`` segment mode: admissible sets are runs).  By length L
 and start s, `RunTables` holds run sums l1[L, s], maxima sup[L, s], values
-N[L, s], the best sums C_m[L, s] of run values over partitions into at most
-m runs, and back-pointers to the splits.  C_1 = N, C_m = l1 once m >= L, and
+N[L, s] and the best sums C_m[L, s] of run values over partitions into at
+most m runs.  C_1 = N, C_m = l1 once m >= L, and
 
     C_m[L, s] = max_{0<t<L}  C_{ceil(m/2)}[t, s] + C_{floor(m/2)}[L-t, s+t].
 
@@ -18,13 +18,16 @@ one run and the right r - 1 < floor(m/2).  Only subadditivity of the piece
 values is used, and every level of the inductive construction is a norm, so
 `levels` and `residual` run the same fill on given values.
 
-The fill goes by increasing length, one numpy reduction per length; then one
-hook of the engine (`outer`) turns the sums into the values of the runs of
-that length.  ``x1`` tabulates the halving closure of its scales (O(log n)
-counts, O(n^3 log n) additions), ``x2`` every m <= n (O(n^4)): its triple
-norm of a run at floor fl is max_{m >= fl} C_m / m.  Values are kept for p
-scaled by the power of two that puts max(p) in [0.5, 1): exact, free of
-overflow, homogeneous over the double range.
+The fill goes by increasing length, one numpy reduction per length over one
+strided view of the rests C_b[L-t, s+t] (`rests`); then one hook of the
+engine (`outer`) turns the sums into the values of the runs of that length.
+Only values are stored: a witness walk re-derives the split of each state it
+visits as the argmax of the same candidates (`_splits`), the first maximal t.
+``x1`` tabulates the halving closure of its scales (O(log n) counts,
+O(n^3 log n) additions), ``x2`` every m <= n (O(n^4)): its triple norm of a
+run at floor fl is max_{m >= fl} C_m / m.  Values are kept for p scaled by
+the power of two that puts max(p) in [0.5, 1): exact, free of overflow,
+homogeneous over the double range.
 
 Family states of ``x2``: after c consumed points the next scale is at least
 fl(c) = max(2, 2**c).  F[c, L, s, k] is the best sum of tn(E_i, fl(c_i)) over
@@ -40,9 +43,9 @@ any family of j >= 1 runs sums to at most l1(p[s:s+L]) / fl(c), the value of
 one merged run of all points left.  So F[c, L, s] = [0, l1 / fl(c)] keeps the
 best sum over at most k sets for every k, all that the norm
 (max_k F[0, L, s, k] / f(k), f increasing) and the seminorms read.  Every
-state with 2**c >= n is such a tail: only c <= floor(log2(n - 1)) is stored,
-a rest past it is the closed form [0, l1 / 2**(c+t)], and a family has at
-most floor(log2(n - 1)) + 2 sets.
+state with 2**c >= n is such a tail: only c <= floor(log2(n - 1)) is
+searched, a rest past it is the closed form [0, l1 / 2**(c+t)], and a family
+has at most floor(log2(n - 1)) + 2 sets.
 """
 from __future__ import annotations
 
@@ -50,13 +53,20 @@ import math
 from bisect import bisect_left
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .core import EQ_TOL
 
 
 class IterationCapError(RuntimeError):
     """Level iteration exceeded its cap without stabilizing."""
+
+
+def rests(a: np.ndarray) -> np.ndarray:
+    """The view r[..., L, u, s] = a[..., u, s+L-u] of a[..., L, s], the last u points of
+    the run p[s:s+L]: strides >= 0 and a's last element, so numpy finds it inside a."""
+    *lead, rows, cols = a.shape
+    *st, s1, s2 = a.strides
+    return np.ndarray((*lead, rows, rows, cols), a.dtype, a, 0, (*st, s2, s1 - s2, s2))
 
 
 class RunTables:
@@ -70,6 +80,9 @@ class RunTables:
         self.p, self.exp = p, math.frexp(max(p, default=1.0))[1]
         self.ms = sorted(ms)
         self.row = {m: i for i, m in enumerate(self.ms)}
+        # the rows C_m splits into, C_{ceil(m/2)} and C_{floor(m/2)}; m = 1 does not split
+        self.up = np.array([0] + [self.row[(m + 1) // 2] for m in self.ms[1:]])
+        self.down = np.array([0] + [self.row[m // 2] for m in self.ms[1:]])
         z = np.ldexp(np.array(p, dtype=float), -self.exp)
         # an empty root gets one row and column of zeros, so N[0, 0] = 0
         self.l1 = np.zeros((max(n, 1) + 1, max(n, 1)))
@@ -86,50 +99,45 @@ class RunTables:
     def fill(self, piece: np.ndarray | None = None) -> np.ndarray:
         """Fill C[i] = C_{ms[i]} by increasing length; return the run values.
 
-        Without `piece` these are the norms, kept with C and back-pointers bp.
-        With it, C[0] holds the given piece values and the result is one
-        application of the fixed-point map to them."""
+        Without `piece` these are the norms, kept with C.  With it, C[0] holds
+        the given piece values and the result is one application of the
+        fixed-point map to them."""
         n = len(self.p)
         C = np.empty((len(self.ms),) + self.l1.shape)
         C[:] = self.l1
         if piece is None:
             self.C, self.N, values = C, C[0], C[0]
-            self.bp = np.zeros(C.shape, dtype=np.int32)
         else:
             C[0], values = piece, self.sup.copy()
         step = self.outer(C, values, piece is None)
-        up = np.array([self.row[(m + 1) // 2] for m in self.ms[1:]], dtype=np.intp)
-        down = np.array([self.row[m // 2] for m in self.ms[1:]], dtype=np.intp)
-        s0, s1, s2 = C.strides
+        R = rests(C) if n > 2 else None
         for L in range(2, n + 1):
             cnt = n - L + 1
             j = bisect_left(self.ms, L)  # ms[1:j] are the counts 2 <= m < L
             if j > 1:
-                left = C[up[: j - 1], 1:L, :cnt]  # [., t-1, s] = C_a[t, s]
-                # [., t-1, s] = C_b[L-t, s+t]: one row up, one column right per t
-                right = as_strided(C[:, L - 1, 1:], (len(self.ms), L - 1, cnt),
-                                   (s0, s2 - s1, s2), writeable=False)[down[: j - 1]]
-                np.add(left, right, out=left)
-                t = left.argmax(axis=1)
-                C[1:j, L, :cnt] = np.take_along_axis(left, t[:, None, :], axis=1)[:, 0, :]
-                if piece is None:
-                    self.bp[1:j, L, :cnt] = t + 1
+                self._splits(C, R, slice(1, j), L, slice(0, cnt)).max(axis=1, out=C[1:j, L, :cnt])
             step(L, cnt)
         return values
+
+    def _splits(self, C, R, i, L, s):
+        """[., t-1, .] = C_a[t, s] + C_b[L-t, s+t] for 0 < t < L, over the rows i
+        of C (C_m with a = ceil(m/2), b = floor(m/2)) and the starts s; R = rests(C)."""
+        return C[self.up[i], 1:L, s] + R[self.down[i], L, L - 1 : 0 : -1, s]
 
     def bps(self, m: int, L: int | None = None, s: int = 0) -> float:
         """C_m of the run p[s:s+L] (default: the whole root), scaled."""
         L = len(self.p) if L is None else L
         return self.l1[L, s] if m >= L else self.C[self.row[m], L, s]
 
-    def runs(self, m: int, s: int, L: int) -> list[tuple[int, int]]:
+    def runs(self, m: int, s: int, L: int, R: np.ndarray | None = None) -> list[tuple[int, int]]:
         """(start, length) of the runs of p[s:s+L] whose values sum to C_m."""
         if m >= L:
             return [(s + i, 1) for i in range(L)]
         if m == 1:
             return [(s, L)]
-        t = int(self.bp[self.row[m], L, s])
-        return self.runs((m + 1) // 2, s, t) + self.runs(m // 2, s + t, L - t)
+        R = rests(self.C) if R is None else R
+        t = int(self._splits(self.C, R, self.row[m], L, s).argmax()) + 1
+        return self.runs((m + 1) // 2, s, t, R) + self.runs(m // 2, s + t, L - t, R)
 
     def unscale(self, v: float) -> float:
         """Undo the power-of-two scaling; a result beyond the double range raises."""
@@ -150,17 +158,12 @@ class RunTables:
         starts at its sup norm, and the fixed-point map is applied to all of
         them at once until nothing moves by EQ_TOL times the largest
         coefficient."""
-        n = len(self.p)
-        values = self.sup
-        levels = [self.unscale(values[n, 0])]
-        cap = 10 * n
+        n, values = len(self.p), self.sup
+        levels, cap = [self.unscale(values[n, 0])], 10 * n
         for _ in range(cap):
             new_values = np.maximum(values, self.fill(piece=values))
-            delta = (new_values - values).max()
-            values = new_values
+            delta, values = (new_values - values).max(), new_values
             levels.append(self.unscale(values[n, 0]))
             if delta < EQ_TOL * self.sup[n, 0]:
                 return levels
-        raise IterationCapError(
-            f"no stabilization within {cap} levels; last value {levels[-1]}"
-        )
+        raise IterationCapError(f"no stabilization within {cap} levels; last value {levels[-1]}")

@@ -6,6 +6,16 @@ on the path, for instance the commit before the interval-table segment search:
     mkdir ref && git archive 188da34 | tar -x -C ref
     PYTHONPATH=ref/src python3 tests/data/make_x2_segment_corpus.py
 
+With the argument `witnesses` it writes x2_witness_corpus.json instead: the
+canonical witness JSON of segment `x2` and `x1` `small` norms of ones(n) for
+n in {5, 17, 40, 70}, piecewise-constant roots and seeded random roots with
+random signs and gaps.  It was frozen from 0f691a5, the last commit whose
+tables stored the splits, so the test that reads it guards the tie rules of
+the splits a witness walk re-derives:
+
+    mkdir ref && git archive 0f691a5 | tar -x -C ref
+    PYTHONPATH=ref/src python3 tests/data/make_x2_segment_corpus.py witnesses
+
 Values depend only on the coefficient pattern, so each entry is keyed by its
 pattern.  The patterns cover seeded random roots (n <= 40), ones(n) for
 n <= 70, piecewise-constant roots and every pattern of test_c04's 1,224
@@ -21,7 +31,10 @@ import numpy as np
 
 from seqnorm.core import FiniteVector
 from seqnorm.family_engine import FamilyEngine, SegmentDP
+from seqnorm.io import canonical_json
+from seqnorm.qsum_engine import QSumConfig, QSumEngine
 from seqnorm.suites import random_vector as random_test_vector
+from seqnorm.witness import witness_to_json
 
 HERE = Path(__file__).resolve().parent
 C04_SEED = 20240817 + 1  # test_acceptance.SEED + 1
@@ -76,7 +89,34 @@ def entry(p, with_levels):
     return rec
 
 
+def signed_root(rng, n):
+    """n points, gaps of 1 to 3, coefficients U(0.1, 3) with random signs."""
+    idx = np.cumsum(rng.integers(1, 4, size=n))
+    coef = rng.uniform(0.1, 3.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+    return FiniteVector(zip(idx.tolist(), coef.tolist()))
+
+
+def witness_vectors():
+    rng = np.random.default_rng(9)
+    out = [FiniteVector.ones(n) for n in (5, 17, 40, 70)]
+    out += [piecewise_constant(rng, runs, 8) for runs in (2, 3, 5, 8) for _ in range(2)]
+    return out + [signed_root(rng, n) for n in (3, 8, 12, 16, 20, 24, 32, 40, 50)]
+
+
+def witness_entry(x):
+    x2 = FamilyEngine(SegmentDP()).norm(x, with_witness=True)[1]
+    x1 = QSumEngine(QSumConfig.small()).norm(x, with_witness=True)[1]
+    return {"vector": x.to_json(), "x2": canonical_json(witness_to_json(x2)),
+            "x1": canonical_json(witness_to_json(x1))}
+
+
 def main() -> int:
+    if sys.argv[1:] == ["witnesses"]:
+        entries = [witness_entry(x) for x in witness_vectors()]
+        text = json.dumps({"entries": entries}, separators=(",", ":"))
+        (HERE / "x2_witness_corpus.json").write_text(text + "\n")
+        print(f"{len(entries)} vectors", file=sys.stderr)
+        return 0
     entries = [entry(p, lv) for p, lv in corpus_patterns()]
     text = json.dumps({"ells": list(ELLS), "m0s": list(M0S), "entries": entries},
                       separators=(",", ":"))

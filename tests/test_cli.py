@@ -217,6 +217,8 @@ def test_verify_contract_every_suite(capsys, suite):
         (["construct", "grid", "--samples", "-1"], "samples"),
         (["construct", "lp-average", "--p", "0.5"], "p >= 1"),
         (["construct", "localized", "--l1-prime", "0"], "L1_prime"),
+        (["construct", "localized", "--m0", "1"], "m0"),
+        (["construct", "localized", "--eps", "5"], "eps"),
     ],
 )
 def test_out_of_range_numbers_rejected(capsys, tmp_path, args, names):
@@ -235,7 +237,8 @@ def test_out_of_range_numbers_rejected(capsys, tmp_path, args, names):
     "args",
     [["grid", "--n", "0"], ["grid", "--samples", "-1"], ["localized", "--l0", "0"],
      ["lp-average", "--p", "1"], ["lp-average", "--p", "0.5"],
-     ["localized", "--l1-prime", "0"]],
+     ["localized", "--l1-prime", "0"], ["localized", "--m0", "1"],
+     ["localized", "--eps", "5"]],
 )
 def test_rejected_construct_leaves_no_directory(capsys, tmp_path, args):
     code = main(["construct", *args, "--out-dir", str(tmp_path / "art")])

@@ -1,5 +1,6 @@
 """Segment mode on interval tables: values frozen from the pattern-memo
-search it replaced, and the state an engine keeps."""
+search it replaced, witnesses frozen from the tables that stored their
+splits, the strided views of the fill, and the state an engine keeps."""
 import json
 import tracemalloc
 import weakref
@@ -7,13 +8,18 @@ from itertools import combinations
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.array_utils import byte_bounds
 
 from conftest import random_test_vector
+from seqnorm import family_engine, run_tables
 from seqnorm.core import EQ_TOL, FiniteVector
-from seqnorm.family_engine import FamilyEngine, SegmentDP
-from seqnorm.witness import validate_witness
+from seqnorm.family_engine import FamilyEngine, SegmentDP, _Segment
+from seqnorm.io import canonical_json
+from seqnorm.qsum_engine import QSumConfig, QSumEngine
+from seqnorm.witness import validate_witness, witness_to_json
 
 CORPUS = Path(__file__).parent / "data" / "x2_segment_corpus.json"
+WITNESSES = Path(__file__).parent / "data" / "x2_witness_corpus.json"
 C04_SEED = 20240817 + 1  # test_acceptance.SEED + 1
 
 
@@ -86,3 +92,53 @@ def test_segment_state_bounded_by_one_root():
     # what stays after the engine is gone is the allocators' free lists
     assert held < 1_000_000
     assert held - left >= table_bytes
+
+
+def test_witnesses_match_frozen_corpus():
+    # written by tests/data/make_x2_segment_corpus.py from a checkout whose
+    # tables stored the splits: the splits re-derived on the walk keep its ties
+    entries = json.loads(WITNESSES.read_text())["entries"]
+    assert len(entries) == 21
+    for e in entries:
+        x = FiniteVector.from_json(e["vector"])
+        for space, engine in (("x2", FamilyEngine(SegmentDP())),
+                              ("x1", QSumEngine(QSumConfig.small()))):
+            w = engine.norm(x, with_witness=True)[1]
+            assert canonical_json(witness_to_json(w)) == e[space]
+
+
+def test_strided_views_inside_base(monkeypatch):
+    views = []  # (view, kind, base) of every view the fills and walks build
+
+    def recorded(build, kind):
+        def wrapper(*args):  # rests(a) or _Segment._views(self, F)
+            out = build(*args)
+            views.append((out, kind, args[0]) if kind == "rests" else (out[0], kind, args[1]))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(run_tables, "rests", recorded(run_tables.rests, "rests"))
+    monkeypatch.setattr(family_engine, "rests", recorded(family_engine.rests, "rests"))
+    monkeypatch.setattr(_Segment, "_views", recorded(_Segment._views, "family"))
+    rng = np.random.default_rng(5)
+    for n in range(41):
+        x = FiniteVector.from_dense(rng.uniform(0.1, 3.0, size=n).tolist())
+        for engine in (FamilyEngine(SegmentDP()), QSumEngine(QSumConfig.small())):
+            engine.norm(x, with_witness=True)
+        assert bool(views) == (n > 2)
+        for view, kind, base in views:
+            lo, hi = byte_bounds(view)
+            base_lo, base_hi = byte_bounds(base)
+            assert view.base is base and base_lo <= lo and hi <= base_hi
+            for _ in range(50):
+                L = int(rng.integers(1, n + 1))
+                s = int(rng.integers(0, n - L + 1))
+                if kind == "rests":  # r[..., L, u, s] = a[..., u, s+L-u], a rest of u >= 1
+                    i = tuple(int(rng.integers(0, d)) for d in base.shape[:-2])
+                    u = int(rng.integers(1, L + 1))
+                    assert view[i + (L, u, s)] == base[i + (u, s + L - u)]
+                else:  # V[c, L, t-1, s] = F[c+t, L-t, s+t]
+                    c = int(rng.integers(0, view.shape[0]))
+                    t = int(rng.integers(1, min(L, view.shape[2]) + 1))
+                    assert np.array_equal(view[c, L, t - 1, s], base[c + t, L - t, s + t])
+        views.clear()
