@@ -10,23 +10,25 @@ with the sup over admissible families, where the triple norm is
 
 On finitely supported vectors the fixed point is well defined by recursion on
 support size: a partition piece equal to the whole vector is dominated by any
-two-way split (each level of the construction is a norm), and partition
-pieces may be taken as consecutive runs, as the inner suprema carry no
-cardinality budget.  After c consumed points the next scale is at least
-max(2, 2**c); once that floor reaches the points left, one merged final set
-dominates, so the search stops there (proof in `run_tables`).
+two-way split (each level of the construction is a norm), and partition pieces
+may be taken as consecutive runs, as the inner suprema carry no cardinality
+budget.  After c consumed points the next scale is at least max(2, 2**c), and
+that floor is the best scale of a set; once it reaches the points left, one
+merged final set dominates and the search stops (proofs in `run_tables`).
 
 ``segment`` mode restricts family sets to runs of support points, so every
 piece is a run of the root: it fills the interval tables of `run_tables` for
-the last root, in O(n^4) additions.  It gives a certified lower bound, exact
-on constant patterns but not in general (frozen counterexample in the tests).
-``exhaustive`` mode takes arbitrary subsets, up to ``max_support`` points
-(default 12), and memoises every supremum by coefficient pattern in
-`_Pieces`, sound because the norm is 1-unconditional and 1-subsymmetric
-(both under test); its search states are kept for the last root only.  One
-walker over root positions, which both modes answer with the sets, scales
-and pieces attaining each maximum, builds the witnesses.  Values come from a
-scaled pattern scaled back, so they are homogeneous over the double range.
+the last root, with rows for the floors and the counts a caller asks for,
+closed under halving, in O(n^3 log n) additions.  It gives a certified lower
+bound, exact on constant patterns but not in general (frozen counterexample in
+the tests).  ``exhaustive`` mode takes arbitrary subsets, up to
+``max_support`` points (default 12), and memoises every supremum by
+coefficient pattern in `_Pieces`, sound because the norm is 1-unconditional
+and 1-subsymmetric (both under test); its search states are kept for the last
+root only.  One walker over root positions, which both modes answer with the
+sets, scales and pieces attaining each maximum, builds the witnesses.  Values
+come from a scaled pattern scaled back, so they are homogeneous over the
+double range.
 """
 from __future__ import annotations
 
@@ -102,7 +104,6 @@ class _Pieces:
             self.norm_of = norm_of
         self._norm: dict[CoefficientPattern, float] = {}
         self._bps: dict[tuple[CoefficientPattern, int], float] = {}
-        self._tn: dict[tuple[CoefficientPattern, int], float] = {}
         self._family: dict[tuple[CoefficientPattern, int, int], tuple[list, list]] = {}
 
     def start(self, root: CoefficientPattern) -> None:
@@ -151,29 +152,6 @@ class _Pieces:
             hit = self._bps[key] = self.split(p, m)[0]
         return hit
 
-    def scale(self, p: CoefficientPattern, fl: int) -> tuple[float, int]:
-        """max over admissible scales m >= fl of |||p|||_m, and the least m
-        attaining it.  Beyond the support size the value is l1/m and strictly
-        decreasing, so the scan stops at len(p)."""
-        n = len(p)
-        if fl >= n:
-            return _ratio(sum(p), fl), fl
-        best, arg = _NEG, fl
-        for m in range(fl, n + 1):
-            cand = self.bps(p, m) / m
-            if cand > best:
-                best, arg = cand, m
-        return best, arg
-
-    def tn(self, p: CoefficientPattern, fl: int) -> float:
-        if fl >= len(p):
-            return _ratio(sum(p), fl)
-        key = (p, fl)
-        hit = self._tn.get(key)
-        if hit is None:
-            hit = self._tn[key] = self.scale(p, fl)[0]
-        return hit
-
     def family(self, p: CoefficientPattern, c: int, first_floor: int) -> tuple[list, list]:
         """The family search over p after c points were consumed: (best, arg).
 
@@ -201,7 +179,8 @@ class _Pieces:
         best = [0.0] if const else list(self.family(p[1:], c, ff)[0])
         arg = [None] * len(best)
         for offs in [range(t) for t in range(1, r + 1)] if const else _first_sets(r):
-            tnv = self.tn(p[: len(offs)] if const else tuple(map(p.__getitem__, offs)), fl)
+            sub = p[: len(offs)] if const else tuple(map(p.__getitem__, offs))
+            tnv = _ratio(self.bps(sub, fl), fl)  # the triple norm at scales >= fl (floor rule)
             rest = self.family(p[offs[-1] + 1 :], c + len(offs), ff)[0]
             grow = len(rest) + 1 - len(best)
             if grow > 0:
@@ -255,8 +234,7 @@ class _Root:
                 a += 1
                 offs = self.pieces.family(p[a:], c, 2)[1][left]
             sub = [a + o for o in offs]
-            m = self.pieces.scale(tuple(p[i] for i in sub), min_m_for_budget(c))[1]
-            out.append((tuple(pos[i] for i in sub), m))
+            out.append((tuple(pos[i] for i in sub), min_m_for_budget(c)))
             a, c = sub[-1] + 1, c + len(sub)
         return out
 
@@ -271,19 +249,18 @@ class _Root:
 
 
 class _Segment(RunTables):
-    """Segment mode: the run tables of one root with C_m for every m <= n, the
+    """Segment mode: the run tables of one root with C_m for its floors, the
     family states F = `_family` of `run_tables` (k < K) and the triple norms
-    `tn` they were searched on.  Rows c >= nc pad F with merged tails
+    `tn` = C_fl / fl they were searched on.  Rows c >= nc pad F with merged tails
     [0, l1 / 2**c], so one view of F holds the rest of a first run of t <= nc."""
 
     def __init__(self, p: CoefficientPattern):
         n = len(p)
-        super().__init__(p, range(1, max(n, 1) + 1))
         self.nc = max(2, (n - 1).bit_length())  # c = 0 .. floor(log2(n - 1)) are searched
         self.K = self.nc + 2  # at most nc + 1 sets
         self.floors = np.array([max(2, 1 << c) for c in range(2 * self.nc)])
+        super().__init__(p, self.floors[: self.nc].tolist())
         self.fk = np.array([f(k) for k in range(1, self.K)])
-        self.mvals = np.arange(1.0, self.l1.shape[1] + 1)
         self.pow2 = np.ldexp(1.0, -np.add.outer(np.arange(self.nc), np.arange(n + 1)))
         # the states searched at length L: c < cl[L], those with fl(c) < L
         self.cl = [0, 0, 0] + [min(self.nc, (L - 1).bit_length()) for L in range(3, n + 1)]
@@ -303,15 +280,14 @@ class _Segment(RunTables):
         F[..., 0] = 0.0
         F[:, 1:, :cols, 1], tn = tn[:, 1:], tn[:nc]
         V, W = self._views(F) if cols > 2 else (None, None)  # no length <= 2 is searched
+        fr = np.array([self.row[m] for m in self.floors[:nc].tolist()])  # the rows C_fl(c)
         if keep:
             self.tn, self._family = tn, F
 
         def step(L, cnt):
             cl = self.cl[L]
-            if cl:
-                r = C[1:L, L, :cnt] / self.mvals[1:L, None]  # max over m >= fl of C_m / m
-                r = np.maximum.accumulate(r[::-1], axis=0)[::-1]
-                tn[:cl, L, :cnt] = r[self.floors[:cl] - 2]
+            if cl:  # the floor rule: tn = max_{m >= fl} C_m / m = C_fl / fl
+                tn[:cl, L, :cnt] = C[fr[:cl], L, :cnt] / self.floors[:cl, None]
                 best = F[:cl, L, :cnt, 1:]
                 self._take(tn, V, W, slice(0, cl), L, slice(0, cnt), out=best)
                 np.maximum(best, F[:cl, L - 1, 1 : cnt + 1, 1:], out=best)  # or skip p[s]
@@ -347,18 +323,18 @@ class _Segment(RunTables):
 
     def root_best(self, m0: int) -> np.ndarray:
         """best[k] of the root's family search whose first set has scale >= m0:
-        a first run at some start a, then the family states after it."""
+        a first run p[a:e] valued C_m0 / m0, then the family states after it."""
         n, F = len(self.p), self._family
         if m0 == 2 or not n:
             return F[0, n, 0]
-        if m0 <= n:  # C_m = l1 for m >= L, so rows m0..n hold every candidate
-            tnm = (self.C[m0 - 1 :] / self.mvals[m0 - 1 :, None, None]).max(axis=0)
-        else:
-            tnm = self.l1 / m0 if m0.bit_length() <= _FLOOR_BITS_CAP else 0.0 * self.l1
-        V, W, take = *self._views(F), np.empty((n, 1, self.K - 1))
-        for a in range(n):  # take[a]: the first set starts at a, with floor m0
-            self._take(tnm[None], V, W, slice(0, 1), n - a, slice(a, a + 1), take[a : a + 1])
-        return np.concatenate([[0.0], take.max(axis=0)[0]])
+        a, e = np.triu_indices(n + 1, 1)  # every first run, t = e - a points
+        t = e - a
+        head = self.table(m0)[t, a] / m0 if m0.bit_length() <= _FLOOR_BITS_CAP else 0.0 * t
+        r, b = t <= self.nc, (t > self.nc) & (e < n)  # rests in F, or one merged run
+        rest = (head[r, None] + F[t[r], n - e[r], e[r], 1:-1]).max(axis=0)  # k >= 2
+        merged = head[b] + self.pow2[0, t[b]] * self.l1[n - e[b], e[b]]
+        rest[0] = max(rest[0], merged.max(initial=_NEG))
+        return np.concatenate([[0.0, head.max()], rest])
 
     def value(self, pos: Sequence[int] | None = None) -> float:
         return self.N[len(self.p), 0] if pos is None else self.N[len(pos), pos[0]]
@@ -376,9 +352,7 @@ class _Segment(RunTables):
         for left in range(k, 0, -1):
             while not (t := self._first(V, W, c, e - a, a, left)):
                 a += 1  # the family leaves p[a] out
-            m = max(2, 1 << c)  # the least scale attaining tn
-            m += int(np.argmax(self.C[m - 1 : t, t, a] / self.mvals[m - 1 : t])) if m < t else 0
-            out.append((range(a, a + t), m))
+            out.append((range(a, a + t), max(2, 1 << c)))  # the floor attains tn
             a, c = a + t, c + t
         return out
 

@@ -16,10 +16,10 @@ desk scale it always hits this closed form (asserted, not hidden).
 Partition pieces are consecutive runs of support points, which is exact here:
 no cardinality budget makes a larger piece cost anything.  The engine fills
 the interval tables of `run_tables`, whose hook here is the square sum over
-the scales that split a run, for the counts reachable from {n_k < n} (and
-from a count asked of `norm_k` or `best_partition_sum`) under
+the scales that split a run, for the counts reachable from {n_k < n} under
 m -> (ceil(m/2), floor(m/2)): O(log n) counts for geometric scales, as in both
-presets.  The last root's tables are kept for a witness right after the norm.
+presets.  The last root's tables are kept for a witness right after the norm;
+a count asked of `norm_k` or `best_partition_sum` adds its rows to them.
 
 Presets:
 
@@ -156,20 +156,13 @@ class QSumConfig:
 
 
 class _Tables(RunTables):
-    """Run tables of an x1 root, with C_m for the counts reachable from the
-    scales that split it (and from `count`, if given)."""
+    """Run tables of an x1 root, with C_m for the scales that split it."""
 
-    def __init__(self, engine: "QSumEngine", p: CoefficientPattern, count: int | None = None):
+    def __init__(self, engine: "QSumEngine", p: CoefficientPattern):
         self.scales = engine._scales(len(p))
         self.nks = [nk for nk, _ in self.scales]
         self.tails = [engine.cfg.tail(c + 1) for c in range(len(self.scales) + 1)]
-        todo, ms = self.nks + ([count] if count else []), {1}
-        while todo:  # close under m -> (ceil(m/2), floor(m/2))
-            m = todo.pop()
-            if m not in ms:
-                ms.add(m)
-                todo += [(m + 1) // 2, m // 2]
-        super().__init__(p, ms)
+        super().__init__(p, self.nks)
 
     def outer(self, C, values, keep):
         def step(L, cnt):  # the square sum over the scales that split length L
@@ -262,11 +255,11 @@ class QSumEngine:
             out.append((self.cfg.n_at(len(out) + 1), self.cfg.f_nk(len(out) + 1)))
         return out
 
-    def _tables(self, p: CoefficientPattern, count: int | None = None) -> _Tables:
-        """Tables of root p, with C_count if given; the last root's are reused."""
+    def _tables(self, p: CoefficientPattern) -> _Tables:
+        """Tables of root p; the last root's are reused (`bps` adds a count they lack)."""
         T = self._last
-        if T is None or T.p != p or (count is not None and count not in T.row):
-            T = _Tables(self, p, count)
+        if T is None or T.p != p:
+            T = _Tables(self, p)
             T.fill()
             self._last = T
         return T
@@ -275,7 +268,7 @@ class QSumEngine:
         """Best partition sum of p over at most m consecutive runs."""
         if not p:
             return 0.0
-        T = self._tables(p, m if 1 < m < len(p) else None)
+        T = self._tables(p)
         return T.unscale(T.bps(m))
 
     def _witness(self, T: _Tables, idx: tuple[int, ...], s: int, L: int) -> Witness:

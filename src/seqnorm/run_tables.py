@@ -18,16 +18,27 @@ one run and the right r - 1 < floor(m/2).  Only subadditivity of the piece
 values is used, and every level of the inductive construction is a norm, so
 `levels` and `residual` run the same fill on given values.
 
+Floor rule: C_m / m is non-increasing in m if the piece values are
+nonnegative, equal |p_i| on singletons and do not decrease when a run grows.
+Let m < m' and take a partition attaining C_{m'}, of r <= m' runs.  If r <= m,
+C_m >= C_{m'}.  Otherwise its m largest runs sum to at least (m/r) C_{m'};
+join every other run to the nearest of them on its left (before the first, to
+the first): m runs, each worth at least the one it holds, so C_m >= (m/m')
+C_{m'}.  The norms qualify (1-unconditional), and so do every level of
+`levels`, the values `residual` maps and ``x2``'s segment lower bound (by
+induction on length: a partition or family of a run is one of every run
+containing it).  So a run's triple norm at floor fl, max_{m >= fl} C_m / m, is
+C_fl / fl (l1 / fl once fl >= L).  Rows are the counts asked for and 1, closed
+under halving: ``x1``'s scales, ``x2``'s floors 2, 4, ..., so O(log n) rows
+and O(n^3 log n) additions; `table` adds a count asked later.
+
 The fill goes by increasing length, one numpy reduction per length over one
-strided view of the rests C_b[L-t, s+t] (`rests`); then one hook of the
-engine (`outer`) turns the sums into the values of the runs of that length.
-Only values are stored: a witness walk re-derives the split of each state it
-visits as the argmax of the same candidates (`_splits`), the first maximal t.
-``x1`` tabulates the halving closure of its scales (O(log n) counts,
-O(n^3 log n) additions), ``x2`` every m <= n (O(n^4)): its triple norm of a
-run at floor fl is max_{m >= fl} C_m / m.  Values are kept for p scaled by
-the power of two that puts max(p) in [0.5, 1): exact, free of overflow,
-homogeneous over the double range.
+strided view of the rests C_b[L-t, s+t] (`rests`); then a hook of the engine
+(`outer`) turns the sums into the values of the runs of that length.  Only
+values are stored: a witness walk re-derives the split of each state it visits
+as the first argmax of the same candidates (`_splits`).  Values are kept for p
+scaled by the power of two that puts max(p) in [0.5, 1): exact, free of
+overflow, homogeneous over the double range.
 
 Family states of ``x2``: after c consumed points the next scale is at least
 fl(c) = max(2, 2**c).  F[c, L, s, k] is the best sum of tn(E_i, fl(c_i)) over
@@ -37,19 +48,19 @@ otherwise F[c, L, s] is the better of skipping p[s] (F[c, L-1, s+1]) and
 
     F[c, L, s, k] = max_{1<=t<=L}  tn(p[s:s+t], fl(c)) + F[c+t, L-t, s+t, k-1].
 
-Merged tail: once fl(c) >= L, every run E left has C_m(E) = l1(E) for all
-m >= fl(c) >= |E|, so tn(E, fl) = l1(E) / fl with floors that only grow, and
-any family of j >= 1 runs sums to at most l1(p[s:s+L]) / fl(c), the value of
-one merged run of all points left.  So F[c, L, s] = [0, l1 / fl(c)] keeps the
-best sum over at most k sets for every k, all that the norm
-(max_k F[0, L, s, k] / f(k), f increasing) and the seminorms read.  Every
-state with 2**c >= n is such a tail: only c <= floor(log2(n - 1)) is
-searched, a rest past it is the closed form [0, l1 / 2**(c+t)], and a family
-has at most floor(log2(n - 1)) + 2 sets.
+Merged tail: once fl(c) >= L, every run E left has tn(E, fl) = l1(E) / fl with
+floors that only grow, so any family of j >= 1 runs sums to at most
+l1(p[s:s+L]) / fl(c), the value of one merged run of all points left, and
+F[c, L, s] = [0, l1 / fl(c)] keeps the best sum over at most k sets for every
+k, all that the norm (max_k F[0, L, s, k] / f(k), f increasing) and the
+seminorms read.  Every state with 2**c >= n is such a tail: only
+c <= floor(log2(n - 1)) is searched, a rest past it is the closed form
+[0, l1 / 2**(c+t)], and a family has at most floor(log2(n - 1)) + 2 sets.
 """
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_left
 
 import numpy as np
@@ -72,24 +83,34 @@ def rests(a: np.ndarray) -> np.ndarray:
 class RunTables:
     """Tables of root pattern p: entry [L, s] is for the run p[s:s+L].
 
-    `ms` are the counts m to tabulate C_m for; it must contain 1 and be closed
-    under m -> (ceil(m/2), floor(m/2)).  A subclass supplies `outer`."""
+    `ms` are the counts m to tabulate C_m for, closed here under
+    m -> (ceil(m/2), floor(m/2)) and with 1.  A subclass supplies `outer`."""
 
     def __init__(self, p, ms):
-        n = len(p)
+        n = max(len(p), 1)  # an empty root gets one row and column of zeros, so N[0, 0] = 0
         self.p, self.exp = p, math.frexp(max(p, default=1.0))[1]
-        self.ms = sorted(ms)
-        self.row = {m: i for i, m in enumerate(self.ms)}
+        self.ms, self._lock = [], threading.Lock()
+        self.row = self._index([1, *ms])
+        z = np.zeros(2 * n - 1)
+        z[: len(p)] = np.ldexp(np.array(p, dtype=float), -self.exp)
+        runs = np.ndarray((n, n), z.dtype, z, 0, z.strides * 2)  # runs[L-1, s] = z[s+L-1]
+        self.l1, self.sup = np.zeros((n + 1, n)), np.zeros((n + 1, n))
+        np.add.accumulate(runs, axis=0, out=self.l1[1:])
+        np.maximum.accumulate(runs, axis=0, out=self.sup[1:])
+
+    def _index(self, ms) -> dict:
+        """Append the counts ms and halvings that are not rows yet; return the row map."""
+        done, todo = set(self.ms), set(ms) - set(self.ms)
+        while todo:
+            done |= todo
+            todo = {k for m in todo if m > 1 for k in ((m + 1) // 2, m // 2)} - done
+        ms = self.ms + sorted(done - set(self.ms))
+        row = {m: i for i, m in enumerate(ms)}
         # the rows C_m splits into, C_{ceil(m/2)} and C_{floor(m/2)}; m = 1 does not split
-        self.up = np.array([0] + [self.row[(m + 1) // 2] for m in self.ms[1:]])
-        self.down = np.array([0] + [self.row[m // 2] for m in self.ms[1:]])
-        z = np.ldexp(np.array(p, dtype=float), -self.exp)
-        # an empty root gets one row and column of zeros, so N[0, 0] = 0
-        self.l1 = np.zeros((max(n, 1) + 1, max(n, 1)))
-        self.sup = np.zeros(self.l1.shape)
-        for L in range(1, n + 1):
-            self.l1[L, : n - L + 1] = self.l1[L - 1, : n - L + 1] + z[L - 1 :]
-            self.sup[L, : n - L + 1] = np.maximum(self.sup[L - 1, : n - L + 1], z[L - 1 :])
+        self.up = np.array([0] + [row[(m + 1) // 2] for m in ms[1:]])
+        self.down = np.array([0] + [row[m // 2] for m in ms[1:]])
+        self.ms = ms
+        return row
 
     def outer(self, C: np.ndarray, values: np.ndarray, keep: bool):
         """The hook: a function of (L, cnt) setting values[L, :cnt] from C[:, L, :cnt];
@@ -97,27 +118,40 @@ class RunTables:
         raise NotImplementedError
 
     def fill(self, piece: np.ndarray | None = None) -> np.ndarray:
-        """Fill C[i] = C_{ms[i]} by increasing length; return the run values.
-
-        Without `piece` these are the norms, kept with C.  With it, C[0] holds
-        the given piece values and the result is one application of the
-        fixed-point map to them."""
-        n = len(self.p)
-        C = np.empty((len(self.ms),) + self.l1.shape)
-        C[:] = self.l1
+        """Fill C[i] = C_{ms[i]} by increasing length; return the run values: the
+        norms, kept with C, or with `piece` (then C[0]) one application of the
+        fixed-point map to those piece values."""
+        C = self.l1[None].repeat(len(self.ms), 0)
         if piece is None:
             self.C, self.N, values = C, C[0], C[0]
         else:
             C[0], values = piece, self.sup.copy()
-        step = self.outer(C, values, piece is None)
+        self._grow(C, np.argsort(self.ms)[1:], self.outer(C, values, piece is None))
+        return values
+
+    def table(self, m: int) -> np.ndarray:
+        """C_m of every run, scaled (l1 once m >= n).  A count not tabulated is added:
+        only its missing rows are filled, from N; other rows and `outer`'s states stay."""
+        if m >= len(self.p):
+            return self.l1
+        with self._lock:  # one writer; rows only grow, and `row` names one once C holds it
+            if m not in self.row:
+                k, row = len(self.ms), self._index([m])
+                C = np.concatenate([self.C, self.l1[None].repeat(len(self.ms) - k, 0)])
+                self._grow(C, np.arange(k, len(self.ms)), lambda L, cnt: None)
+                self.C, self.N, self.row = C, C[0], row
+        return self.C[self.row[m]]
+
+    def _grow(self, C, rows, step):
+        """Fill the rows of C (ascending counts) by increasing length, then step(L, cnt)."""
+        n, cut = len(self.p), [self.ms[i] for i in rows]
         R = rests(C) if n > 2 else None
         for L in range(2, n + 1):
             cnt = n - L + 1
-            j = bisect_left(self.ms, L)  # ms[1:j] are the counts 2 <= m < L
-            if j > 1:
-                self._splits(C, R, slice(1, j), L, slice(0, cnt)).max(axis=1, out=C[1:j, L, :cnt])
+            i = rows[: bisect_left(cut, L)]  # those with counts m < L
+            if len(i):
+                C[i, L, :cnt] = self._splits(C, R, i, L, slice(0, cnt)).max(axis=1)
             step(L, cnt)
-        return values
 
     def _splits(self, C, R, i, L, s):
         """[., t-1, .] = C_a[t, s] + C_b[L-t, s+t] for 0 < t < L, over the rows i
@@ -126,8 +160,7 @@ class RunTables:
 
     def bps(self, m: int, L: int | None = None, s: int = 0) -> float:
         """C_m of the run p[s:s+L] (default: the whole root), scaled."""
-        L = len(self.p) if L is None else L
-        return self.l1[L, s] if m >= L else self.C[self.row[m], L, s]
+        return self.table(m)[len(self.p) if L is None else L, s]
 
     def runs(self, m: int, s: int, L: int, R: np.ndarray | None = None) -> list[tuple[int, int]]:
         """(start, length) of the runs of p[s:s+L] whose values sum to C_m."""

@@ -2,8 +2,10 @@
 search it replaced, witnesses frozen from the tables that stored their
 splits, the strided views of the fill, and the state an engine keeps."""
 import json
+import math
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import numpy as np
 from numpy.lib.array_utils import byte_bounds
 
 from conftest import random_test_vector
+from oracles import BruteFamilyNorm
 from seqnorm import family_engine, run_tables
 from seqnorm.core import EQ_TOL, FiniteVector
 from seqnorm.family_engine import FamilyEngine, SegmentDP, _Segment
@@ -142,3 +145,109 @@ def test_strided_views_inside_base(monkeypatch):
                     t = int(rng.integers(1, min(L, view.shape[2]) + 1))
                     assert np.array_equal(view[c, L, t - 1, s], base[c + t, L - t, s + t])
         views.clear()
+
+
+def test_triple_norm_never_grows_with_m():
+    # the floor rule, on the brute-force reference, which scans every m
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        x = random_test_vector(rng, int(rng.integers(1, 7)))
+        brute = BruteFamilyNorm(x)
+        values = [brute.triple_norm(m) for m in range(2, x.support_size + 3)]
+        assert all(b <= a + EQ_TOL * max(1.0, a) for a, b in zip(values, values[1:]))
+
+
+def test_floor_rule_on_segment_tables():
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 5, 8, 9, 17, 26):
+        T = _Segment(tuple(rng.uniform(0.1, 3.0, size=n).tolist()))
+        T.fill()
+        for m in range(2, n):  # every row, so that max_{m >= fl} C_m / m can be read
+            T.table(m)
+        assert set(range(1, n)) <= set(T.ms)
+
+        def ratio(m, L, s):  # max over m' >= m of C_m' / m'; C_m' = l1 once m' >= L
+            return max(T.bps(k, L, s) / k for k in range(m, max(m, L) + 1))
+
+        for L in range(1, n + 1):
+            for s in range(n - L + 1):
+                for c in range(T.nc):
+                    assert close(T.tn[c, L, s], ratio(max(2, 1 << c), L, s))
+        for m0 in (3, 5, 6):  # a first run p[a:a+t], then the family states after it
+            want = [0.0] + [float("-inf")] * (T.K - 1)
+            for a in range(n):
+                for t in range(1, n - a + 1):
+                    head, u = ratio(m0, t, a), n - a - t
+                    if t < T._family.shape[0]:
+                        rest = T._family[t, u, a + t]
+                    else:  # past the padded rows: one merged tail
+                        rest = [0.0, T.l1[u, a + t] / 2 ** t if u else float("-inf")]
+                    for k in range(1, T.K):
+                        if k - 1 < len(rest):
+                            want[k] = max(want[k], head + rest[k - 1])
+            got = T.root_best(m0)
+            assert all(close(g, w) if w > float("-inf") else g == w for g, w in zip(got, want))
+
+
+def test_counts_added_on_demand():
+    rng = np.random.default_rng(31)
+    x = FiniteVector.from_dense(rng.uniform(0.1, 3.0, size=30).tolist())
+    engine = FamilyEngine(SegmentDP())
+    engine.norm(x)
+    tables = engine._pieces
+    family, rows = tables._family, len(tables.ms)
+    assert tables.ms == [1, 2, 4, 8, 16]
+    values = [engine.triple_norm(x, m) for m in range(2, 32)]
+    assert engine._pieces is tables and tables._family is family
+    assert rows < len(tables.ms) <= 30
+    # the rows added one count at a time equal those of a fill over every count
+    full = _Segment(x.pattern())
+    full.row = full._index(range(1, 30))
+    full.fill()
+    assert np.array_equal(tables._family, full._family)
+    assert all(np.array_equal(tables.table(m), full.table(m)) for m in range(1, 30))
+    assert values == [FamilyEngine(SegmentDP()).triple_norm(x, m) for m in range(2, 32)]
+    x1 = QSumEngine(QSumConfig.small())
+    x1.norm(x)
+    kept = x1._last
+    got = [x1.norm_k(x, k) for k in (2, 3, 5, 7, 29, 40)]
+    assert x1._last is kept
+    assert got == [QSumEngine(QSumConfig.small()).norm_k(x, k) for k in (2, 3, 5, 7, 29, 40)]
+
+
+def test_run_sums_accumulate_in_sequence():
+    rng = np.random.default_rng(37)
+    for n in (0, 1, 2, 7, 30):
+        p = tuple(rng.uniform(0.1, 3.0, size=n).tolist())
+        T = _Segment(p)
+        z = [math.ldexp(v, -T.exp) for v in p]
+        assert T.l1[0, 0] == 0.0 and T.sup[0, 0] == 0.0
+        for L in range(1, n + 1):
+            for s in range(n - L + 1):
+                total = 0.0
+                for v in z[s : s + L]:
+                    total += v
+                assert T.l1[L, s] == total and T.sup[L, s] == max(z[s : s + L])
+
+
+def test_counts_added_while_threads_read():
+    # one engine per space shared by four threads on one root: counts are
+    # added to the tables while other threads read them
+    rng = np.random.default_rng(41)
+    x = FiniteVector.from_dense(rng.uniform(0.1, 3.0, size=40).tolist())
+    jobs = [("tn", m) for m in range(2, 42)] + [("ellm0", m0) for m0 in (3, 5, 6, 7, 9, 11)]
+    jobs += [("k", k) for k in range(2, 42)]
+
+    def run(engines, job):
+        x2, x1 = engines
+        kind, m = job
+        if kind == "tn":
+            return x2.triple_norm(x, m)
+        return x2.norm_ell_m0(x, 3, m) if kind == "ellm0" else x1.norm_k(x, m)
+
+    fresh = [run((FamilyEngine(SegmentDP()), QSumEngine(QSumConfig.small())), j) for j in jobs]
+    for _ in range(3):
+        shared = (FamilyEngine(SegmentDP()), QSumEngine(QSumConfig.small()))
+        shared[0].norm(x), shared[1].norm(x)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert list(pool.map(lambda j: run(shared, j), jobs)) == fresh
