@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import IndexSet, f_exceeds
+from .core import IndexSet, f_exceeds, json_int
 
 
 class FamilyValidationError(ValueError):
@@ -70,5 +70,5 @@ class AdmissibleFamily:
     def from_json(obj: dict) -> "AdmissibleFamily":
         if not isinstance(obj, dict) or "pairs" not in obj:
             raise ValueError("family JSON must be an object with a 'pairs' key")
-        pairs = [(int(m), IndexSet.from_json(e)) for m, e in obj["pairs"]]
+        pairs = [(json_int(m), IndexSet.from_json(e)) for m, e in obj["pairs"]]
         return AdmissibleFamily.of(pairs)

@@ -25,7 +25,7 @@ from .constructions import (
     build_matrix_grid,
     plan_chain,
 )
-from .family_engine import Exhaustive, SegmentDP, get_engine
+from .family_engine import MAX_EXHAUSTIVE_SUPPORT, Exhaustive, SegmentDP, get_engine
 from .io import (
     InputError,
     canonical_json,
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_mode(p):
         p.add_argument("--mode", choices=("exhaustive", "segment"), default="exhaustive")
-        p.add_argument("--max-support", type=int, default=12)
+        p.add_argument("--max-support", type=int, default=MAX_EXHAUSTIVE_SUPPORT)
 
     p = sub.add_parser("norm", help="norm of a vector file")
     p.add_argument("space", choices=("x1", "x2"))

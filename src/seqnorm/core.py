@@ -68,6 +68,20 @@ def check_f_submultiplicative(x: float, y: float) -> float:
     return margin
 
 
+def json_int(v) -> int:
+    """An index or a scale read from JSON: an integer, not a bool or a float."""
+    if type(v) is not int:
+        raise ValueError(f"{v!r} is not an integer")
+    return v
+
+
+def json_number(v) -> float:
+    """A coefficient read from JSON: an integer or a float, not a bool or a string."""
+    if type(v) not in (int, float):
+        raise ValueError(f"{v!r} is not a number")
+    return v
+
+
 @dataclass(frozen=True)
 class IndexSet:
     """A finite set of positive integer indices.
@@ -151,9 +165,9 @@ class IndexSet:
     @staticmethod
     def from_json(obj) -> "IndexSet":
         if isinstance(obj, dict):
-            return IndexSet.of(obj["set"])
+            return IndexSet(elems=tuple(map(json_int, obj["set"])))
         if isinstance(obj, (list, tuple)) and len(obj) == 2:
-            return IndexSet.interval(int(obj[0]), int(obj[1]))
+            return IndexSet.interval(json_int(obj[0]), json_int(obj[1]))
         raise ValueError(f"cannot parse index set from {obj!r}")
 
 
@@ -327,4 +341,4 @@ class FiniteVector:
     def from_json(obj: dict) -> "FiniteVector":
         if not isinstance(obj, dict) or "coords" not in obj:
             raise ValueError("vector JSON must be an object with a 'coords' key")
-        return FiniteVector((int(i), float(c)) for i, c in obj["coords"])
+        return FiniteVector((json_int(i), json_number(c)) for i, c in obj["coords"])

@@ -22,13 +22,14 @@ the last root, with rows for the floors and the counts a caller asks for,
 closed under halving, in O(n^3 log n) additions.  It gives a certified lower
 bound, exact on constant patterns but not in general (frozen counterexample in
 the tests).  ``exhaustive`` mode takes arbitrary subsets, up to
-``max_support`` points (default 12), and memoises every supremum by
-coefficient pattern in `_Pieces`, sound because the norm is 1-unconditional
-and 1-subsymmetric (both under test); its search states are kept for the last
-root only.  One walker over root positions, which both modes answer with the
-sets, scales and pieces attaining each maximum, builds the witnesses.  Values
-come from a scaled pattern scaled back, so they are homogeneous over the
-double range.
+``max_support`` points (default `MAX_EXHAUSTIVE_SUPPORT`), on one `_Pieces` per
+root; every supremum is memoised by coefficient pattern in dicts the engine
+shares across roots, sound because the norm is 1-unconditional and
+1-subsymmetric (both under test), and only the last root's family search
+states are kept.  One walker over root positions, which both modes answer with
+the sets, scales and pieces attaining each maximum, builds the witnesses.
+Values come from a scaled pattern scaled back, so they are homogeneous over
+the double range.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,6 +49,8 @@ from .witness import FamilyWitness, PartitionWitness, SupWitness, Witness
 _NEG = float("-inf")
 # Floors beyond this many bits overflow floats; the contribution is zero.
 _FLOOR_BITS_CAP = 1020
+# The default support limit of exhaustive mode (a 12-point norm takes about a second).
+MAX_EXHAUSTIVE_SUPPORT = 12
 
 
 class SupportLimitError(ValueError):
@@ -57,14 +60,14 @@ class SupportLimitError(ValueError):
 @dataclass(frozen=True)
 class SearchMode:
     kind: str
-    max_support: int = 12
+    max_support: int = MAX_EXHAUSTIVE_SUPPORT
 
     def __post_init__(self) -> None:
         if self.kind not in ("exhaustive", "segment"):
             raise ValueError(f"unknown search mode {self.kind!r}")
 
 
-def Exhaustive(max_support: int = 12) -> SearchMode:
+def Exhaustive(max_support: int = MAX_EXHAUSTIVE_SUPPORT) -> SearchMode:
     return SearchMode("exhaustive", max_support)
 
 
@@ -93,24 +96,17 @@ def _unscale(s: float, v: float) -> float:
 
 
 class _Pieces:
-    """Exhaustive mode: the sups of the fixed-point equation memoised by
-    pattern.  Pieces are valued by the norm, or by given values (`norm_of`) in
-    `iterate_levels` and `fixed_point_residual`.  Search states are kept for
-    one root."""
+    """Exhaustive mode's answers on one root p, by positions of q = p / s with
+    s = max(p): the sups of the fixed-point equation, memoised by pattern in
+    the engine's norm and partition-sum dicts (`memos`, shared across roots),
+    and this root's family search states.  Helper pieces in `residual` and
+    `levels` take given piece values as their norm memo."""
 
-    def __init__(self, norm_of: Callable[[CoefficientPattern], float] | None = None):
-        self.root = None
-        if norm_of is not None:
-            self.norm_of = norm_of
-        self._norm: dict[CoefficientPattern, float] = {}
-        self._bps: dict[tuple[CoefficientPattern, int], float] = {}
+    def __init__(self, p: CoefficientPattern, memos: tuple[dict, dict]):
+        self.p, self.s = p, max(p, default=1.0)
+        self.q = tuple(v / self.s for v in p)
+        self._norm, self._bps = memos
         self._family: dict[tuple[CoefficientPattern, int, int], tuple[list, list]] = {}
-
-    def start(self, root: CoefficientPattern) -> None:
-        """Begin an operation on `root`: drop the search states of any other root."""
-        if root != self.root:
-            self._family.clear()
-            self.root = root
 
     def norm_of(self, p: CoefficientPattern) -> float:
         if len(p) <= 2:
@@ -193,28 +189,20 @@ class _Pieces:
         out = self._family[key] = best, arg
         return out
 
-
-class _Root:
-    """Exhaustive mode's answers on one root q = p / s, by positions of q;
-    one per operation, so threads sharing an engine never mix roots."""
-
-    __slots__ = ("pieces", "q", "s")
-
-    def __init__(self, pieces: _Pieces, q: CoefficientPattern, s: float):
-        self.pieces, self.q, self.s = pieces, q, s
-
-    def _at(self, pos: Sequence[int]) -> CoefficientPattern:
+    def _at(self, pos: Sequence[int] | None) -> CoefficientPattern:
         # positions are increasing, so len(pos) == len(q) means the root
-        return self.q if len(pos) == len(self.q) else tuple(map(self.q.__getitem__, pos))
+        if pos is None or len(pos) == len(self.q):
+            return self.q
+        return tuple(map(self.q.__getitem__, pos))
 
     def value(self, pos: Sequence[int] | None = None) -> float:
-        return self.pieces.norm_of(self.q if pos is None else self._at(pos))
+        return self.norm_of(self._at(pos))
 
     def best(self, pos: Sequence[int] | None, m: int) -> float:
-        return self.pieces.bps(self.q if pos is None else self._at(pos), m)
+        return self.bps(self._at(pos), m)
 
     def root_best(self, m0: int) -> list:
-        return self.pieces.family(self.q, 0, m0)[0]
+        return self.family(self.q, 0, m0)[0]
 
     def unscale(self, v: float) -> float:
         return _unscale(self.s, v)
@@ -223,16 +211,16 @@ class _Root:
         """(positions, scale) of the sets of a family attaining the norm at
         pos; empty if the sup norm attains it."""
         p = self._at(pos)
-        if self.pieces.norm_of(p) <= max(p):
+        if self.norm_of(p) <= max(p):
             return []
-        best = self.pieces.family(p, 0, 2)[0]
+        best = self.family(p, 0, 2)[0]
         k = max(range(1, len(best)), key=lambda k: best[k] / f(k))
         out, a, c = [], 0, 0
         for left in range(k, 0, -1):
-            offs = self.pieces.family(p[a:], c, 2)[1][left]
+            offs = self.family(p[a:], c, 2)[1][left]
             while offs is None:  # the family leaves p[a] out
                 a += 1
-                offs = self.pieces.family(p[a:], c, 2)[1][left]
+                offs = self.family(p[a:], c, 2)[1][left]
             sub = [a + o for o in offs]
             out.append((tuple(pos[i] for i in sub), min_m_for_budget(c)))
             a, c = sub[-1] + 1, c + len(sub)
@@ -242,10 +230,30 @@ class _Root:
         """The pieces of a partition of pos into at most m runs attaining `best`."""
         p, out, a = self._at(pos), [], 0
         while a < len(p):
-            t = self.pieces.split(p[a:], m - len(out))[1]
+            t = self.split(p[a:], m - len(out))[1]
             out.append(pos[a : a + t])
             a += t
         return out
+
+    def residual(self) -> float:
+        """`FamilyEngine.fixed_point_residual` at the root."""
+        return self.unscale(abs(self.value() - _Pieces(self.p, (self._norm, {})).rhs(self.q)))
+
+    def levels(self) -> list[float]:
+        """`RunTables.levels` on every restriction of the root, the sup norm of
+        each as its first level."""
+        q = self.q
+        closure = {z for k in range(1, len(q) + 1) for z in combinations(q, k)}
+        values, levels = {z: max(z) for z in closure}, [self.unscale(1.0)]
+        for _ in range(10 * len(q)):
+            pieces = _Pieces(self.p, (values, {}))
+            new = {z: max(values[z], pieces.rhs(z)) for z in closure}
+            delta, values = max(new[z] - values[z] for z in closure), new
+            levels.append(self.unscale(values[q]))
+            if delta < EQ_TOL:  # q has largest coefficient 1
+                return levels
+        raise IterationCapError(
+            f"no stabilization within {10 * len(q)} levels; last value {levels[-1]}")
 
 
 class _Segment(RunTables):
@@ -361,15 +369,16 @@ class _Segment(RunTables):
 
 
 class FamilyEngine:
-    """Evaluator for the family norm and its seminorms.  Every memo entry is
-    a function of its key alone, and search states or tables of a root are
-    dropped when an operation starts on another, so an instance shared across
-    threads stays correct but may repeat a search."""
+    """Evaluator for the family norm and its seminorms, on the last root's
+    object only: a `_Pieces` on the engine's pattern memos, or a `_Segment`.
+    Every memo entry is a function of its key alone and an operation holds its
+    root object, so an instance shared across threads stays correct but may
+    repeat a search."""
 
     def __init__(self, mode: SearchMode):
         self.mode = mode
-        # exhaustive: the pattern memos; segment: the last root's tables
-        self._pieces: _Pieces | _Segment | None = _Pieces() if mode.kind == "exhaustive" else None
+        self._memos: tuple[dict, dict] = ({}, {})  # exhaustive: norms and partition sums
+        self._pieces: _Pieces | _Segment | None = None  # the last root's object
 
     def norm(self, x: FiniteVector, with_witness: bool = False):
         S = self._root(x)
@@ -419,55 +428,32 @@ class FamilyEngine:
     def fixed_point_residual(self, x: FiniteVector) -> float:
         """|LHS - RHS| of the implicit equation, the RHS supremum re-evaluated
         one step with the computed norm as the piece oracle."""
-        S = self._root(x)
-        if not x.support_size:
-            return 0.0
-        if isinstance(S, _Segment):
-            return S.residual()
-        norm_of = S.pieces.norm_of
-        return S.unscale(abs(norm_of(S.q) - _Pieces(norm_of).rhs(S.q)))
+        return self._root(x).residual() if x.support_size else 0.0
 
     def iterate_levels(self, x: FiniteVector) -> list[float]:
         """Level values of the inductive norm construction, up to stabilization:
         every restriction starts at its sup norm and the one-step map is
         applied to all at once until nothing moves by EQ_TOL times the largest
-        coefficient (`RunTables.levels` in segment mode)."""
-        p = x.pattern()
-        if not p or self.mode.kind == "segment":
-            return _Segment(p).levels() if p else [0.0]
-        S = self._root(x)
-        closure = {z for k in range(1, len(p) + 1) for z in combinations(S.q, k)}
-        values, levels = {z: max(z) for z in closure}, [S.unscale(1.0)]
-        for _ in range(10 * len(p)):
-            pieces = _Pieces(values.__getitem__)
-            new = {z: max(values[z], pieces.rhs(z)) for z in closure}
-            delta, values = max(new[z] - values[z] for z in closure), new
-            levels.append(S.unscale(values[S.q]))
-            if delta < EQ_TOL:  # q has largest coefficient 1
-                return levels
-        raise IterationCapError(
-            f"no stabilization within {10 * len(p)} levels; last value {levels[-1]}")
+        coefficient."""
+        return self._root(x).levels() if x.support_size else [0.0]
 
-    def _root(self, x: FiniteVector) -> _Root | _Segment:
-        """The search over x's pattern p as the root: the memos' answers on
-        p / max(p), or the tables of p (the last root's if it was p)."""
+    def _root(self, x: FiniteVector) -> _Pieces | _Segment:
+        """The root object of x's pattern p: the last root's if it was p."""
         p = x.pattern()
-        if self.mode.kind == "exhaustive":
-            if len(p) > self.mode.max_support:
-                raise SupportLimitError(f"support {len(p)} exceeds exhaustive limit "
-                                        f"{self.mode.max_support}; use segment mode")
-            s = max(p, default=1.0)
-            q = tuple(v / s for v in p)
-            self._pieces.start(q)
-            return _Root(self._pieces, q, s)
         T = self._pieces
         if T is None or T.p != p:
-            T = _Segment(p)
-            T.fill()
+            if self.mode.kind == "segment":
+                T = _Segment(p)
+                T.fill()
+            elif len(p) > self.mode.max_support:
+                raise SupportLimitError(f"support {len(p)} exceeds exhaustive limit "
+                                        f"{self.mode.max_support}; use segment mode")
+            else:
+                T = _Pieces(p, self._memos)
             self._pieces = T
         return T
 
-    def _node(self, x: FiniteVector, S: _Root | _Segment, pos: Sequence[int]) -> Witness:
+    def _node(self, x: FiniteVector, S: _Pieces | _Segment, pos: Sequence[int]) -> Witness:
         """Certificate for the norm of x on the support positions pos."""
         if not pos:
             return SupWitness(0.0, None)

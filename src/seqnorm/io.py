@@ -44,11 +44,15 @@ def _load(path: str):
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def load_vector(path: str) -> FiniteVector:
+def _decode(path: str, kind: str, decode):
     try:
-        return FiniteVector.from_json(_load(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"{path}: not a vector file ({exc})") from exc
+        return decode(_load(path))
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise InputError(f"{path}: not a {kind} file ({exc})") from exc
+
+
+def load_vector(path: str) -> FiniteVector:
+    return _decode(path, "vector", FiniteVector.from_json)
 
 
 def save_vector(x: FiniteVector, path: str) -> None:
@@ -56,10 +60,7 @@ def save_vector(x: FiniteVector, path: str) -> None:
 
 
 def load_family(path: str) -> AdmissibleFamily:
-    try:
-        return AdmissibleFamily.from_json(_load(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"{path}: not a family file ({exc})") from exc
+    return _decode(path, "family", AdmissibleFamily.from_json)
 
 
 def load_config(path: str | None) -> QSumConfig:
@@ -67,10 +68,7 @@ def load_config(path: str | None) -> QSumConfig:
         return QSumConfig.small()
     if path in ("small", "paper"):
         return QSumConfig.from_json({"preset": path})
-    try:
-        return QSumConfig.from_json(_load(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"{path}: not a config file ({exc})") from exc
+    return _decode(path, "config", QSumConfig.from_json)
 
 
 def save_witness(w: Witness, path: str) -> None:
@@ -78,7 +76,4 @@ def save_witness(w: Witness, path: str) -> None:
 
 
 def load_witness(path: str) -> Witness:
-    try:
-        return witness_from_json(_load(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"{path}: not a witness file ({exc})") from exc
+    return _decode(path, "witness", witness_from_json)

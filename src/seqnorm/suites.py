@@ -19,7 +19,7 @@ from .admissible import AdmissibleFamily
 from .blocks import embed_unconditional, matrix_basis_norm, operator_norm_oracle
 from .constructions import build_average, equal_split_check, feasible_average_sizes
 from .core import EQ_TOL, FiniteVector, IndexSet, INEQ_TOL, min_m_for_budget
-from .family_engine import Exhaustive, FamilyEngine, SegmentDP, get_engine
+from .family_engine import MAX_EXHAUSTIVE_SUPPORT, Exhaustive, FamilyEngine, SegmentDP, get_engine
 from .inequalities import (
     Check,
     Report,
@@ -80,7 +80,7 @@ def random_family(rng, x: FiniteVector, max_sets: int = 4) -> AdmissibleFamily:
 def random_average(rng, p: float, engine, start: int = 1):
     k = int(rng.integers(1, feasible_average_sizes(p) + 1))
     # keep k blocks within the exhaustive support limit used to certify them
-    length = min(int(rng.choice([1, 1, 2, 3, 4])), 12 // k)
+    length = min(int(rng.choice([1, 1, 2, 3, 4])), MAX_EXHAUSTIVE_SUPPORT // k)
     return build_average(p, k, engine, start=start, lengths=[length], gap_rng=rng)
 
 
@@ -123,7 +123,7 @@ def suite_unconditional(count: int, seed: int) -> Report:
 def _suite_engine(max_support: int) -> FamilyEngine:
     """Exhaustive wherever feasible, segment beyond (a certified lower bound
     for the left sides of the inequality suites; noted in the report)."""
-    if max_support <= 12:
+    if max_support <= MAX_EXHAUSTIVE_SUPPORT:
         return get_engine(Exhaustive())
     return get_engine(SegmentDP())
 

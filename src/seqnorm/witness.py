@@ -72,7 +72,9 @@ Witness = Union[SupWitness, PartitionWitness, FamilyWitness, QuadraticWitness]
 
 
 def evaluate_witness(w: Witness, x: FiniteVector) -> float:
-    """Recompute the witness value bottom-up against x.
+    """Recompute the witness value bottom-up against x, checking the tree on
+    the way: at most m ordered partition pieces, admissible families with one
+    child per pair.  A malformed tree raises ValueError.
 
     Each child is evaluated against x restricted to its set, read by index
     lookups into x: a sup index counts only if every enclosing set holds it.
@@ -87,8 +89,16 @@ def _evaluate(w: Witness, coef: dict[int, float], within: tuple[IndexSet, ...]) 
             return 0.0
         return abs(coef.get(w.index, 0.0))
     if isinstance(w, PartitionWitness):
+        nonempty = [E for E, _ in w.pieces if not E.is_empty]
+        if len(nonempty) > w.m:
+            raise ValueError(f"partition has {len(nonempty)} pieces, allows {w.m}")
+        if not all(a.precedes(b) for a, b in zip(nonempty, nonempty[1:])):
+            raise ValueError("partition pieces are not in increasing order")
         return sum(_evaluate(child, coef, (*within, E)) / w.divisor for E, child in w.pieces)
     if isinstance(w, FamilyWitness):
+        AdmissibleFamily(w.pairs).validate()
+        if len(w.children) != len(w.pairs):
+            raise ValueError("family witness needs one child per pair")
         div = f(len(w.pairs))
         return sum(
             _evaluate(child, coef, (*within, E)) / div
@@ -101,38 +111,9 @@ def _evaluate(w: Witness, coef: dict[int, float], within: tuple[IndexSet, ...]) 
 
 def validate_witness(w: Witness, x: FiniteVector, tol: float = EQ_TOL) -> None:
     """Check structural soundness and that re-evaluation reproduces the value."""
-    _validate_structure(w)
     got = evaluate_witness(w, x)
     if abs(got - w.value) > tol * max(1.0, abs(w.value)):
         raise ValueError(f"witness re-evaluates to {got}, claims {w.value}")
-
-
-def _validate_structure(w: Witness) -> None:
-    if isinstance(w, SupWitness):
-        return
-    if isinstance(w, PartitionWitness):
-        sets = [E for E, _ in w.pieces]
-        nonempty = [E for E in sets if not E.is_empty]
-        if len(nonempty) > w.m:
-            raise ValueError(f"partition has {len(nonempty)} pieces, allows {w.m}")
-        for a, b in zip(nonempty, nonempty[1:]):
-            if not a.precedes(b):
-                raise ValueError("partition pieces are not in increasing order")
-        for _, child in w.pieces:
-            _validate_structure(child)
-        return
-    if isinstance(w, FamilyWitness):
-        AdmissibleFamily(w.pairs).validate()
-        if len(w.children) != len(w.pairs):
-            raise ValueError("family witness needs one child per pair")
-        for child in w.children:
-            _validate_structure(child)
-        return
-    if isinstance(w, QuadraticWitness):
-        for _, child in w.head:
-            _validate_structure(child)
-        return
-    raise TypeError(f"not a witness: {w!r}")
 
 
 def witness_to_json(w: Witness) -> dict:

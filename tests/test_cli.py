@@ -5,7 +5,7 @@ import pytest
 
 from seqnorm.cli import main
 from seqnorm.core import FiniteVector
-from seqnorm.io import load_family, load_vector, load_witness, save_vector
+from seqnorm.io import InputError, load_family, load_vector, load_witness, save_vector
 from seqnorm.witness import evaluate_witness, validate_witness, witness_from_json, witness_to_json
 
 
@@ -83,6 +83,34 @@ def test_exit_codes(capsys, tmp_path, vec_file):
     assert code == 2
     code, out = run_cli(capsys, "norm", "x2", big, "--mode", "segment")
     assert code == 0
+
+
+@pytest.mark.parametrize("coords", [
+    [[1.5, 2.0], [3, 1.0]],
+    [["2", 1.0]],
+    [[True, 1.0]],
+    [[float("inf"), 1.0]],
+    [[1, "2.0"]],
+], ids=["float-index", "string-index", "bool-index", "infinite-index", "string-coefficient"])
+def test_vector_file_needs_integer_indices_and_numbers(capsys, tmp_path, coords):
+    p = tmp_path / "v.json"
+    p.write_text(json.dumps({"coords": coords}))
+    assert main(["norm", "x2", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{p}: not a vector file" in captured.err
+
+
+@pytest.mark.parametrize("pairs", [
+    [[2, [1.5, 3.7]]],
+    [[2, {"set": [1.2, 2]}]],
+    [[2, {"set": [3, 1, 1]}]],
+    [[2.7, [1, 3]]],
+], ids=["float-interval", "float-in-set", "unsorted-set", "float-scale"])
+def test_family_file_needs_integers_and_sorted_sets(tmp_path, pairs):
+    p = tmp_path / "fam.json"
+    p.write_text(json.dumps({"pairs": pairs}))
+    with pytest.raises(InputError, match=f"{p}: not a family file"):
+        load_family(str(p))
 
 
 def test_norm_x1_extreme_magnitudes(capsys, tmp_path):

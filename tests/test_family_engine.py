@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from pathlib import Path
 
@@ -20,7 +21,10 @@ from seqnorm.core import EQ_TOL, FiniteVector, IndexSet, f
 from seqnorm.family_engine import (
     Exhaustive, FamilyEngine, SegmentDP, SupportLimitError, get_engine,
 )
-from seqnorm.witness import FamilyWitness, SupWitness, evaluate_witness, validate_witness
+from seqnorm.witness import (
+    FamilyWitness, PartitionWitness, SupWitness, evaluate_witness, validate_witness,
+    witness_to_json,
+)
 
 E1 = FiniteVector.basis(1)
 E12 = FiniteVector.ones(2)
@@ -410,6 +414,24 @@ def test_witness_evaluation_matches_restrict_reference(ex_engine, seg_engine, sm
             assert evaluate_witness(w, y) == evaluate_witness_restrict(w, y)
 
 
+def test_evaluate_witness_rejects_malformed_trees():
+    x = FiniteVector.ones(3)
+    a, b, c = (IndexSet.of([i]) for i in (1, 2, 3))
+    leaf = [(E, SupWitness(1.0, i)) for i, E in enumerate((a, b, c), 1)]
+    good = PartitionWitness(1.5, 2, 2.0, (leaf[0], (IndexSet.of([2, 3]), leaf[1][1])))
+    assert evaluate_witness(good, x) == 1.0
+    malformed = [
+        PartitionWitness(1.5, 2, 2.0, tuple(leaf)),  # three pieces, m = 2
+        PartitionWitness(1.0, 2, 2.0, (leaf[1], leaf[0])),  # pieces out of order
+        FamilyWitness(1.0, ((2, a), (2, b)), (good,)),  # a missing child
+        FamilyWitness(1.0, ((2, b), (2, a)), (good, good)),  # not admissible
+        PartitionWitness(1.0, 3, 3.0, ((a, FamilyWitness(1.0, ((2, a),), ())),)),  # nested
+    ]
+    for w in malformed:
+        with pytest.raises(ValueError):
+            evaluate_witness(w, x)
+
+
 def test_witness_families_are_admissible(ex_engine, rng):
     for _ in range(20):
         x = random_test_vector(rng, 9)
@@ -484,6 +506,31 @@ def test_search_states_kept_for_last_root_only(rng, mode):
         fresh = FamilyEngine(mode)
         fresh.norm(x)
         assert 0 < len(shared._pieces._family) <= len(fresh._pieces._family)
+
+
+def test_exhaustive_engine_shared_across_threads():
+    # four threads share one exhaustive engine over 40 roots: each operation
+    # holds its own root object while the others replace the engine's last one
+    rng = np.random.default_rng(43)
+    xs = [random_test_vector(rng, 9) for _ in range(40)]
+    assert len({x.pattern() for x in xs}) == 40
+
+    def run(engine, x):
+        v, w = engine.norm(x, with_witness=True)
+        validate_witness(w, x)
+        return (v, witness_to_json(w), engine.norm_ell_m0(x, 2, 3), engine.triple_norm(x, 3),
+                engine.fixed_point_residual(x))
+
+    fresh = [run(FamilyEngine(Exhaustive()), x) for x in xs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside operations
+    try:
+        for _ in range(3):
+            shared = FamilyEngine(Exhaustive())
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                assert list(pool.map(lambda x: run(shared, x), xs, timeout=120)) == fresh
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_dropped_engine_freed_without_gc(rng):
