@@ -39,14 +39,17 @@ from .qsum_engine import get_qsum_engine
 from .suites import SUITES
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """The argparse type of an integer option that must be >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _mode(args) -> object:
@@ -217,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_mode(p):
         p.add_argument("--mode", choices=("exhaustive", "segment"), default="exhaustive")
-        p.add_argument("--max-support", type=int, default=MAX_EXHAUSTIVE_SUPPORT)
+        p.add_argument("--max-support", type=_int_at_least(1), default=MAX_EXHAUSTIVE_SUPPORT)
 
     p = sub.add_parser("norm", help="norm of a vector file")
     p.add_argument("space", choices=("x1", "x2"))
@@ -242,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=_positive_int, default=50,
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
+    p.add_argument("--count", type=_int_at_least(1), default=50,
                    help="instances (gmax: scan resolution)")
     p.add_argument("--relaxed", action="store_true",
                    help="waive largeness premises, report all margins")
@@ -264,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="refuse relaxed scales (usually infeasible)")
     p.add_argument("--n", type=int, default=2, help="grid side")
     p.add_argument("--k0", type=int, default=1, help="grid averaging count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--samples", type=int, default=4)
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--blocks", nargs="*", default=(), help="block vector files")

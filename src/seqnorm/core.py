@@ -76,10 +76,10 @@ def json_int(v) -> int:
 
 
 def json_number(v) -> float:
-    """A coefficient read from JSON: an integer or a float, not a bool or a string."""
+    """A number read from JSON, as a float: an integer or a float, not a bool or a string."""
     if type(v) not in (int, float):
         raise ValueError(f"{v!r} is not a number")
-    return v
+    return float(v)
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,9 @@ class _Pieces:
         self._norm, self._bps = memos
         self._family: dict[tuple[CoefficientPattern, int, int], tuple[list, list]] = {}
 
+    def fill(self) -> None:
+        """Nothing to fill ahead: the searches fill their memos as they are asked."""
+
     def norm_of(self, p: CoefficientPattern) -> float:
         if len(p) <= 2:
             # Closed form: the best family value (a+b)/2 is at most max(a, b).
@@ -435,23 +438,26 @@ class FamilyEngine:
         every restriction starts at its sup norm and the one-step map is
         applied to all at once until nothing moves by EQ_TOL times the largest
         coefficient."""
-        return self._root(x).levels() if x.support_size else [0.0]
+        return self._build(x.pattern()).levels() if x.support_size else [0.0]
 
     def _root(self, x: FiniteVector) -> _Pieces | _Segment:
-        """The root object of x's pattern p: the last root's if it was p."""
+        """The filled root object of x's pattern p: the last root's if it was p."""
         p = x.pattern()
         T = self._pieces
         if T is None or T.p != p:
-            if self.mode.kind == "segment":
-                T = _Segment(p)
-                T.fill()
-            elif len(p) > self.mode.max_support:
-                raise SupportLimitError(f"support {len(p)} exceeds exhaustive limit "
-                                        f"{self.mode.max_support}; use segment mode")
-            else:
-                T = _Pieces(p, self._memos)
+            T = self._build(p)
+            T.fill()
             self._pieces = T
         return T
+
+    def _build(self, p: CoefficientPattern) -> _Pieces | _Segment:
+        """A new root object of pattern p for this engine's mode, not filled."""
+        if self.mode.kind == "segment":
+            return _Segment(p)
+        if len(p) > self.mode.max_support:
+            raise SupportLimitError(f"support {len(p)} exceeds exhaustive limit "
+                                    f"{self.mode.max_support}; use segment mode")
+        return _Pieces(p, self._memos)
 
     def _node(self, x: FiniteVector, S: _Pieces | _Segment, pos: Sequence[int]) -> Witness:
         """Certificate for the norm of x on the support positions pos."""

@@ -38,7 +38,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 from .core import CoefficientPattern, FiniteVector, IndexSet, INEQ_TOL, f
 from .run_tables import RunTables
@@ -47,6 +46,15 @@ from .witness import PartitionWitness, QuadraticWitness, SupWitness, Witness
 
 class ConfigError(ValueError):
     pass
+
+
+def _zeta2(a: int) -> float:
+    """sum_{j >= a} j^-2 for an integer a >= 1: the Euler-Maclaurin tail at max(a, 20)
+    through B_10 (Abramowitz & Stegun 6.4), then the terms below 20 from the smallest up."""
+    u = 1.0 / max(a, 20)
+    y = u * u
+    total = u + y * (0.5 + u * (1 / 6 - y * (1 / 30 - y * (1 / 42 - y * (1 / 30 - y * 5 / 66)))))
+    return sum((1.0 / (j * j) for j in range(19, a - 1, -1)), total)
 
 
 @dataclass(frozen=True)
@@ -98,19 +106,12 @@ class QSumConfig:
         return float(self.f_exponent(k))
 
     def tail(self, start: int) -> float:
-        """sum_{k >= start} f(n_k)^-2, evaluated analytically."""
-        k0 = len(self.explicit_f)
-        last = self.explicit_f[-1]
-        if start > k0:
-            if self.tail_rule == "zeta":
-                return float(_hurwitz_zeta(2, last + (start - k0)))
-            # geometric: sum_{j >= J} (last * 2**j)^-2 with J = start - k0
-            j = start - k0
-            return (4.0 / 3.0) * (0.25 ** j) / (last * last)
-        head = sum(1.0 / (self.explicit_f[k - 1] ** 2) for k in range(start, k0 + 1))
+        """sum_{k >= start} f(n_k)^-2: the explicit head, then the continuation in closed form."""
+        last, j = self.explicit_f[-1], max(start - len(self.explicit_f), 1)
+        head = sum(1.0 / (v * v) for v in self.explicit_f[start - 1 :])
         if self.tail_rule == "zeta":
-            return head + float(_hurwitz_zeta(2, last + 1))
-        return head + (1.0 / 3.0) / (last * last)
+            return head + _zeta2(last + j)  # sum_{i >= j} (last + i)^-2
+        return head + (4.0 / 3.0) * (0.25**j) / (last * last)  # sum_{i >= j} (last * 2**i)^-2
 
     @property
     def q(self) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .admissible import AdmissibleFamily
-from .core import EQ_TOL, FiniteVector, IndexSet, f
+from .core import EQ_TOL, FiniteVector, IndexSet, f, json_int, json_number
 
 
 @dataclass(frozen=True)
@@ -146,29 +146,31 @@ def witness_to_json(w: Witness) -> dict:
 
 
 def witness_from_json(obj: dict) -> Witness:
-    rule = obj.get("rule")
+    """The witness of a JSON tree: JSON integers for indices and scales, numbers for values."""
+    rule = obj.get("rule") if isinstance(obj, dict) else None
     if rule == "sup":
-        return SupWitness(value=float(obj["value"]), index=obj.get("index"))
+        index = obj.get("index")
+        return SupWitness(json_number(obj["value"]), None if index is None else json_int(index))
     if rule == "partition":
         return PartitionWitness(
-            value=float(obj["value"]),
-            m=int(obj["m"]),
-            divisor=float(obj.get("divisor", obj["m"])),
+            value=json_number(obj["value"]),
+            m=json_int(obj["m"]),
+            divisor=json_number(obj.get("divisor", obj["m"])),
             pieces=tuple(
                 (IndexSet.from_json(e), witness_from_json(c)) for e, c in obj["pieces"]
             ),
         )
     if rule == "family":
         return FamilyWitness(
-            value=float(obj["value"]),
-            pairs=tuple((int(m), IndexSet.from_json(e)) for m, e in obj["pairs"]),
+            value=json_number(obj["value"]),
+            pairs=tuple((json_int(m), IndexSet.from_json(e)) for m, e in obj["pairs"]),
             children=tuple(witness_from_json(c) for c in obj["children"]),
         )
     if rule == "l2sum":
         return QuadraticWitness(
-            value=float(obj["value"]),
-            head=tuple((int(k), witness_from_json(c)) for k, c in obj["head"]),
-            tail_start=int(obj["tail_start"]),
-            tail_l2=float(obj["tail_l2"]),
+            value=json_number(obj["value"]),
+            head=tuple((json_int(k), witness_from_json(c)) for k, c in obj["head"]),
+            tail_start=json_int(obj["tail_start"]),
+            tail_l2=json_number(obj["tail_l2"]),
         )
     raise ValueError(f"unknown witness rule {rule!r}")

@@ -113,6 +113,31 @@ def test_family_file_needs_integers_and_sorted_sets(tmp_path, pairs):
         load_family(str(p))
 
 
+LEAF = {"rule": "sup", "value": 1.0, "index": 1}
+PARTITION = {"rule": "partition", "value": 1.0, "m": 2, "divisor": 2.0,
+             "pieces": [[[1, 1], LEAF], [[2, 2], {**LEAF, "index": 2}]]}
+L2SUM = {"rule": "l2sum", "value": 1.0, "head": [[15, PARTITION]], "tail_start": 2,
+         "tail_l2": 0.5}
+
+
+@pytest.mark.parametrize("tree", [
+    {**PARTITION, "m": 2.7},
+    {"rule": "family", "value": 1.0, "pairs": [[2.9, [1, 2]]], "children": [PARTITION]},
+    {**L2SUM, "head": [[15.5, PARTITION]]},
+    {**L2SUM, "tail_start": "2"},
+    {**LEAF, "value": "1.5"},
+    {**LEAF, "index": 2.5},
+    {**LEAF, "index": True},
+    {**PARTITION, "pieces": [[[1, 2], []]]},
+], ids=["float-m", "float-pair-scale", "float-head-scale", "string-tail-start",
+        "string-value", "float-index", "bool-index", "list-child"])
+def test_witness_file_needs_integers_and_numbers(tmp_path, tree):
+    p = tmp_path / "w.json"
+    p.write_text(json.dumps(tree))
+    with pytest.raises(InputError, match=f"{p}: not a witness file"):
+        load_witness(str(p))
+
+
 def test_norm_x1_extreme_magnitudes(capsys, tmp_path):
     p = tmp_path / "huge.json"
     p.write_text(json.dumps({"coords": [[i, 1e300] for i in range(1, 18)]}))
@@ -247,6 +272,10 @@ def test_verify_contract_every_suite(capsys, suite):
         (["construct", "localized", "--l1-prime", "0"], "L1_prime"),
         (["construct", "localized", "--m0", "1"], "m0"),
         (["construct", "localized", "--eps", "5"], "eps"),
+        (["verify", "offpeak", "--seed", "-7"], "--seed"),
+        (["construct", "grid", "--seed", "-1"], "--seed"),
+        (["norm", "x2", "v.json", "--max-support", "-3"], "--max-support"),
+        (["norm", "x2", "v.json", "--mode", "segment", "--max-support", "0"], "--max-support"),
     ],
 )
 def test_out_of_range_numbers_rejected(capsys, tmp_path, args, names):

@@ -284,8 +284,9 @@ def test_homogeneity_over_double_range(rng, mode, with_witness):
 
 def test_import_keeps_recursion_limit():
     code = (
-        "import sys; before = sys.getrecursionlimit(); import seqnorm; "
-        "assert sys.getrecursionlimit() == before, sys.getrecursionlimit()"
+        "import sys; before = sys.getrecursionlimit(); import seqnorm, seqnorm.cli; "
+        "assert sys.getrecursionlimit() == before, sys.getrecursionlimit(); "
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'"
     )
     # the child imports the same seqnorm as this process, installed or not
     src = str(Path(seqnorm.__file__).resolve().parent.parent)
@@ -486,6 +487,16 @@ def test_iterate_levels_scale_free(seg_engine):
     tiny = seg_engine.iterate_levels(1e-300 * FiniteVector.ones(30))
     assert len(tiny) == len(levels) == 5
     assert tiny == pytest.approx([1e-300 * v for v in levels], rel=EQ_TOL)
+
+
+def test_iterate_levels_keeps_no_root():
+    # the level iteration reads no norm table: a segment engine neither fills
+    # nor keeps one, and exhaustive mode still enforces its support limit
+    engine = FamilyEngine(SegmentDP())
+    assert engine.iterate_levels(FiniteVector.ones(70))[-1] >= 1.5 - 1e-12
+    assert engine._pieces is None
+    with pytest.raises(SupportLimitError):
+        FamilyEngine(Exhaustive(max_support=5)).iterate_levels(FiniteVector.ones(6))
 
 
 def test_shared_memo_idempotent(ex_engine):

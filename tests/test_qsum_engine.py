@@ -49,6 +49,17 @@ def test_tail_values_against_mpmath():
     geo = QSumConfig.custom([3], "geometric")
     # sum_{j>=0} (3*2^j)^-2 = (1/9)(4/3)
     assert geo.tail(1) == pytest.approx((1 / 9) * (4 / 3), rel=1e-13)
+    # every zeta tail within one ulp: also a continuation from a >= 20 (custom([40]))
+    # and explicit exponents before the continuation (custom([3, 5, 30]))
+    wide, head = QSumConfig.custom([40]), QSumConfig.custom([3, 5, 30])
+    with mpmath.workdps(40):
+        cases = [(cfg, s, mpmath.zeta(2, s + 3)) for s in (1, 2, 4, 7)]
+        cases += [(tiny, s, mpmath.zeta(2, s + 1)) for s in (1, 3)]
+        cases += [(wide, s, mpmath.zeta(2, s + 39)) for s in (1, 2, 30)]
+        cases += [(head, s, sum(mpmath.mpf(1) / v**2 for v in (3, 5, 30)[s - 1 :])
+                   + mpmath.zeta(2, 31)) for s in (1, 2, 3, 4)]
+        for c, start, exact in cases:
+            assert abs(c.tail(start) - exact) <= math.ulp(float(exact)), (c, start)
 
 
 def test_config_validation():
