@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build certified special vectors")
     p.add_argument("what", choices=("chain", "localized", "grid", "lp-average"))
     p.add_argument("--out-dir", default="seqnorm_artifacts")
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--budget", type=_int_at_least(1), default=200)
     p.add_argument("--l", type=int, default=2, help="chain length")
     p.add_argument("--l0", type=int, default=2)
     p.add_argument("--l1", type=int, default=3)

@@ -14,8 +14,8 @@ Paper-faithful parameters for the localized vector and the grid are
 astronomically large; the planners here compute the actual requirements and
 the builders run at relaxed scale, reporting every waived condition with its
 numeric slack instead of asserting it.  Both report in the verifiers' shape
-(`inequalities.Report`): premises read met or UNMET, and the bounds that
-rest on an UNMET premise read UNMET and are not asserted.
+(`inequalities.Report`): premises read met or UNMET, and `Report.verdict`
+marks the bounds that rest on an UNMET premise UNMET and unasserted.
 """
 from __future__ import annotations
 
@@ -195,6 +195,10 @@ class LocalizedParams:
         if self.L1_prime is not None and self.L1_prime < 1:
             raise ValueError(f"upper localization scale L1_prime must be >= 1, "
                              f"got {self.L1_prime}")
+        if self.relaxed and (self.L1 is None or self.L1_prime is None):
+            raise ValueError("relaxed mode needs explicit L1 and L1_prime")
+        if self.relaxed and not self.L1 > self.L0:
+            raise ValueError(f"relaxed scale L1 must be > L0 = {self.L0}, got {self.L1}")
 
 
 @dataclass
@@ -250,8 +254,6 @@ def build_localized_vector(params: LocalizedParams, engine) -> LocalizedResult:
     report = Report()
     L1_req, L1p_req = faithful_localization_scales(params.L0, params.eps)
     if params.relaxed:
-        if params.L1 is None or params.L1_prime is None:
-            raise ValueError("relaxed mode needs explicit L1 and L1_prime")
         L1, L1p = params.L1, params.L1_prime
         report.notes.append(
             f"relaxed scales L1={L1}, L1'={L1p}; faithful would need "
@@ -262,8 +264,6 @@ def build_localized_vector(params: LocalizedParams, engine) -> LocalizedResult:
             raise ValueError("no faithful scales found within the scan cap")
         L1 = L1_req
         L1p = 1 << max(1, math.ceil(L1p_req))
-    if not L1 > params.L0:
-        raise ValueError("need L0 < L1")
     report.items.append(
         premise(
             "faithful_L1",
@@ -332,8 +332,7 @@ def build_localized_vector(params: LocalizedParams, engine) -> LocalizedResult:
     # valued before the level checks, which then share x's search
     witness_value = engine.evaluate_family(x, fam)
 
-    status = "met" if report.premises_hold else "UNMET"
-    asserted = report.premises_hold and not params.relaxed
+    status, asserted = report.verdict(params.relaxed)
     for ell in range(1, params.L0 + 1):
         report.items.append(
             bound(f"low_level[ell={ell}]", engine.norm_ell(x, ell), 2.0 / f(ell),
@@ -502,7 +501,7 @@ def build_matrix_grid(params: GridParams, engine) -> GridResult:
 
     # per-j lower bound via one concatenated family with lifted scales,
     # evaluated on the unscaled column sum (all a_i = 1, before the 1/k0)
-    status = "met" if report.premises_hold else "UNMET"
+    status, asserted = report.verdict()
     for j in range(1, n + 1):
         pairs = []
         consumed = 0
@@ -517,7 +516,7 @@ def build_matrix_grid(params: GridParams, engine) -> GridResult:
         value = engine.evaluate_family(col_raw, fam)
         target = (1.0 - delta) ** 2 * k0 * n
         report.items.append(
-            bound(f"column_lower_bound[j={j}]", target, value, False, status)
+            bound(f"column_lower_bound[j={j}]", target, value, asserted, status)
         )
 
     # equivalence sampling
@@ -544,8 +543,8 @@ def build_matrix_grid(params: GridParams, engine) -> GridResult:
         worst_lo = min(worst_lo, ratio)
         worst_hi = max(worst_hi, ratio)
     target = 1.0 + params.eps
-    report.items.append(bound("equivalence_lower", 1.0 / target, worst_lo, False, status))
-    report.items.append(bound("equivalence_upper", worst_hi, target, False, status))
+    report.items.append(bound("equivalence_lower", 1.0 / target, worst_lo, asserted, status))
+    report.items.append(bound("equivalence_upper", worst_hi, target, asserted, status))
     return GridResult(
         params=params,
         cells=cells,

@@ -11,15 +11,18 @@ and the margins are reported as diagnostics.
 
 Every verifier returns a `Report` of `Check` records, the one result shape
 the suites and the constructions share.  A premise is an unasserted check
-named "premise <name>" whose status reads met or UNMET; a conditional
-verifier stamps UNMET on the bounds that rest on premises that fail.  The
-rule that decides a failure lives in `Check.ok`, with one exception:
-`DropCheck`, whose strict inequality is evaluated literally, with no tolerance.
+named "premise <name>" whose status reads met or UNMET.  `_rapid_premises`
+writes the premises of a rapidly increasing run of averages (a chain stack
+is one), and `Report.verdict` is the one rule for the conclusions: UNMET when
+a premise fails, asserted only when all hold and none is waived.  The rule
+that decides a failure lives in `Check.ok`, with one exception: `DropCheck`,
+whose strict inequality is evaluated literally, with no tolerance.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .admissible import AdmissibleFamily
 from .blocks import AssembledAverage
@@ -112,6 +115,12 @@ class Report:
     def premises_hold(self) -> bool:
         return all(item.premise_status == "met" for item in self.items)
 
+    def verdict(self, relaxed: bool = False) -> tuple[str, bool]:
+        """(status, asserted) of a conclusion resting on the premises so far:
+        UNMET when one fails, asserted only when all hold and none is waived."""
+        holds = self.premises_hold
+        return ("met" if holds else "UNMET"), holds and not relaxed
+
     def to_json(self) -> dict:
         head = {} if self.suite is None else {"suite": self.suite, "seed": self.seed}
         return {
@@ -128,6 +137,13 @@ def _require_constant(avg: AssembledAverage, cap: float) -> None:
         raise AverageConstantError(
             f"average constant {avg.constant} exceeds the assumed {cap}"
         )
+
+
+def _common_p(averages: list[AssembledAverage]) -> float:
+    ps = {avg.p for avg in averages}
+    if len(ps) != 1:
+        raise ValueError("all averages must share one p")
+    return ps.pop()
 
 
 def _combination(averages: list[AssembledAverage], coeffs) -> tuple[FiniteVector, int, int]:
@@ -190,10 +206,7 @@ def verify_offpeak_sum(
         sum_{j != j0} |||E_j x|||_{m_j}  <=  6 n l k0^(-1/2p).
     """
     fam.validate()
-    ps = {avg.p for avg in averages}
-    if len(ps) != 1:
-        raise ValueError("all averages must share one p")
-    p = ps.pop()
+    p = _common_p(averages)
     for avg in averages:
         _require_constant(avg, 2.0)
     x, n, k0 = _combination(averages, coeffs)
@@ -256,11 +269,36 @@ def strict_drop_check(
 # ----------------------------------------------------------------------
 
 
-def required_first_size(eps: float, n: int, p: float) -> float:
-    """log2 of the first-average size forced by the growth-threshold premise."""
-    rhs = n * (dilution_constant(p) + 2.0) / eps
-    # f(eps * k1^(1/2p) / 6n) >= rhs  <=>  k1 >= ((6n/eps) * (2^rhs - 1))^(2p)
-    return 2.0 * p * (math.log2(6.0 * n / eps) + rhs + math.log2(1.0 - 2.0 ** -rhs))
+def _growth_premises(report: Report, name: str, tag: str, counts, supports, factor=1.0):
+    """Premises name[tag j]: f(counts[j]) > factor * sum_{s<j} supports[s], j >= 2."""
+    for j, (count, before) in enumerate(zip(counts[1:], accumulate(supports)), start=2):
+        lhs, rhs = f(count), factor * before
+        report.items.append(premise(f"{name}[{tag}{j}]", lhs, rhs, holds=lhs > rhs))
+
+
+def _rapid_premises(report: Report, averages: list[AssembledAverage], eps: float, p: float,
+                    stack: str = "") -> float:
+    """Append the premises of a rapidly increasing run y_1..y_n of l_p averages
+    of constant 1 + eps (named after `stack` if given): the constants, the
+    growth threshold f(eps k_1^(1/2p) / 6n) >= n (C_p + 2) / eps and the support
+    growth f(k_j) > (p/eps) * sum_{s<j} |supp y_s|.  Returns eps k_1^(1/2p) / 6n."""
+    n, k1 = len(averages), averages[0].n
+    tag, k1_name = (f"{stack},", f"k({stack},1)") if stack else ("", "k1")
+    for j, avg in enumerate(averages, start=1):
+        report.items.append(premise(f"constant[{tag}{j}]", avg.constant, 1.0 + eps,
+                                    holds=avg.constant <= 1.0 + eps + INEQ_TOL))
+    threshold = eps * k1 ** (1.0 / (2.0 * p)) / (6.0 * n)
+    lhs, rhs = f(threshold), n * (dilution_constant(p) + 2.0) / eps
+    # f(threshold) >= rhs  <=>  k1 >= ((6n/eps) * (2^rhs - 1))^(2p)
+    log2_k1 = 2.0 * p * (math.log2(6.0 * n / eps) + rhs + math.log2(1.0 - 2.0 ** -rhs))
+    report.items.append(premise(
+        f"growth_threshold[{stack}]" if stack else "growth_threshold", lhs, rhs, lhs >= rhs,
+        note=f"requires log2({k1_name}) >= {log2_k1:.1f}"
+        f" ({k1_name} = {k1} gives log2 = {math.log2(k1):.1f})",
+    ))
+    _growth_premises(report, "support_growth", tag, [avg.n for avg in averages],
+                     [avg.vector.support_size for avg in averages], p / eps)
+    return threshold
 
 
 def verify_rapid_averages(
@@ -273,75 +311,26 @@ def verify_rapid_averages(
     """Conditional seminorm bounds for a rapidly growing run of l_p averages.
 
     y = y_1 + ... + y_n with y_i an l_p^{k_i} average of constant 1 + eps.
-    Premises: the constants; the growth threshold
-    f(eps k_1^(1/2p) / 6n) >= n (C_p + 2) / eps; and per-step support growth
-    f(k_i) > (p/eps) * sum_{s<i} |supp y_s|.  Conclusions, per level ell:
+    Premises: eps in (0, (f(2) - 1)/2) and those of `_rapid_premises`.
+    Conclusions, per level ell:
 
     * ell <= eps k_1^(1/2p) / 6n:  ||y||_ell <= (||y|| + eps) / f(ell)
     * larger ell:                  ||y||_ell <= 2 eps + max_i ||y_i||_ell
     * in particular ||y|| <= 2 eps + max_i ||y_i||.
 
-    Conclusions are asserted only when every premise holds, and read UNMET
-    when one does not; in relaxed mode the premises are recorded as waived
-    and all margins are still reported.
+    Conclusions follow `Report.verdict`; in relaxed mode the premises are
+    recorded as waived and all margins are still reported.
     """
-    ps = {avg.p for avg in averages}
-    if len(ps) != 1:
-        raise ValueError("all averages must share one p")
-    p = ps.pop()
-    n = len(averages)
-    k1 = averages[0].n
+    p = _common_p(averages)
     report = Report()
-
-    report.items.append(
-        premise(
-            "eps_range",
-            eps,
-            (f(2) - 1.0) / 2.0,
-            holds=0.0 < eps < (f(2) - 1.0) / 2.0,
-        )
-    )
-    for i, avg in enumerate(averages, start=1):
-        report.items.append(
-            premise(
-                f"constant[{i}]",
-                avg.constant,
-                1.0 + eps,
-                holds=avg.constant <= 1.0 + eps + INEQ_TOL,
-            )
-        )
-    lhs220 = f(eps * k1 ** (1.0 / (2.0 * p)) / (6.0 * n))
-    rhs220 = n * (dilution_constant(p) + 2.0) / eps
-    report.items.append(
-        premise(
-            "growth_threshold",
-            lhs220,
-            rhs220,
-            holds=lhs220 >= rhs220,
-            note=f"requires log2(k1) >= {required_first_size(eps, n, p):.1f}"
-            f" (k1 = {k1} gives log2 = {math.log2(k1):.1f})",
-        )
-    )
-    supp_total = 0
-    for i, avg in enumerate(averages, start=1):
-        if i >= 2:
-            report.items.append(
-                premise(
-                    f"support_growth[{i}]",
-                    f(avg.n),
-                    (p / eps) * supp_total,
-                    holds=f(avg.n) > (p / eps) * supp_total,
-                )
-            )
-        supp_total += avg.vector.support_size
-
-    status = "met" if report.premises_hold else "UNMET"
-    asserted = report.premises_hold and not relaxed
+    eps_cap = (f(2) - 1.0) / 2.0
+    report.items.append(premise("eps_range", eps, eps_cap, holds=0.0 < eps < eps_cap))
+    threshold = _rapid_premises(report, averages, eps, p)
+    status, asserted = report.verdict(relaxed)
     if relaxed:
         report.notes.append("relaxed mode: premises waived, margins diagnostic")
 
     y = FiniteVector.sum([avg.vector for avg in averages])
-    threshold = eps * k1 ** (1.0 / (2.0 * p)) / (6.0 * n)
     norm_y = engine.norm(y)
     for ell in ells:
         lhs = engine.norm_ell(y, ell)
@@ -368,79 +357,34 @@ def verify_chain_stacks(
     """Conditional bounds for sums of stacked l_1-average runs.
 
     z_i = sum_j z(i,j) with z(i,j) an l_1^{k(i,j)} average of constant
-    1 + delta; n_i blocks in stack i, m stacks.  Premises: the constants, the
-    per-stack growth threshold, the per-stack support growth, n_1 > m/delta,
-    and the cross-stack growth f(n_i) > sum_{j<i} |supp z_j|.  Conclusion per
-    level ell:
+    1 + delta; n_i blocks in stack i, m stacks.  Premises: each stack's, by
+    `_rapid_premises` at eps = delta and p = 1; n_1 > m/delta; and the
+    cross-stack growth f(n_i) > sum_{j<i} |supp z_j|.  Conclusion per level ell:
 
         || sum z_i ||_ell <= (1+eps) max{ 1, m / (f(ell) f(m/min(ell,m))) }
 
     and consequently <= (1+eps) m / f(m) (by submultiplicativity of f).
-    delta is an input: no closed form is available for how small it must be,
-    so instances report pass/fail rather than synthesizing it.
+    Conclusions follow `Report.verdict`; a single stack also needs delta <
+    eps/2.  delta is an input: no closed form is available for how small it
+    must be, so instances report pass/fail rather than synthesizing it.
     """
     m = len(stacks)
     report = Report()
     for i, stack in enumerate(stacks, start=1):
-        for j, avg in enumerate(stack, start=1):
-            if avg.p != 1:
-                raise ValueError("chain stacks are built from l_1 averages")
-            report.items.append(
-                premise(
-                    f"constant[{i},{j}]",
-                    avg.constant,
-                    1.0 + delta,
-                    holds=avg.constant <= 1.0 + delta + INEQ_TOL,
-                )
-            )
-        n_i = len(stack)
-        k_i1 = stack[0].n
-        lhs = f(delta * k_i1 ** 0.5 / (6.0 * n_i))
-        rhs = n_i * (dilution_constant(1.0) + 2.0) / delta
-        report.items.append(
-            premise(
-                f"growth_threshold[{i}]",
-                lhs,
-                rhs,
-                holds=lhs > rhs,
-                note=f"requires log2(k({i},1)) >= "
-                f"{required_first_size(delta, n_i, 1.0):.1f}",
-            )
-        )
-        supp = 0
-        for j, avg in enumerate(stack, start=1):
-            if j >= 2:
-                report.items.append(
-                    premise(
-                        f"support_growth[{i},{j}]",
-                        f(avg.n),
-                        supp / delta,
-                        holds=f(avg.n) > supp / delta,
-                    )
-                )
-            supp += avg.vector.support_size
+        if any(avg.p != 1 for avg in stack):
+            raise ValueError("chain stacks are built from l_1 averages")
+        _rapid_premises(report, stack, delta, 1.0, stack=str(i))
 
     z_vectors = [FiniteVector.sum([avg.vector for avg in stack]) for stack in stacks]
     n1 = len(stacks[0])
     report.items.append(
         premise("first_stack_size", float(n1), m / delta, holds=n1 > m / delta)
     )
-    supp = 0
-    for i, z in enumerate(z_vectors, start=1):
-        if i >= 2:
-            report.items.append(
-                premise(
-                    f"stack_scale_growth[{i}]",
-                    f(len(stacks[i - 1])),
-                    float(supp),
-                    holds=f(len(stacks[i - 1])) > supp,
-                )
-            )
-        supp += z.support_size
+    _growth_premises(report, "stack_scale_growth", "", [len(stack) for stack in stacks],
+                     [z.support_size for z in z_vectors])
 
-    base_case_ok = m == 1 and delta < eps / 2.0
-    status = "met" if report.premises_hold else "UNMET"
-    asserted = (report.premises_hold and (m > 1 or base_case_ok)) and not relaxed
+    status, asserted = report.verdict(relaxed)
+    asserted = asserted and (m > 1 or delta < eps / 2.0)
     if relaxed:
         report.notes.append("relaxed mode: premises waived, margins diagnostic")
     if m == 1:

@@ -162,6 +162,11 @@ def test_norm_x2_extreme_magnitudes(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceeds the double range" in captured.err and captured.err.count("\n") == 1
+    p.write_text(json.dumps({"coords": [[i, 1.7e308] for i in range(1, 11)]}))
+    assert main(["norm", "x2", str(p), "--mode", "exhaustive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the double range" in captured.err and captured.err.count("\n") == 1
 
 
 def test_verify_exit_status_and_report_shape(capsys):
@@ -276,6 +281,10 @@ def test_verify_contract_every_suite(capsys, suite):
         (["construct", "grid", "--seed", "-1"], "--seed"),
         (["norm", "x2", "v.json", "--max-support", "-3"], "--max-support"),
         (["norm", "x2", "v.json", "--mode", "segment", "--max-support", "0"], "--max-support"),
+        (["construct", "localized", "--l1", "1"], "L1"),
+        (["construct", "chain", "--budget", "-1"], "--budget"),
+        (["construct", "localized", "--budget", "-5"], "--budget"),
+        (["construct", "grid", "--budget", "-3"], "--budget"),
     ],
 )
 def test_out_of_range_numbers_rejected(capsys, tmp_path, args, names):
@@ -295,12 +304,27 @@ def test_out_of_range_numbers_rejected(capsys, tmp_path, args, names):
     [["grid", "--n", "0"], ["grid", "--samples", "-1"], ["localized", "--l0", "0"],
      ["lp-average", "--p", "1"], ["lp-average", "--p", "0.5"],
      ["localized", "--l1-prime", "0"], ["localized", "--m0", "1"],
-     ["localized", "--eps", "5"]],
+     ["localized", "--eps", "5"], ["chain", "--budget", "-1"],
+     ["localized", "--budget", "-5"], ["grid", "--budget", "-3"]],
 )
 def test_rejected_construct_leaves_no_directory(capsys, tmp_path, args):
-    code = main(["construct", *args, "--out-dir", str(tmp_path / "art")])
+    try:
+        code = main(["construct", *args, "--out-dir", str(tmp_path / "art")])
+    except SystemExit as exc:  # argparse rejects at parse time
+        code = exc.code
     capsys.readouterr()
     assert code == 2 and not (tmp_path / "art").exists()
+
+
+@pytest.mark.parametrize(
+    "args, status",
+    [(["localized", "--budget", "4"], "infeasible"),
+     (["grid", "--budget", "10"], "budget-exceeded")],
+)
+def test_construct_over_budget_status(capsys, tmp_path, args, status):
+    code, out = run_cli(capsys, "construct", *args, "--out-dir", tmp_path / "art")
+    assert code == 0 and out["status"] == status
+    assert not (tmp_path / "art").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 import json
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 from conftest import random_test_vector
+from seqnorm.core import EQ_TOL
 from seqnorm.family_engine import Exhaustive, FamilyEngine
 from seqnorm.suites import (
     SUITES,
@@ -58,3 +60,33 @@ def test_engine_is_thread_safe_for_reads(rng):
     assert concurrent == sequential
     # and a second pass out of the warm cache is identical
     assert [engine.norm(v) for v in vectors] == sequential
+
+
+REPORTS = Path(__file__).parent / "data" / "verify_reports.json"
+
+
+def same_json(got, want) -> bool:
+    """Equal JSON trees: keys, strings, ints and bools exactly, floats within
+    EQ_TOL relative."""
+    if isinstance(want, dict):
+        return (isinstance(got, dict) and got.keys() == want.keys()
+                and all(same_json(got[k], want[k]) for k in want))
+    if isinstance(want, list):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(same_json(g, w) for g, w in zip(got, want)))
+    if isinstance(want, float):
+        return (isinstance(got, float)
+                and (got == want or abs(got - want) <= EQ_TOL * max(1.0, abs(want))))
+    return type(got) is type(want) and got == want
+
+
+def test_verify_reports_match_frozen():
+    # written by tests/data/make_verify_reports.py: every suite at seeds 3
+    # and 7, count 2, and the two conditional suites relaxed as well
+    entries = json.loads(REPORTS.read_text())["entries"]
+    assert len(entries) == 24
+    for e in entries:
+        kwargs = {"relaxed": True} if e["relaxed"] else {}
+        got = SUITES[e["suite"]](count=e["count"], seed=e["seed"], **kwargs).to_json()
+        got = json.loads(json.dumps(got))
+        assert same_json(got, e["report"]), (e["suite"], e["seed"], e["relaxed"])
