@@ -237,9 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", choices=("x1", "x2"), default="x2")
     add_mode(p)
     p.add_argument("--config")
-    p.add_argument("-m", type=int, default=2, help="scale for 'triple'")
-    p.add_argument("-l", type=int, default=1, help="level for 'ell'/'ellm0'")
-    p.add_argument("--m0", type=int, default=2, help="first-scale floor for 'ellm0'")
+    p.add_argument("-m", type=_int_at_least(2), default=2, help="scale for 'triple'")
+    p.add_argument("-l", type=_int_at_least(1), default=1, help="level for 'ell'/'ellm0'")
+    p.add_argument("--m0", type=_int_at_least(2), default=2, help="first-scale floor for 'ellm0'")
     p.add_argument("--out")
     p.set_defaults(func=cmd_seminorm)
 
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=("chain", "localized", "grid", "lp-average"))
     p.add_argument("--out-dir", default="seqnorm_artifacts")
     p.add_argument("--budget", type=_int_at_least(1), default=200)
-    p.add_argument("--l", type=int, default=2, help="chain length")
+    p.add_argument("--l", type=_int_at_least(1), default=2, help="chain length")
     p.add_argument("--l0", type=int, default=2)
     p.add_argument("--l1", type=int, default=3)
     p.add_argument("--l1-prime", type=int, default=16)

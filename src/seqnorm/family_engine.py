@@ -28,8 +28,8 @@ shares across roots, sound because the norm is 1-unconditional and
 1-subsymmetric (both under test), and only the last root's family search
 states are kept.  One walker over root positions, which both modes answer with
 the sets, scales and pieces attaining each maximum, builds the witnesses.
-Values come from a scaled pattern scaled back, so they are homogeneous over
-the double range.
+Both modes scale a root by the power of two of `run_tables.scale_exp`, and
+`FamilyEngine` is a `run_tables.Engine`, the frame it shares with ``x1``.
 """
 from __future__ import annotations
 
@@ -42,8 +42,8 @@ from typing import Sequence
 import numpy as np
 
 from .admissible import AdmissibleFamily
-from .core import CoefficientPattern, EQ_TOL, FiniteVector, IndexSet, f, min_m_for_budget
-from .run_tables import IterationCapError, RunTables, rests
+from .core import CoefficientPattern, FiniteVector, IndexSet, f, min_m_for_budget
+from .run_tables import Engine, IterationCapError, RunTables, iterate, rests, scale_exp, unscale
 from .witness import FamilyWitness, PartitionWitness, SupWitness, Witness
 
 _NEG = float("-inf")
@@ -87,24 +87,16 @@ def _ratio(l1: float, fl: int) -> float:
     return l1 / fl
 
 
-def _unscale(s: float, v: float) -> float:
-    """A value in units of max(p) back in the units of p; beyond the double range raises."""
-    out = s * v
-    if math.isinf(out):
-        raise OverflowError(f"x2 value {v} * {s} exceeds the double range")
-    return out
-
-
 class _Pieces:
-    """Exhaustive mode's answers on one root p, by positions of q = p / s with
-    s = max(p): the sups of the fixed-point equation, memoised by pattern in
+    """Exhaustive mode's answers on one root p, by positions of q = p * 2**-exp
+    (`scale_exp`): the sups of the fixed-point equation, memoised by pattern in
     the engine's norm and partition-sum dicts (`memos`, shared across roots),
     and this root's family search states.  Helper pieces in `residual` and
     `levels` take given piece values as their norm memo."""
 
     def __init__(self, p: CoefficientPattern, memos: tuple[dict, dict]):
-        self.p, self.s = p, max(p, default=1.0)
-        self.q = tuple(v / self.s for v in p)
+        self.p, self.exp = p, scale_exp(p)
+        self.q = tuple(math.ldexp(v, -self.exp) for v in p)
         self._norm, self._bps = memos
         self._family: dict[tuple[CoefficientPattern, int, int], tuple[list, list]] = {}
 
@@ -207,9 +199,6 @@ class _Pieces:
     def root_best(self, m0: int) -> list:
         return self.family(self.q, 0, m0)[0]
 
-    def unscale(self, v: float) -> float:
-        return _unscale(self.s, v)
-
     def sets(self, pos: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
         """(positions, scale) of the sets of a family attaining the norm at
         pos; empty if the sup norm attains it."""
@@ -240,23 +229,19 @@ class _Pieces:
 
     def residual(self) -> float:
         """`FamilyEngine.fixed_point_residual` at the root."""
-        return self.unscale(abs(self.value() - _Pieces(self.p, (self._norm, {})).rhs(self.q)))
+        return unscale(abs(self.value() - _Pieces(self.p, (self._norm, {})).rhs(self.q)), self.exp)
 
     def levels(self) -> list[float]:
         """`RunTables.levels` on every restriction of the root, the sup norm of
         each as its first level."""
         q = self.q
-        closure = {z for k in range(1, len(q) + 1) for z in combinations(q, k)}
-        values, levels = {z: max(z) for z in closure}, [self.unscale(1.0)]
-        for _ in range(10 * len(q)):
-            pieces = _Pieces(self.p, (values, {}))
-            new = {z: max(values[z], pieces.rhs(z)) for z in closure}
-            delta, values = max(new[z] - values[z] for z in closure), new
-            levels.append(self.unscale(values[q]))
-            if delta < EQ_TOL:  # q has largest coefficient 1
-                return levels
-        raise IterationCapError(
-            f"no stabilization within {10 * len(q)} levels; last value {levels[-1]}")
+        closure = list({z for k in range(1, len(q) + 1) for z in combinations(q, k)})
+
+        def step(values):
+            pieces = _Pieces(self.p, (dict(zip(closure, values.tolist())), {}))
+            return np.array([pieces.rhs(z) for z in closure])
+        return iterate(np.array([max(z) for z in closure]), step, closure.index(q), max(q),
+                       10 * len(q), self.exp)
 
 
 class _Segment(RunTables):
@@ -347,12 +332,6 @@ class _Segment(RunTables):
         rest[0] = max(rest[0], merged.max(initial=_NEG))
         return np.concatenate([[0.0, head.max()], rest])
 
-    def value(self, pos: Sequence[int] | None = None) -> float:
-        return self.N[len(self.p), 0] if pos is None else self.N[len(pos), pos[0]]
-
-    def best(self, pos: Sequence[int] | None, m: int) -> float:
-        return self.bps(m) if pos is None else self.bps(m, len(pos), pos[0])
-
     def sets(self, pos: Sequence[int]) -> list[tuple[Sequence[int], int]]:
         s, L = pos[0], len(pos)
         if self.N[L, s] <= self.sup[L, s]:
@@ -371,7 +350,7 @@ class _Segment(RunTables):
         return [range(a, a + w) for a, w in self.runs(m, pos[0], len(pos))]
 
 
-class FamilyEngine:
+class FamilyEngine(Engine):
     """Evaluator for the family norm and its seminorms, on the last root's
     object only: a `_Pieces` on the engine's pattern memos, or a `_Segment`.
     Every memo entry is a function of its key alone and an operation holds its
@@ -381,11 +360,10 @@ class FamilyEngine:
     def __init__(self, mode: SearchMode):
         self.mode = mode
         self._memos: tuple[dict, dict] = ({}, {})  # exhaustive: norms and partition sums
-        self._pieces: _Pieces | _Segment | None = None  # the last root's object
 
     def norm(self, x: FiniteVector, with_witness: bool = False):
-        S = self._root(x)
-        value = S.unscale(S.value())
+        S = self._root(x.pattern())
+        value = unscale(S.value(), S.exp)
         if not with_witness:
             return value
         return value, self._node(x, S, range(x.support_size))
@@ -393,14 +371,8 @@ class FamilyEngine:
     def triple_norm(self, x: FiniteVector, m: int) -> float:
         if m < 2:
             raise ValueError("the triple norm is defined for m >= 2")
-        S = self._root(x)
-        return S.unscale(_ratio(S.best(None, m), m))
-
-    def best_partition_sum(self, x: FiniteVector, m: int) -> float:
-        if m < 1:
-            raise ValueError("need m >= 1")
-        S = self._root(x)
-        return S.unscale(S.best(None, m))
+        S = self._root(x.pattern())
+        return unscale(_ratio(S.best(None, m), m), S.exp)
 
     def norm_ell(self, x: FiniteVector, ell: int) -> float:
         """Best family value at exactly `ell` pairs (trailing empty sets allowed)."""
@@ -412,43 +384,21 @@ class FamilyEngine:
             raise ValueError("need ell >= 1")
         if m0 < 2:
             raise ValueError("need m0 >= 2")
-        S = self._root(x)
+        S = self._root(x.pattern())
         # best[0] = 0 is the empty family: the max is over at most ell sets
-        return S.unscale(max(S.root_best(m0)[: ell + 1]) / f(ell))
+        return unscale(max(S.root_best(m0)[: ell + 1]) / f(ell), S.exp)
 
     def evaluate_family(self, x: FiniteVector, fam: AdmissibleFamily) -> float:
         """Value of one explicit family: a certified lower bound for the norm.
         Each set is valued by `triple_norm`, so it becomes the last root; the
-        sum is taken in units of max|x|, as every other operation is."""
+        sum is taken in units of 2**scale_exp(x), as every other operation is."""
         fam.validate()
-        s, total = max(x.pattern(), default=1.0), 0.0
+        e, total = scale_exp(x.pattern()), 0.0
         for m, E in fam.pairs:
             piece = x.restrict(E)
             if piece.support_size:
-                total += self.triple_norm(piece, m) / s
-        return _unscale(s, total / f(fam.length))
-
-    def fixed_point_residual(self, x: FiniteVector) -> float:
-        """|LHS - RHS| of the implicit equation, the RHS supremum re-evaluated
-        one step with the computed norm as the piece oracle."""
-        return self._root(x).residual() if x.support_size else 0.0
-
-    def iterate_levels(self, x: FiniteVector) -> list[float]:
-        """Level values of the inductive norm construction, up to stabilization:
-        every restriction starts at its sup norm and the one-step map is
-        applied to all at once until nothing moves by EQ_TOL times the largest
-        coefficient."""
-        return self._build(x.pattern()).levels() if x.support_size else [0.0]
-
-    def _root(self, x: FiniteVector) -> _Pieces | _Segment:
-        """The filled root object of x's pattern p: the last root's if it was p."""
-        p = x.pattern()
-        T = self._pieces
-        if T is None or T.p != p:
-            T = self._build(p)
-            T.fill()
-            self._pieces = T
-        return T
+                total += math.ldexp(self.triple_norm(piece, m), -e)
+        return unscale(total / f(fam.length), e)
 
     def _build(self, p: CoefficientPattern) -> _Pieces | _Segment:
         """A new root object of pattern p for this engine's mode, not filled."""
@@ -472,20 +422,16 @@ class FamilyEngine:
             pieces = tuple((IndexSet.of(x.indices[i] for i in P), self._node(x, S, P))
                            for P in S.parts(E, m))
             pairs.append((m, IndexSet.of(x.indices[i] for i in E)))
-            value = S.unscale(_ratio(S.best(E, m), m))
+            value = unscale(_ratio(S.best(E, m), m), S.exp)
             children.append(PartitionWitness(value, m, float(m), pieces))
-        return FamilyWitness(S.unscale(S.value(pos)), tuple(pairs), tuple(children))
+        return FamilyWitness(unscale(S.value(pos), S.exp), tuple(pairs), tuple(children))
 
 
-_ENGINES: dict[SearchMode, FamilyEngine] = {}
+_engine = lru_cache(maxsize=None)(FamilyEngine)  # one shared engine per mode
 
 
 def get_engine(mode: SearchMode | None = None) -> FamilyEngine:
-    mode = mode or Exhaustive()
-    eng = _ENGINES.get(mode)
-    if eng is None:
-        eng = _ENGINES[mode] = FamilyEngine(mode)
-    return eng
+    return _engine(mode or Exhaustive())
 
 
 def norm_x2(x: FiniteVector, mode: SearchMode | None = None, with_witness: bool = False):

@@ -139,8 +139,14 @@ def _require_constant(avg: AssembledAverage, cap: float) -> None:
         )
 
 
+def _nonempty(averages: list[AssembledAverage]) -> list[AssembledAverage]:
+    if not averages:
+        raise ValueError("the run of averages is empty")
+    return averages
+
+
 def _common_p(averages: list[AssembledAverage]) -> float:
-    ps = {avg.p for avg in averages}
+    ps = {avg.p for avg in _nonempty(averages)}
     if len(ps) != 1:
         raise ValueError("all averages must share one p")
     return ps.pop()
@@ -151,7 +157,7 @@ def _combination(averages: list[AssembledAverage], coeffs) -> tuple[FiniteVector
     smallest block count k0."""
     if any(abs(a) > 1.0 + 1e-15 for a in coeffs):
         raise ValueError("coefficients must lie in [-1, 1]")
-    x = FiniteVector.sum([avg.vector for avg in averages], coeffs)
+    x = FiniteVector.sum([avg.vector for avg in _nonempty(averages)], coeffs)
     return x, len(averages), min(avg.n for avg in averages)
 
 
@@ -282,7 +288,7 @@ def _rapid_premises(report: Report, averages: list[AssembledAverage], eps: float
     of constant 1 + eps (named after `stack` if given): the constants, the
     growth threshold f(eps k_1^(1/2p) / 6n) >= n (C_p + 2) / eps and the support
     growth f(k_j) > (p/eps) * sum_{s<j} |supp y_s|.  Returns eps k_1^(1/2p) / 6n."""
-    n, k1 = len(averages), averages[0].n
+    n, k1 = len(averages), _nonempty(averages)[0].n
     tag, k1_name = (f"{stack},", f"k({stack},1)") if stack else ("", "k1")
     for j, avg in enumerate(averages, start=1):
         report.items.append(premise(f"constant[{tag}{j}]", avg.constant, 1.0 + eps,
@@ -370,9 +376,9 @@ def verify_chain_stacks(
     """
     m = len(stacks)
     report = Report()
+    if _common_p([avg for stack in stacks for avg in stack]) != 1:
+        raise ValueError("chain stacks are built from l_1 averages")
     for i, stack in enumerate(stacks, start=1):
-        if any(avg.p != 1 for avg in stack):
-            raise ValueError("chain stacks are built from l_1 averages")
         _rapid_premises(report, stack, delta, 1.0, stack=str(i))
 
     z_vectors = [FiniteVector.sum([avg.vector for avg in stack]) for stack in stacks]

@@ -18,8 +18,9 @@ no cardinality budget makes a larger piece cost anything.  The engine fills
 the interval tables of `run_tables`, whose hook here is the square sum over
 the scales that split a run, for the counts reachable from {n_k < n} under
 m -> (ceil(m/2), floor(m/2)): O(log n) counts for geometric scales, as in both
-presets.  The last root's tables are kept for a witness right after the norm;
-a count asked of `norm_k` or `best_partition_sum` adds its rows to them.
+presets.  `QSumEngine` is a `run_tables.Engine`: the last root's tables are
+kept for a witness right after the norm, and a count asked of `norm_k` or
+`best_partition_sum` adds its rows to them.
 
 Presets:
 
@@ -36,11 +37,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .core import CoefficientPattern, FiniteVector, IndexSet, INEQ_TOL, f
-from .run_tables import RunTables
+from .run_tables import Engine, RunTables, unscale
 from .witness import PartitionWitness, QuadraticWitness, SupWitness, Witness
 
 
@@ -174,12 +176,11 @@ class _Tables(RunTables):
         return step
 
 
-class QSumEngine:
+class QSumEngine(Engine):
     """Evaluator for the scale-sequence norm on interval tables."""
 
     def __init__(self, config: QSumConfig):
         self.cfg = config
-        self._last: _Tables | None = None
 
     # -- public ----------------------------------------------------------
 
@@ -187,8 +188,8 @@ class QSumEngine:
         p = x.pattern()
         if not p:
             return (0.0, SupWitness(0.0, None)) if with_witness else 0.0
-        T = self._tables(p)
-        value = T.unscale(T.N[len(p), 0])
+        T = self._root(p)
+        value = unscale(T.value(), T.exp)
         if not with_witness:
             return value
         return value, self._witness(T, x.indices, 0, len(p))
@@ -197,12 +198,7 @@ class QSumEngine:
         """The k-partition seminorm (1/f(k)) * best partition sum, any k >= 1."""
         if k < 1:
             raise ValueError("need k >= 1")
-        return self._bps(x.pattern(), k) / f(k)
-
-    def best_partition_sum(self, x: FiniteVector, m: int) -> float:
-        if m < 1:
-            raise ValueError("need m >= 1")
-        return self._bps(x.pattern(), m)
+        return self.best_partition_sum(x, k) / f(k)
 
     def profile(self, x: FiniteVector, K: int) -> tuple[list[float], float]:
         """Scale profile: ||x||_{n_k} for k <= K, plus the l2 mass beyond K."""
@@ -211,21 +207,13 @@ class QSumEngine:
         p = x.pattern()
         if not p:
             return [0.0] * K, 0.0
-        T = self._tables(p)
-        head = [T.unscale(T.bps(self.cfg.n_at(k)) / self.cfg.f_nk(k)) for k in range(1, K + 1)]
+        T = self._root(p)
+        head = [unscale(T.best(None, self.cfg.n_at(k)) / self.cfg.f_nk(k), T.exp)
+                for k in range(1, K + 1)]
         l1 = T.l1[len(p), 0]
-        ssq = sum((T.bps(nk) / f_nk) ** 2 for nk, f_nk in T.scales[K:])
+        ssq = sum((T.best(None, nk) / f_nk) ** 2 for nk, f_nk in T.scales[K:])
         ssq += l1 * l1 * self.cfg.tail(max(K, len(T.scales)) + 1)
-        return head, T.unscale(math.sqrt(ssq))
-
-    def fixed_point_residual(self, x: FiniteVector) -> float:
-        p = x.pattern()
-        return self._tables(p).residual() if p else 0.0
-
-    def iterate_levels(self, x: FiniteVector) -> list[float]:
-        """Level values of the inductive construction, up to stabilization."""
-        p = x.pattern()
-        return _Tables(self, p).levels() if p else [0.0]
+        return head, unscale(math.sqrt(ssq), T.exp)
 
     def block_sum_lower_bound(self, blocks: list[FiniteVector]) -> float:
         """Margin ||sum y_j|| - count/f(count) for count = some n_i, blocks normalized."""
@@ -256,21 +244,8 @@ class QSumEngine:
             out.append((self.cfg.n_at(len(out) + 1), self.cfg.f_nk(len(out) + 1)))
         return out
 
-    def _tables(self, p: CoefficientPattern) -> _Tables:
-        """Tables of root p; the last root's are reused (`bps` adds a count they lack)."""
-        T = self._last
-        if T is None or T.p != p:
-            T = _Tables(self, p)
-            T.fill()
-            self._last = T
-        return T
-
-    def _bps(self, p: CoefficientPattern, m: int) -> float:
-        """Best partition sum of p over at most m consecutive runs."""
-        if not p:
-            return 0.0
-        T = self._tables(p)
-        return T.unscale(T.bps(m))
+    def _build(self, p: CoefficientPattern) -> _Tables:
+        return _Tables(self, p)
 
     def _witness(self, T: _Tables, idx: tuple[int, ...], s: int, L: int) -> Witness:
         """Certificate for the norm of the run p[s:s+L], with the splits `runs` re-derives."""
@@ -283,23 +258,19 @@ class QSumEngine:
             pieces = tuple((IndexSet.of(idx[a : a + w]), self._witness(T, idx, a, w))
                            for a, w in runs)
             total = sum(T.N[w, a] for a, w in runs)
-            head.append((nk, PartitionWitness(T.unscale(total / f_nk), nk, f_nk, pieces)))
-        tail_l2 = T.unscale(T.l1[L, s] * math.sqrt(T.tails[len(head)]))
+            head.append((nk, PartitionWitness(unscale(total / f_nk, T.exp), nk, f_nk, pieces)))
+        tail_l2 = unscale(T.l1[L, s] * math.sqrt(T.tails[len(head)]), T.exp)
         value = math.hypot(*(w.value for _, w in head), tail_l2)
         return QuadraticWitness(value, tuple(head), len(head) + 1, tail_l2)
 
 
 # -- module-level functional surface --------------------------------------
 
-_ENGINES: dict[QSumConfig, QSumEngine] = {}
+_engine = lru_cache(maxsize=None)(QSumEngine)  # one shared engine per config
 
 
 def get_qsum_engine(config: QSumConfig | None = None) -> QSumEngine:
-    config = config or QSumConfig.small()
-    eng = _ENGINES.get(config)
-    if eng is None:
-        eng = _ENGINES[config] = QSumEngine(config)
-    return eng
+    return _engine(config or QSumConfig.small())
 
 
 def norm_x1(x: FiniteVector, config: QSumConfig | None = None, with_witness: bool = False):

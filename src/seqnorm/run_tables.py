@@ -36,9 +36,12 @@ The fill goes by increasing length, one numpy reduction per length over one
 strided view of the rests C_b[L-t, s+t] (`rests`); then a hook of the engine
 (`outer`) turns the sums into the values of the runs of that length.  Only
 values are stored: a witness walk re-derives the split of each state it visits
-as the first argmax of the same candidates (`_splits`).  Values are kept for p
-scaled by the power of two that puts max(p) in [0.5, 1): exact, free of
-overflow, homogeneous over the double range.
+as the first argmax of the same candidates (`_splits`).
+
+One scaling rule for both engines: a root object holds q = p * 2**-e, with
+`scale_exp` e putting max(q) in [0.5, 1), and `unscale` maps values back:
+exact, free of overflow, homogeneous over the double range.  `Engine` is the
+frame of both engines: last root, partition sums, residual, levels (`iterate`).
 
 Family states of ``x2``: after c consumed points the next scale is at least
 fl(c) = max(2, 2**c).  F[c, L, s, k] is the best sum of tn(E_i, fl(c_i)) over
@@ -72,6 +75,32 @@ class IterationCapError(RuntimeError):
     """Level iteration exceeded its cap without stabilizing."""
 
 
+def scale_exp(p) -> int:
+    """The exponent e with max(p) * 2**-e in [0.5, 1) (e = 1 for an empty p)."""
+    return math.frexp(max(p, default=1.0))[1]
+
+
+def unscale(v: float, exp: int) -> float:
+    """A value of the scaled pattern back in the units of p; beyond the double range raises."""
+    try:
+        return math.ldexp(float(v), exp)
+    except OverflowError:
+        raise OverflowError(f"value {float(v)} * 2**{exp} exceeds the double range") from None
+
+
+def iterate(values: np.ndarray, step, root, top: float, cap: int, exp: int) -> list[float]:
+    """Level values at values[root]: values -> max(values, step(values)) until
+    nothing moves by EQ_TOL * top, at most cap times, unscaled."""
+    levels = [unscale(values[root], exp)]
+    for _ in range(cap):
+        new_values = np.maximum(values, step(values))
+        delta, values = (new_values - values).max(), new_values
+        levels.append(unscale(values[root], exp))
+        if delta < EQ_TOL * top:
+            return levels
+    raise IterationCapError(f"no stabilization within {cap} levels; last value {levels[-1]}")
+
+
 def rests(a: np.ndarray) -> np.ndarray:
     """The view r[..., L, u, s] = a[..., u, s+L-u] of a[..., L, s], the last u points of
     the run p[s:s+L]: strides >= 0 and a's last element, so numpy finds it inside a."""
@@ -88,7 +117,7 @@ class RunTables:
 
     def __init__(self, p, ms):
         n = max(len(p), 1)  # an empty root gets one row and column of zeros, so N[0, 0] = 0
-        self.p, self.exp = p, math.frexp(max(p, default=1.0))[1]
+        self.p, self.exp = p, scale_exp(p)
         self.ms, self._lock = [], threading.Lock()
         self.row = self._index([1, *ms])
         z = np.zeros(2 * n - 1)
@@ -162,6 +191,14 @@ class RunTables:
         """C_m of the run p[s:s+L] (default: the whole root), scaled."""
         return self.table(m)[len(self.p) if L is None else L, s]
 
+    def value(self, pos=None) -> float:
+        """The norm of the run at the root positions pos (default: the root), scaled."""
+        return self.N[len(self.p), 0] if pos is None else self.N[len(pos), pos[0]]
+
+    def best(self, pos, m: int) -> float:
+        """C_m of the run at the root positions pos (None: the root), scaled."""
+        return self.bps(m) if pos is None else self.bps(m, len(pos), pos[0])
+
     def runs(self, m: int, s: int, L: int, R: np.ndarray | None = None) -> list[tuple[int, int]]:
         """(start, length) of the runs of p[s:s+L] whose values sum to C_m."""
         if m >= L:
@@ -172,31 +209,51 @@ class RunTables:
         t = int(self._splits(self.C, R, self.row[m], L, s).argmax()) + 1
         return self.runs((m + 1) // 2, s, t, R) + self.runs(m // 2, s + t, L - t, R)
 
-    def unscale(self, v: float) -> float:
-        """Undo the power-of-two scaling; a result beyond the double range raises."""
-        try:
-            return math.ldexp(float(v), self.exp)
-        except OverflowError:
-            raise OverflowError(
-                f"value {float(v)} * 2**{self.exp} exceeds the double range") from None
-
     def residual(self) -> float:
         """|N - fixed-point map of N| at the root, the map re-evaluated once
         with the filled norms as piece values."""
-        n = len(self.p)
-        return abs(self.unscale(self.N[n, 0]) - self.unscale(self.fill(piece=self.N)[n, 0]))
+        n, e = len(self.p), self.exp
+        return abs(unscale(self.N[n, 0], e) - unscale(self.fill(piece=self.N)[n, 0], e))
 
     def levels(self) -> list[float]:
-        """Level values of the inductive construction at the root: every run
-        starts at its sup norm, and the fixed-point map is applied to all of
-        them at once until nothing moves by EQ_TOL times the largest
-        coefficient."""
-        n, values = len(self.p), self.sup
-        levels, cap = [self.unscale(values[n, 0])], 10 * n
-        for _ in range(cap):
-            new_values = np.maximum(values, self.fill(piece=values))
-            delta, values = (new_values - values).max(), new_values
-            levels.append(self.unscale(values[n, 0]))
-            if delta < EQ_TOL * self.sup[n, 0]:
-                return levels
-        raise IterationCapError(f"no stabilization within {cap} levels; last value {levels[-1]}")
+        """`iterate` at the root, every run starting at its sup norm."""
+        n = len(self.p)
+        return iterate(self.sup, lambda v: self.fill(piece=v), (n, 0), self.sup[n, 0], 10 * n,
+                       self.exp)
+
+
+class Engine:
+    """The frame of both engines.  A subclass supplies `_build(p)`, a new root
+    object of pattern p (`p`, `exp`, `fill`, `value`, `best`, `residual`,
+    `levels`); the last one is kept.  An operation holds its root object, so an
+    engine shared across threads stays correct but may repeat a fill."""
+
+    _last = None
+
+    def _root(self, p):
+        """The filled root object of pattern p: the last root's if it was p."""
+        T = self._last
+        if T is None or T.p != p:
+            T = self._build(p)
+            T.fill()
+            self._last = T
+        return T
+
+    def best_partition_sum(self, x, m: int) -> float:
+        """Best sum of piece norms over partitions of x into at most m runs."""
+        if m < 1:
+            raise ValueError("need m >= 1")
+        T = self._root(x.pattern())
+        return unscale(T.best(None, m), T.exp)
+
+    def fixed_point_residual(self, x) -> float:
+        """|LHS - RHS| of the implicit equation, the RHS supremum re-evaluated
+        one step with the computed norm as the piece oracle."""
+        p = x.pattern()
+        return self._root(p).residual() if p else 0.0
+
+    def iterate_levels(self, x) -> list[float]:
+        """Level values of the inductive norm construction up to stabilization
+        (`iterate`), on a root object that is not kept."""
+        p = x.pattern()
+        return self._build(p).levels() if p else [0.0]

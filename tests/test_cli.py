@@ -285,6 +285,10 @@ def test_verify_contract_every_suite(capsys, suite):
         (["construct", "chain", "--budget", "-1"], "--budget"),
         (["construct", "localized", "--budget", "-5"], "--budget"),
         (["construct", "grid", "--budget", "-3"], "--budget"),
+        (["construct", "chain", "--l", "0"], "argument --l:"),
+        (["seminorm", "ell", "v.json", "-l", "0"], "argument -l:"),
+        (["seminorm", "triple", "v.json", "-m", "1"], "argument -m:"),
+        (["seminorm", "ellm0", "v.json", "--m0", "1"], "argument --m0:"),
     ],
 )
 def test_out_of_range_numbers_rejected(capsys, tmp_path, args, names):

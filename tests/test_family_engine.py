@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from seqnorm.core import EQ_TOL, FiniteVector, IndexSet, f
 from seqnorm.family_engine import (
     Exhaustive, FamilyEngine, SegmentDP, SupportLimitError, get_engine,
 )
+from seqnorm.qsum_engine import QSumEngine
 from seqnorm.witness import (
     FamilyWitness, PartitionWitness, SupWitness, evaluate_witness, validate_witness,
     witness_to_json,
@@ -282,6 +284,14 @@ def test_homogeneity_over_double_range(rng, mode, with_witness):
     assert engine.norm(1e308 * FiniteVector.ones(5)) == pytest.approx(1.1041e308, rel=1e-4)
 
 
+def test_power_of_two_scaling_exact_in_both_modes():
+    # both modes scale a root by a power of two, which rounds nothing, so they
+    # agree bit for bit; dividing by max(p) = 3 instead read 1.4999999999999998
+    x = FiniteVector.from_dense([1.0, 2.0, 0.5, 3.0])
+    ex, seg = FamilyEngine(Exhaustive()), FamilyEngine(SegmentDP())
+    assert ex.norm_ell_m0(x, 3, 2) == seg.norm_ell_m0(x, 3, 2) == 1.5
+
+
 def test_import_keeps_recursion_limit():
     code = (
         "import sys; before = sys.getrecursionlimit(); import seqnorm, seqnorm.cli; "
@@ -293,6 +303,21 @@ def test_import_keeps_recursion_limit():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": path})
+
+
+def test_traced_methods_on_their_own_classes():
+    # perfbench/spans.py wraps engine methods through owner.__dict__[attr], so
+    # each must be defined on the engine class itself: a method hoisted into
+    # run_tables.Engine would make every traced benchmark run (--trace 1) raise
+    # KeyError when it installs its wrappers
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    saved = spans.install(spans.Recorder())
+    spans.uninstall(saved)
+    wrapped = [(owner, attr) for owner, attr, _ in saved if owner in (FamilyEngine, QSumEngine)]
+    assert len(wrapped) == 6 and all(attr in vars(owner) for owner, attr in wrapped)
 
 
 def test_package_quick_tour():
@@ -494,7 +519,7 @@ def test_iterate_levels_keeps_no_root():
     # nor keeps one, and exhaustive mode still enforces its support limit
     engine = FamilyEngine(SegmentDP())
     assert engine.iterate_levels(FiniteVector.ones(70))[-1] >= 1.5 - 1e-12
-    assert engine._pieces is None
+    assert engine._last is None
     with pytest.raises(SupportLimitError):
         FamilyEngine(Exhaustive(max_support=5)).iterate_levels(FiniteVector.ones(6))
 
@@ -516,7 +541,7 @@ def test_search_states_kept_for_last_root_only(rng, mode):
         shared.norm(x)
         fresh = FamilyEngine(mode)
         fresh.norm(x)
-        assert 0 < len(shared._pieces._family) <= len(fresh._pieces._family)
+        assert 0 < len(shared._last._family) <= len(fresh._last._family)
 
 
 def test_exhaustive_engine_shared_across_threads():

@@ -173,3 +173,22 @@ def test_chain_stacks_rejects_p2(ex_engine):
     avg = build_average(2.0, 2, ex_engine)
     with pytest.raises(ValueError, match="l_1"):
         verify_chain_stacks([[avg]], eps=0.5, delta=0.2, ells=[1], engine=ex_engine)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a, eng: verify_chain_stacks([], eps=0.5, delta=0.2, ells=[1], engine=eng),
+        lambda a, eng: verify_chain_stacks([[a], []], eps=0.5, delta=0.2, ells=[1], engine=eng),
+        lambda a, eng: verify_rapid_averages([], 0.25, [1], eng),
+        lambda a, eng: verify_offpeak_sum([], [], AdmissibleFamily.of([(2, IndexSet.of([1]))]), eng),
+        lambda a, eng: verify_stack_seminorm([], [], 1, eng),
+        lambda a, eng: strict_drop_check([], [], 1, eng),
+    ],
+    ids=["chain-none", "chain-empty-stack", "rapid", "offpeak", "stack", "drop"],
+)
+def test_empty_run_rejected(ex_engine, half_pair, call):
+    # an empty run of averages is named as such, not met by an IndexError or
+    # by a message about something else
+    with pytest.raises(ValueError, match="run of averages is empty"):
+        call(half_pair, ex_engine)

@@ -81,7 +81,7 @@ def test_segment_state_bounded_by_one_root():
         for x in roots:
             engine.norm(x)
         held = tracemalloc.get_traced_memory()[0] - base
-        tables = engine._pieces
+        tables = engine._last
         # one root's tables, no pattern memo
         assert tables.p == roots[-1].pattern()
         assert not any(isinstance(v, dict) and v for v in vars(engine).values())
@@ -194,11 +194,11 @@ def test_counts_added_on_demand():
     x = FiniteVector.from_dense(rng.uniform(0.1, 3.0, size=30).tolist())
     engine = FamilyEngine(SegmentDP())
     engine.norm(x)
-    tables = engine._pieces
+    tables = engine._last
     family, rows = tables._family, len(tables.ms)
     assert tables.ms == [1, 2, 4, 8, 16]
     values = [engine.triple_norm(x, m) for m in range(2, 32)]
-    assert engine._pieces is tables and tables._family is family
+    assert engine._last is tables and tables._family is family
     assert rows < len(tables.ms) <= 30
     # the rows added one count at a time equal those of a fill over every count
     full = _Segment(x.pattern())
