@@ -19,7 +19,9 @@ merged final set dominates and the search stops (proofs in `run_tables`).
 ``segment`` mode restricts family sets to runs of support points, so every
 piece is a run of the root: it fills the interval tables of `run_tables` for
 the last root, with rows for the floors and the counts a caller asks for,
-closed under halving, in O(n^3 log n) additions.  It gives a certified lower
+closed under halving, in O(n^3 log n) additions and O(n^2 log n) memory: the
+family states live in a window of lengths during the fill, and those of one
+right end are derived again for a witness.  It gives a certified lower
 bound, exact on constant patterns but not in general (frozen counterexample in
 the tests).  ``exhaustive`` mode takes arbitrary subsets, up to
 ``max_support`` points (default `MAX_EXHAUSTIVE_SUPPORT`), on one `_Pieces` per
@@ -244,11 +246,20 @@ class _Pieces:
                        10 * len(q), self.exp)
 
 
+def _diagonal(a: np.ndarray, step: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
+    """The view v[c, t-1, *i] = a[(c, *i) + t * step], t = 1, 2, ..., which numpy checks
+    lies inside a: the state after a first run of t points, or that run's end."""
+    st = sum(k * s for k, s in zip(step, a.strides))
+    return np.ndarray(shape, a.dtype, a, st, (a.strides[0], st, *a.strides[1:]))
+
+
 class _Segment(RunTables):
-    """Segment mode: the run tables of one root with C_m for its floors, the
-    family states F = `_family` of `run_tables` (k < K) and the triple norms
-    `tn` = C_fl / fl they were searched on.  Rows c >= nc pad F with merged tails
-    [0, l1 / 2**c], so one view of F holds the rest of a first run of t <= nc."""
+    """Segment mode: the run tables of one root with C_m for its floors and the
+    triple norms `tn` = C_fl / fl of every run at the floors fl(c), c < nc.  The
+    fill keeps the family states of `run_tables` of the last nc + 1 lengths only,
+    and `ending` those of one right end.  Rows c >= nc of their arrays are merged
+    tails [0, l1 / 2**c], so one `_diagonal` view holds the state after a first
+    run of t <= nc points; after a longer one the rest is one merged run."""
 
     def __init__(self, p: CoefficientPattern):
         n = len(p)
@@ -257,77 +268,118 @@ class _Segment(RunTables):
         self.floors = np.array([max(2, 1 << c) for c in range(2 * self.nc)])
         super().__init__(p, self.floors[: self.nc].tolist())
         self.fk = np.array([f(k) for k in range(1, self.K)])
-        self.pow2 = np.ldexp(1.0, -np.add.outer(np.arange(self.nc), np.arange(n + 1)))
+        v = np.ldexp(1.0, -np.arange(self.nc + n + 1))
+        self.pow2 = np.ndarray((self.nc, n + 1), v.dtype, v, 0, v.strides * 2)  # 2**-(c+t)
         # the states searched at length L: c < cl[L], those with fl(c) < L
         self.cl = [0, 0, 0] + [min(self.nc, (L - 1).bit_length()) for L in range(3, n + 1)]
-
-    def _views(self, F):
-        """V[c, L, t-1, s] = F[c+t, L-t, s+t] for t <= nc, a view inside F; W = rests(l1)."""
-        f0, f1, f2, f3 = F.strides
-        return (np.ndarray((self.nc, F.shape[1], self.nc, *F.shape[2:]), F.dtype, F,
-                           f0 - f1 + f2, (f0, f1, f0 - f1 + f2, f2, f3)), rests(self.l1))
+        self._end = (-1, 0, None)  # the last `ending`: right end, first start, states
 
     def outer(self, C, values, keep):
-        nc, (rows, cols) = self.nc, self.l1.shape
-        # every state starts as a merged tail, one run of all L points at
-        # tn = l1 / fl(c); the search below replaces the states with fl(c) < L
-        tn = self.l1 / self.floors[:, None, None]  # at floor fl(c), by length and start
-        F = np.full((2 * nc, rows, cols + 1, self.K), _NEG)
-        F[..., 0] = 0.0
-        F[:, 1:, :cols, 1], tn = tn[:, 1:], tn[:nc]
-        V, W = self._views(F) if cols > 2 else (None, None)  # no length <= 2 is searched
-        fr = np.array([self.row[m] for m in self.floors[:nc].tolist()])  # the rows C_fl(c)
+        nc, n, K = self.nc, len(self.p), self.K
+        # the floor rule: tn = max_{m >= fl} C_m / m = C_fl / fl, which is l1 / fl once fl >= L
+        tn = self.l1 / self.floors[:nc, None, None]
         if keep:
-            self.tn, self._family = tn, F
+            self.tn = tn
+        if n <= 2:  # nothing is searched: the family value is one merged run, l1 / 2 / f(1)
+            return lambda L, cnt: np.maximum(self.sup[L, :cnt], self.l1[L, :cnt] / 2,
+                                             out=values[L, :cnt])
+        # the window G[c, j, k-1, s] holds the states (c, L, s) of consecutive lengths at
+        # consecutive j, V[c, t-1, j] their rests (c+t, L-t, s+t).  When full it keeps its
+        # last nc lengths, at its start, and the next lengths enter as merged tails.
+        self.W = W = rests(self.l1)  # W[L, u, s] = l1[u, s+L-u], the last u points of p[s:s+L]
+        l1, sup, cls, fl, fk = self.l1, self.sup, self.cl, self.floors[:, None], self.fk[:, None]
+        P, blk = 2 * nc + 2, [1, 1]  # length L at j = blk[0] + L - blk[1]
+        G = np.full((2 * nc, P, K - 1, n + 1), _NEG)
+        np.divide(l1[1:P], fl[:, None], out=G[:, 1 : min(P, n + 1), 0, :n])
+        V = _diagonal(G, (1, -1, 0, 1), (nc, nc, *G.shape[1:]))
+        best = tn[:, 1, None].repeat(K - 1, 1)  # best[c, k-1, s]: the states taking a first run
+        ends = np.full((2 * nc, K, n + nc + 1), _NEG)  # the states of right end n: `ending`
+        ends[:, 0, : n + 1], ends[:, 1:, n - 1] = 0.0, G[:, 1, :, n - 1]
+        if keep:
+            self._end = (n, 0, ends)
 
         def step(L, cnt):
-            cl = self.cl[L]
-            if cl:  # the floor rule: tn = max_{m >= fl} C_m / m = C_fl / fl
-                tn[:cl, L, :cnt] = C[fr[:cl], L, :cnt] / self.floors[:cl, None]
-                best = F[:cl, L, :cnt, 1:]
-                self._take(tn, V, W, slice(0, cl), L, slice(0, cnt), out=best)
-                np.maximum(best, F[:cl, L - 1, 1 : cnt + 1, 1:], out=best)  # or skip p[s]
-            family = (F[0, L, :cnt, 1:] / self.fk).max(axis=1)
-            np.maximum(self.sup[L, :cnt], family, out=values[L, :cnt])
+            cl, j, s = cls[L], blk[0] + L - blk[1], slice(0, cnt)
+            if j == P:
+                G[:, :nc, :, : cnt + nc] = G[:, P - nc :, :, : cnt + nc]
+                m, blk[:], j = min(P - nc, cnt), (nc, L), nc
+                np.divide(l1[L : L + m], fl[:, None], out=G[:, nc : nc + m, 0, :n])
+            if cl:  # row c of C is C_{2**c}, and fl(0) = fl(1) = 2
+                np.divide(C[1:cl, L, s], fl[1:cl], out=tn[1:cl, L, s])
+                tn[0, L, s] = tn[1, L, s]
+            np.maximum(best[:, 0, s], tn[:, L, s], out=best[:, 0, s])  # max_{t <= L} tn[c, t, s]
+            if cl:  # a first run p[s:s+t], then k - 1 sets: from G, or one merged run if t > nc
+                b, T = best[:cl, :, s], min(L, nc)
+                (tn[:cl, 1 : T + 1, None, s] + V[:cl, :T, j, :-1, s]).max(axis=1, out=b[:, 1:])
+                if L - 1 > T:
+                    B = self.pow2[:cl, T + 1 : L, None] * W[L, 1 : L - T, s][::-1]
+                    B += tn[:cl, T + 1 : L, s]
+                    np.maximum(b[:, 1], B.max(axis=1), out=b[:, 1])
+                np.maximum(b, G[:cl, j - 1, :, 1 : cnt + 1], out=G[:cl, j, :, s])  # or skip p[s]
+            ends[:, 1:, n - L] = G[:, j, :, cnt - 1]
+            np.maximum(sup[L, s], (G[0, j, :, s] / fk).max(axis=0), out=values[L, s])
         return step
 
-    def _take(self, tn, V, W, c, L, s, out=None):
-        """Candidates of the states (c, L, s) (slices c, s) with a first run of t
-        points: its triple norm A[c, t-1, s] (k = 1), plus a rest of k - 1 sets
-        from F for t <= nc, R[c, t-1, s, k-2], plus the rest as one merged run for
-        nc < t < L, B[c, t-nc-1, s] (k = 2).  A walk takes their argmax; with
-        `out` they are reduced over t into out[c, s, k-1]."""
-        A = tn[c, 1 : L + 1, s]
-        T = min(L, self.nc)
-        R = A[:, :T, :, None] + V[c, L, :T, s, 1:-1]
-        B = A[:, T : L - 1] + self.pow2[c, T + 1 : L, None] * W[L, 1 : L - T, s][::-1]
-        if out is None:
-            return A, R, B
-        A.max(axis=1, out=out[..., 0])
-        R.max(axis=1, out=out[..., 1:])
-        np.maximum(out[..., 1], B.max(axis=1, initial=_NEG), out=out[..., 1])
+    def _after(self, S: np.ndarray) -> np.ndarray:
+        """D[c, t-1, k, s] = S[c+t, k, s+t]: the states after a first run p[s:s+t]."""
+        return _diagonal(S, (1, 0, 1), (self.nc, self.nc, self.K, S.shape[2] - self.nc))
 
-    def _first(self, V, W, c: int, L: int, s: int, k: int) -> int:
-        """The first run's length in the best k-run family of state (c, L, s), 0 if
-        it leaves p[s] out, by the fill's tie rules: the first maximal t; a skip wins."""
+    def ending(self, e: int, Lm: int) -> np.ndarray:
+        """S[c, k, s]: the family state (c, e - s, s) for e - Lm <= s <= e (-inf past e).
+        One pass per row, c descending, as row c reads rows > c only, then a running
+        maximum over the lengths for the skip.  The last one is kept, a function of the
+        filled tables alone: threads may share it."""
+        hit = self._end
+        if hit[0] == e and hit[1] <= e - Lm:
+            return hit[2]
+        nc, tn, s0, rest = self.nc, self.tn, e - Lm, rests(self.l1)[Lm, Lm:0:-1, e - Lm]
+        S = np.full((2 * nc, self.K, e + nc + 1), _NEG)
+        S[:, 0, : e + 1] = 0.0
+        np.divide(rest, self.floors[:, None], out=S[:, 1, s0:e])  # merged tails, l1 of p[s:e]
+        # a first run of t > nc points: k = 1 if s + t <= e, and k = 2 if s + t < e with
+        # the rest one merged run; H[., t-1, s] = h[., s+t]
+        h = np.zeros((3, e + Lm + 1))
+        h[0, e + 1 :], h[1, e:], h[2, s0:e] = _NEG, _NEG, rest
+        D, H = self._after(S), _diagonal(h, (0, 1), (3, Lm, e + 1))
+        for c in range(self.cl[Lm] - 1, -1, -1):
+            s, t = slice(s0, e - int(self.floors[c])), slice(nc + 1, Lm + 1)  # lengths > fl(c)
+            (tn[c, 1 : nc + 1, None, s] + D[c, :, :-1, s]).max(axis=0, out=S[c, 1:, s])
+            B = tn[c, t, s] + H[:2, nc:, s]
+            B[1] += self.pow2[c, t, None] * H[2, nc:, s]
+            np.maximum(S[c, 1:3, s], B.max(axis=1, initial=_NEG), out=S[c, 1:3, s])
+            skip = S[c, 1:, s0 : s.stop + 1][:, ::-1]  # by increasing length
+            np.maximum.accumulate(skip, axis=1, out=skip)
+        self._end = (e, s0, S)
+        return S
+
+    def _first(self, S, D, e: int, c: int, a: int, k: int) -> int:
+        """The first run's length in the best k-run family of state (c, e - a, a), 0 if it
+        leaves p[a] out, by the fill's tie rules: the first maximal t; a skip wins."""
+        L = e - a
         if c >= self.cl[L]:
             return L  # a merged tail
-        A, R, B = self._take(self.tn, V, W, slice(c, c + 1), L, slice(s, s + 1))
-        cand = A if k == 1 else np.concatenate([R[..., 0], B], 1) if k == 2 else R[..., k - 2]
-        cand = cand[0, :, 0]
-        return int(cand.argmax()) + 1 if cand.max() > self._family[c, L - 1, s + 1, k] else 0
+        T = min(L, self.nc)
+        cand = self.tn[c, 1 : L + 1, a]
+        if k > 1:
+            cand = cand[:T] + D[c, :T, k - 1, a]
+        if k == 2 and L - 1 > T:  # the fill's merged-rest candidates B of this state
+            rest = self.pow2[c, T + 1 : L] * self.W[L, L - T - 1 : 0 : -1, a]
+            cand = np.concatenate([cand, rest + self.tn[c, T + 1 : L, a]])
+        t = int(cand.argmax())
+        return t + 1 if cand[t] > S[c, k, a + 1] else 0
 
     def root_best(self, m0: int) -> np.ndarray:
         """best[k] of the root's family search whose first set has scale >= m0:
         a first run p[a:e] valued C_m0 / m0, then the family states after it."""
-        n, F = len(self.p), self._family
+        n, nc = len(self.p), self.nc
+        S = self.ending(n, n)
         if m0 == 2 or not n:
-            return F[0, n, 0]
-        a, e = np.triu_indices(n + 1, 1)  # every first run, t = e - a points
+            return S[0, :, 0]
+        a, e = np.triu_indices(n + 1, 1)  # every first run, of t = e - a points
         t = e - a
         head = self.table(m0)[t, a] / m0 if m0.bit_length() <= _FLOOR_BITS_CAP else 0.0 * t
-        r, b = t <= self.nc, (t > self.nc) & (e < n)  # rests in F, or one merged run
-        rest = (head[r, None] + F[t[r], n - e[r], e[r], 1:-1]).max(axis=0)  # k >= 2
+        r, b = t <= nc, (t > nc) & (e < n)  # rests in S, or one merged run
+        rest = (head[r, None] + S[t[r], 1:-1, e[r]]).max(axis=0)  # k >= 2
         merged = head[b] + self.pow2[0, t[b]] * self.l1[n - e[b], e[b]]
         rest[0] = max(rest[0], merged.max(initial=_NEG))
         return np.concatenate([[0.0, head.max()], rest])
@@ -336,11 +388,13 @@ class _Segment(RunTables):
         s, L = pos[0], len(pos)
         if self.N[L, s] <= self.sup[L, s]:
             return []
-        k = int(np.argmax(self._family[0, L, s, 1:] / self.fk)) + 1
-        V, W = self._views(self._family)
-        out, a, c, e = [], s, 0, s + L
+        e = s + L
+        S = self.ending(e, L)
+        D = self._after(S)
+        k = int(np.argmax(S[0, 1:, s] / self.fk)) + 1
+        out, a, c = [], s, 0
         for left in range(k, 0, -1):
-            while not (t := self._first(V, W, c, e - a, a, left)):
+            while not (t := self._first(S, D, e, c, a, left)):
                 a += 1  # the family leaves p[a] out
             out.append((range(a, a + t), max(2, 1 << c)))  # the floor attains tn
             a, c = a + t, c + t

@@ -49,16 +49,19 @@ families of exactly k runs inside the suffix p[s:s+L], c points consumed
 before it; it serves every run of the root ending at s + L.  F[c, 0] = [0];
 otherwise F[c, L, s] is the better of skipping p[s] (F[c, L-1, s+1]) and
 
-    F[c, L, s, k] = max_{1<=t<=L}  tn(p[s:s+t], fl(c)) + F[c+t, L-t, s+t, k-1].
+    F[c, L, s, k] = max_{1<=t<=L}  tn(p[s:s+t], fl(c)) + F[c+t, L-t, s+t, k-1],
 
-Merged tail: once fl(c) >= L, every run E left has tn(E, fl) = l1(E) / fl with
-floors that only grow, so any family of j >= 1 runs sums to at most
-l1(p[s:s+L]) / fl(c), the value of one merged run of all points left, and
-F[c, L, s] = [0, l1 / fl(c)] keeps the best sum over at most k sets for every
-k, all that the norm (max_k F[0, L, s, k] / f(k), f increasing) and the
-seminorms read.  Every state with 2**c >= n is such a tail: only
-c <= floor(log2(n - 1)) is searched, a rest past it is the closed form
-[0, l1 / 2**(c+t)], and a family has at most floor(log2(n - 1)) + 2 sets.
+for k = 1 a running maximum over L.  Merged tail: once fl(c) >= L, every run E
+left has tn(E, fl) = l1(E) / fl with floors that only grow, so any family of
+j >= 1 runs sums to at most l1(p[s:s+L]) / fl(c), the value of one merged run,
+and F[c, L, s] = [0, l1 / fl(c)] keeps the best sum over at most k sets for
+every k, all that the norm (max_k F[0, L, s, k] / f(k), f increasing) and the
+seminorms read.  Every state with 2**c >= n is such a tail: only c < nc =
+max(2, ceil(log2 n)) is searched, a family has at most nc + 1 sets, and the
+rest after t > nc points is [0, l1 / 2**(c+t)].  So length L reads lengths
+L-1 .. L-nc on its right end only: the fill needs the states of nc + 1
+lengths at a time, O(n log^2 n) numbers beside the O(n^2 log n) tables, and
+the states of one right end e follow from tn and l1 again, row c from rows > c.
 """
 from __future__ import annotations
 
@@ -107,6 +110,12 @@ def rests(a: np.ndarray) -> np.ndarray:
     *lead, rows, cols = a.shape
     *st, s1, s2 = a.strides
     return np.ndarray((*lead, rows, rows, cols), a.dtype, a, 0, (*st, s2, s1 - s2, s2))
+
+
+def _run(rows: np.ndarray) -> np.ndarray | slice:
+    """rows as a slice if they are consecutive, so that numpy takes a view, not a copy."""
+    r = rows.tolist()
+    return slice(r[0], r[-1] + 1) if r == list(range(r[0], r[-1] + 1)) else rows
 
 
 class RunTables:
@@ -174,18 +183,21 @@ class RunTables:
     def _grow(self, C, rows, step):
         """Fill the rows of C (ascending counts) by increasing length, then step(L, cnt)."""
         n, cut = len(self.p), [self.ms[i] for i in rows]
-        R = rests(C) if n > 2 else None
+        R, j = rests(C) if n > 2 else None, 0
         for L in range(2, n + 1):
             cnt = n - L + 1
-            i = rows[: bisect_left(cut, L)]  # those with counts m < L
-            if len(i):
-                C[i, L, :cnt] = self._splits(C, R, i, L, slice(0, cnt)).max(axis=1)
+            if j < len(cut) and cut[j] < L:  # the rows with counts m < L, and those they split into
+                j = bisect_left(cut, L)
+                i, up, down = _run(rows[:j]), _run(self.up[rows[:j]]), _run(self.down[rows[:j]])
+            if j:
+                C[i, L, :cnt] = self._splits(C, R, up, down, L, slice(0, cnt)).max(axis=1)
             step(L, cnt)
 
-    def _splits(self, C, R, i, L, s):
-        """[., t-1, .] = C_a[t, s] + C_b[L-t, s+t] for 0 < t < L, over the rows i
-        of C (C_m with a = ceil(m/2), b = floor(m/2)) and the starts s; R = rests(C)."""
-        return C[self.up[i], 1:L, s] + R[self.down[i], L, L - 1 : 0 : -1, s]
+    @staticmethod
+    def _splits(C, R, up, down, L, s):
+        """[., t-1, .] = C_a[t, s] + C_b[L-t, s+t] for 0 < t < L, over the rows `up` of
+        C_a, a = ceil(m/2), and `down` of C_b, b = floor(m/2), of the counts m; R = rests(C)."""
+        return C[up, 1:L, s] + R[down, L, L - 1 : 0 : -1, s]
 
     def bps(self, m: int, L: int | None = None, s: int = 0) -> float:
         """C_m of the run p[s:s+L] (default: the whole root), scaled."""
@@ -206,7 +218,8 @@ class RunTables:
         if m == 1:
             return [(s, L)]
         R = rests(self.C) if R is None else R
-        t = int(self._splits(self.C, R, self.row[m], L, s).argmax()) + 1
+        i = self.row[m]
+        t = int(self._splits(self.C, R, self.up[i], self.down[i], L, s).argmax()) + 1
         return self.runs((m + 1) // 2, s, t, R) + self.runs(m // 2, s + t, L - t, R)
 
     def residual(self) -> float:

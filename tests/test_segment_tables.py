@@ -3,6 +3,7 @@ search it replaced, witnesses frozen from the tables that stored their
 splits, the strided views of the fill, and the state an engine keeps."""
 import json
 import math
+import sys
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -111,39 +112,48 @@ def test_witnesses_match_frozen_corpus():
 
 
 def test_strided_views_inside_base(monkeypatch):
-    views = []  # (view, kind, base) of every view the fills and walks build
+    views = []  # (view, base, step) of every view the fills, passes and walks build
 
-    def recorded(build, kind):
-        def wrapper(*args):  # rests(a) or _Segment._views(self, F)
-            out = build(*args)
-            views.append((out, kind, args[0]) if kind == "rests" else (out[0], kind, args[1]))
+    def recorded(build):
+        def wrapper(a, *args):  # rests(a) (step None) or _diagonal(a, step, shape)
+            out = build(a, *args)
+            views.append((out, a, args[0] if args else None))
             return out
         return wrapper
 
-    monkeypatch.setattr(run_tables, "rests", recorded(run_tables.rests, "rests"))
-    monkeypatch.setattr(family_engine, "rests", recorded(family_engine.rests, "rests"))
-    monkeypatch.setattr(_Segment, "_views", recorded(_Segment._views, "family"))
+    monkeypatch.setattr(run_tables, "rests", recorded(run_tables.rests))
+    monkeypatch.setattr(family_engine, "rests", recorded(family_engine.rests))
+    monkeypatch.setattr(family_engine, "_diagonal", recorded(family_engine._diagonal))
     rng = np.random.default_rng(5)
     for n in range(41):
         x = FiniteVector.from_dense(rng.uniform(0.1, 3.0, size=n).tolist())
         for engine in (FamilyEngine(SegmentDP()), QSumEngine(QSumConfig.small())):
             engine.norm(x, with_witness=True)
-        assert bool(views) == (n > 2)
-        for view, kind, base in views:
+        assert bool(views) == (n > 2)  # no window and no states below 3 points
+        x2 = FamilyEngine(SegmentDP())
+        x2.norm_ell_m0(x, 2, 3)
+        x2.fixed_point_residual(x)  # a window that is not kept
+        x2._last._end = (-1, 0, None)  # drop the fill's right end n: `ending` passes again
+        x2.norm_ell_m0(x, 2, 5)
+        assert any(step == (1, -1, 0, 1) for _, _, step in views) == (n > 2)  # the window
+        for view, base, step in views:
             lo, hi = byte_bounds(view)
             base_lo, base_hi = byte_bounds(base)
             assert view.base is base and base_lo <= lo and hi <= base_hi
-            for _ in range(50):
-                L = int(rng.integers(1, n + 1))
-                s = int(rng.integers(0, n - L + 1))
-                if kind == "rests":  # r[..., L, u, s] = a[..., u, s+L-u], a rest of u >= 1
+            for _ in range(50 if view.size else 0):
+                if step is None:  # r[..., L, u, s] = a[..., u, s+L-u], a rest of u >= 1
+                    cols = base.shape[-1]  # the root's points, at least 1
+                    L = int(rng.integers(1, cols + 1))
+                    s = int(rng.integers(0, cols - L + 1))
                     i = tuple(int(rng.integers(0, d)) for d in base.shape[:-2])
                     u = int(rng.integers(1, L + 1))
                     assert view[i + (L, u, s)] == base[i + (u, s + L - u)]
-                else:  # V[c, L, t-1, s] = F[c+t, L-t, s+t]
-                    c = int(rng.integers(0, view.shape[0]))
-                    t = int(rng.integers(1, min(L, view.shape[2]) + 1))
-                    assert np.array_equal(view[c, L, t - 1, s], base[c + t, L - t, s + t])
+                    continue
+                # v[c, t-1, *i] = a[(c, *i) + t * step], where that index is inside a
+                at = tuple(int(rng.integers(0, d)) for d in view.shape)
+                to = np.add((at[0], *at[2:]), np.multiply(at[1] + 1, step))
+                if all(0 <= v < d for v, d in zip(to, base.shape)):
+                    assert np.array_equal(view[at], base[tuple(to)], equal_nan=True)
         views.clear()
 
 
@@ -173,14 +183,15 @@ def test_floor_rule_on_segment_tables():
             for s in range(n - L + 1):
                 for c in range(T.nc):
                     assert close(T.tn[c, L, s], ratio(max(2, 1 << c), L, s))
+        S = T.ending(n, n)  # the family states of right end n, S[c, k, s]
         for m0 in (3, 5, 6):  # a first run p[a:a+t], then the family states after it
             want = [0.0] + [float("-inf")] * (T.K - 1)
             for a in range(n):
                 for t in range(1, n - a + 1):
                     head, u = ratio(m0, t, a), n - a - t
-                    if t < T._family.shape[0]:
-                        rest = T._family[t, u, a + t]
-                    else:  # past the padded rows: one merged tail
+                    if t < len(S):
+                        rest = S[t, :, a + t]
+                    else:  # past the merged-tail rows: one merged tail
                         rest = [0.0, T.l1[u, a + t] / 2 ** t if u else float("-inf")]
                     for k in range(1, T.K):
                         if k - 1 < len(rest):
@@ -195,16 +206,17 @@ def test_counts_added_on_demand():
     engine = FamilyEngine(SegmentDP())
     engine.norm(x)
     tables = engine._last
-    family, rows = tables._family, len(tables.ms)
+    tn, states, rows = tables.tn, tables.ending(30, 30), len(tables.ms)
     assert tables.ms == [1, 2, 4, 8, 16]
     values = [engine.triple_norm(x, m) for m in range(2, 32)]
-    assert engine._last is tables and tables._family is family
+    assert engine._last is tables and tables.tn is tn and tables.ending(30, 30) is states
     assert rows < len(tables.ms) <= 30
     # the rows added one count at a time equal those of a fill over every count
     full = _Segment(x.pattern())
     full.row = full._index(range(1, 30))
     full.fill()
-    assert np.array_equal(tables._family, full._family)
+    assert np.array_equal(tables.tn, full.tn)
+    assert np.array_equal(tables.ending(30, 30), full.ending(30, 30))
     assert all(np.array_equal(tables.table(m), full.table(m)) for m in range(1, 30))
     assert values == [FamilyEngine(SegmentDP()).triple_norm(x, m) for m in range(2, 32)]
     x1 = QSumEngine(QSumConfig.small())
@@ -213,6 +225,76 @@ def test_counts_added_on_demand():
     got = [x1.norm_k(x, k) for k in (2, 3, 5, 7, 29, 40)]
     assert x1._last is kept
     assert got == [QSumEngine(QSumConfig.small()).norm_k(x, k) for k in (2, 3, 5, 7, 29, 40)]
+
+
+def family_states(T):
+    """state(c, L, s)[k], the family states of `run_tables` transcribed into plain Python
+    on T's tables: merged tails, the skip of p[s], a first run p[s:s+t] and the rest."""
+    memo, neg = {}, float("-inf")
+
+    def fl(c):
+        return max(2, 1 << c)
+
+    def state(c, L, s):
+        if (c, L, s) not in memo:
+            if L == 0:
+                out = [0.0] + [neg] * (T.K - 1)
+            elif fl(c) >= L:  # a merged tail
+                out = [0.0, T.l1[L, s] / fl(c)] + [neg] * (T.K - 2)
+            else:
+                out = list(state(c, L - 1, s + 1))
+                for t in range(1, L + 1):
+                    head, rest = T.bps(fl(c), t, s) / fl(c), state(c + t, L - t, s + t)
+                    for k in range(1, T.K):
+                        if rest[k - 1] > neg:
+                            out[k] = max(out[k], head + rest[k - 1])
+            memo[c, L, s] = out
+        return memo[c, L, s]
+    return state
+
+
+def test_right_end_states_follow_the_recurrence():
+    rng = np.random.default_rng(47)
+    roots = [tuple(rng.uniform(0.1, 3.0, size=n).tolist()) for n in (0, 1, 2, 3, 4, 7, 12, 19, 30)]
+    roots += [(1.0,) * n for n in (5, 17, 30)]
+    roots += [((1.0,) * 5 + (3.0,) * 5 + (0.5,) * 7)[:n] for n in (9, 17)]
+    roots += [(2.0,) * 8 + (0.25,) * 8 + (2.0,) * 8]
+    for p in roots:
+        n, T = len(p), _Segment(p)
+        T.fill()
+        state = family_states(T)
+        for e in range(n, -1, -1):  # e = n: the fill's states of the root, then a pass each
+            Lm = e if e == n or e % 3 else int(rng.integers(0, e + 1))
+            S = T.ending(e, Lm)
+            assert S.shape[:2] == (2 * T.nc, T.K)
+            for c in range(2 * T.nc):
+                for s in range(e - Lm, e + 1):
+                    assert S[c, :, s].tolist() == state(c, e - s, s)
+            T._end = (-1, 0, None)
+        for m0 in (2, 3, 5, 6):
+            want = list(state(0, n, 0))
+            if m0 > 2:  # a first run p[a:a+t] valued C_m0 / m0, then the states after it
+                want = [0.0] + [float("-inf")] * (T.K - 1)
+                for a in range(n):
+                    for t in range(1, n - a + 1):
+                        head, rest = T.table(m0)[t, a] / m0, state(t, n - a - t, a + t)
+                        for k in range(1, T.K):
+                            want[k] = max(want[k], head + rest[k - 1])
+            assert T.root_best(m0).tolist() == want
+
+
+def test_cold_norm_memory_bounded():
+    # no fill builds an n x n array per state row: a cold 160-point norm holds the
+    # tables of O(n^2 log n) numbers and a window of the family states
+    x = FiniteVector.from_dense(np.random.default_rng(53).uniform(0.1, 3.0, size=160).tolist())
+    FamilyEngine(SegmentDP()).norm(FiniteVector.from_dense([1.0, 2.0, 3.0, 4.0]))  # imports, caches
+    tracemalloc.start()
+    try:
+        FamilyEngine(SegmentDP()).norm(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000
 
 
 def test_run_sums_accumulate_in_sequence():
@@ -232,22 +314,31 @@ def test_run_sums_accumulate_in_sequence():
 
 def test_counts_added_while_threads_read():
     # one engine per space shared by four threads on one root: counts are
-    # added to the tables while other threads read them
+    # added to the tables, and witnesses replace the kept states of a right
+    # end, while other threads read them
     rng = np.random.default_rng(41)
     x = FiniteVector.from_dense(rng.uniform(0.1, 3.0, size=40).tolist())
     jobs = [("tn", m) for m in range(2, 42)] + [("ellm0", m0) for m0 in (3, 5, 6, 7, 9, 11)]
-    jobs += [("k", k) for k in range(2, 42)]
+    jobs += [("k", k) for k in range(2, 42)] + [("w", 0)] * 6
+    rng.shuffle(jobs)
 
     def run(engines, job):
         x2, x1 = engines
         kind, m = job
+        if kind == "w":
+            return canonical_json(witness_to_json(x2.norm(x, with_witness=True)[1]))
         if kind == "tn":
             return x2.triple_norm(x, m)
         return x2.norm_ell_m0(x, 3, m) if kind == "ellm0" else x1.norm_k(x, m)
 
     fresh = [run((FamilyEngine(SegmentDP()), QSumEngine(QSumConfig.small())), j) for j in jobs]
-    for _ in range(3):
-        shared = (FamilyEngine(SegmentDP()), QSumEngine(QSumConfig.small()))
-        shared[0].norm(x), shared[1].norm(x)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            assert list(pool.map(lambda j: run(shared, j), jobs)) == fresh
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside operations
+    try:
+        for _ in range(3):
+            shared = (FamilyEngine(SegmentDP()), QSumEngine(QSumConfig.small()))
+            shared[0].norm(x), shared[1].norm(x)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                assert list(pool.map(lambda j: run(shared, j), jobs, timeout=60)) == fresh
+    finally:
+        sys.setswitchinterval(interval)
