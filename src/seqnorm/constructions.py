@@ -403,7 +403,8 @@ def grid_requirements(n: int, eps: float) -> dict:
     L0; the last scale must keep f(L0')/f(n k0 L0') above 1 - delta.  All
     reported as log2 where the values overflow doubles.
     """
-    delta = 0.9 * min(1.0 - (1.0 + eps) ** -0.5, eps / (3.0 * n * n))
+    # 1 - (1 + eps)**-0.5, without the cancellation that makes it 0 for eps below 2**-53
+    delta = 0.9 * min(-math.expm1(-0.5 * math.log1p(eps)), eps / (3.0 * n * n))
     log2_L0 = 1.0 / delta
     f_L0 = 1.0 / delta  # at the threshold
     log2_k0 = 2.0 * (math.log2(12.0 * n) + log2_L0 - math.log2(max(f_L0 - 1.0, 1e-300)))

@@ -25,20 +25,22 @@ right end are derived again for a witness.  It gives a certified lower
 bound, exact on constant patterns but not in general (frozen counterexample in
 the tests).  ``exhaustive`` mode takes arbitrary subsets, up to
 ``max_support`` points (default `MAX_EXHAUSTIVE_SUPPORT`), on one `_Pieces` per
-root; every supremum is memoised by coefficient pattern in dicts the engine
-shares across roots, sound because the norm is 1-unconditional and
-1-subsymmetric (both under test), and only the last root's family search
-states are kept.  One walker over root positions, which both modes answer with
-the sets, scales and pieces attaining each maximum, builds the witnesses.
-Both modes scale a root by the power of two of `run_tables.scale_exp`, and
-`FamilyEngine` is a `run_tables.Engine`, the frame it shares with ``x1``.
+root: a family covers its points or leaves one out, and every search sums its
+sets in one order, so values are bit-equal; every supremum is memoised by
+coefficient pattern in dicts the engine shares across roots, sound because the
+norm is 1-unconditional and 1-subsymmetric (both under test), and only the last
+root's family search states are kept.  One walker over root positions, which
+both modes answer with the sets, scales and pieces attaining each maximum,
+builds the witnesses.  Both modes scale a root by the power of two of
+`run_tables.scale_exp`, and `FamilyEngine` is a `run_tables.Engine`, the frame
+it shares with ``x1``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +53,9 @@ from .witness import FamilyWitness, PartitionWitness, SupWitness, Witness
 _NEG = float("-inf")
 # Floors beyond this many bits overflow floats; the contribution is zero.
 _FLOOR_BITS_CAP = 1020
-# The default support limit of exhaustive mode (a 12-point norm takes about a second).
+# The default support limit of exhaustive mode: a cold 12 / 14-point norm takes about 0.2 / 1 s
+# on a 2-vCPU Xeon (BENCH_16.json), but the limit decides which suite instances run
+# exhaustively, and the frozen suite reports and benchmark references were taken at 12.
 MAX_EXHAUSTIVE_SUPPORT = 12
 
 
@@ -77,12 +81,6 @@ def SegmentDP() -> SearchMode:
     return SearchMode("segment", 0)
 
 
-@lru_cache(maxsize=32)
-def _first_sets(r: int) -> tuple[tuple[int, ...], ...]:
-    """Every subset of range(r) that contains 0, ascending."""
-    return tuple((0,) + rest for k in range(r) for rest in combinations(range(1, r), k))
-
-
 def _ratio(l1: float, fl: int) -> float:
     if fl.bit_length() > _FLOOR_BITS_CAP:
         return 0.0
@@ -94,13 +92,17 @@ class _Pieces:
     (`scale_exp`): the sups of the fixed-point equation, memoised by pattern in
     the engine's norm and partition-sum dicts (`memos`, shared across roots),
     and this root's family search states.  Helper pieces in `residual` and
-    `levels` take given piece values as their norm memo."""
+    `levels` take given piece values as their norm memo.  A family's sets are
+    the runs of the points U it covers, and the budget counts set points only:
+    a family of p covers p (`cover`) or lies in p without a point (`family`).
+    Each candidate is the float sum tn(E_1) + (tn(E_2) + ...) however a search
+    reaches it, and max is exact, so values do not depend on the search order."""
 
     def __init__(self, p: CoefficientPattern, memos: tuple[dict, dict]):
         self.p, self.exp = p, scale_exp(p)
         self.q = tuple(math.ldexp(v, -self.exp) for v in p)
         self._norm, self._bps = memos
-        self._family: dict[tuple[CoefficientPattern, int, int], tuple[list, list]] = {}
+        self._family: dict[tuple, list | tuple[list, list]] = {}  # `family` and `cover` states
 
     def fill(self) -> None:
         """Nothing to fill ahead: the searches fill their memos as they are asked."""
@@ -116,7 +118,7 @@ class _Pieces:
 
     def rhs(self, p: CoefficientPattern) -> float:
         """Right-hand side of the fixed-point equation at p."""
-        best = self.family(p, 0, 2)[0]
+        best = self.family(p, 2)
         return max(max(p), max(best[k] / f(k) for k in range(1, len(best))))
 
     def split(self, p: CoefficientPattern, m: int) -> tuple[float, int]:
@@ -135,56 +137,50 @@ class _Pieces:
         return best, width
 
     def bps(self, p: CoefficientPattern, m: int) -> float:
-        if m >= len(p):
-            return sum(p)
-        if m == 1:
-            return self.norm_of(p)
+        if m >= len(p) or m == 1:
+            return self.split(p, m)[0]
         key = (p, m)
         hit = self._bps.get(key)
         if hit is None:
             hit = self._bps[key] = self.split(p, m)[0]
         return hit
 
-    def family(self, p: CoefficientPattern, c: int, first_floor: int) -> tuple[list, list]:
-        """The family search over p after c points were consumed: (best, arg).
-
-        best[k] is the largest sum of tn(set, floor) over families of exactly
-        k sets in p; arg[k] is the offsets in p of the first set of a family
-        attaining it, or None if that family leaves p[0] out (then read the
-        state of p[1:]).  `first_floor` raises the floor of the first set (the
-        m0-constrained seminorm); the merged-tail shortcut is then off for the
-        first set, because later floors may drop back below it.  The leaves
-        (empty p, merged tail) are computed on every call, not stored.
-        """
+    def cover(self, p: CoefficientPattern, c: int, first_floor: int) -> tuple[list, list]:
+        """(best, arg) of the families covering p, c points consumed before it:
+        best[k] is the largest sum of tn(set, floor) over k runs partitioning p,
+        arg[k] the first run's length in one attaining it.  `first_floor` raises
+        the first set's floor (the m0-constrained seminorm) and then turns the
+        merged-tail leaf off for it, as later floors may drop back below it."""
         ff = first_floor if c == 0 else 2
         fl, r = max(ff, min_m_for_budget(c)), len(p)
         if r == 0:
-            return [0.0], [None]
+            return [0.0], [0]
         if fl >= r and ff <= 2:
-            return [0.0, _ratio(sum(p), fl)], [None, range(r)]
-        key = (p, c, ff)
-        hit = self._family.get(key)
-        if hit is not None:
-            return hit
-        # skip p[0] (never on a constant pattern), or take a set whose first
-        # point is p[0]
-        const = r > 1 and min(p) == max(p)
-        best = [0.0] if const else list(self.family(p[1:], c, ff)[0])
-        arg = [None] * len(best)
-        for offs in [range(t) for t in range(1, r + 1)] if const else _first_sets(r):
-            sub = p[: len(offs)] if const else tuple(map(p.__getitem__, offs))
-            tnv = _ratio(self.bps(sub, fl), fl)  # the triple norm at scales >= fl (floor rule)
-            rest = self.family(p[offs[-1] + 1 :], c + len(offs), ff)[0]
-            grow = len(rest) + 1 - len(best)
-            if grow > 0:
-                best += [_NEG] * grow
-                arg += [None] * grow
-            for k, v in enumerate(rest, 1):
-                if tnv + v > best[k]:
-                    best[k] = tnv + v
-                    arg[k] = offs
-        out = self._family[key] = best, arg
-        return out
+            return [_NEG, _ratio(sum(p), fl)], [0, r]
+        hit = self._family.get((p, c, ff))
+        if hit is None:
+            best, arg = [_NEG], [0]
+            for t in range(1, r + 1):
+                tnv = _ratio(self.bps(p[:t], fl), fl)  # tn at scales >= fl: the floor rule
+                for k, v in enumerate(self.cover(p[t:], c + t, ff)[0], 1):
+                    if k == len(best):
+                        best, arg = best + [_NEG], arg + [0]
+                    if tnv + v > best[k]:
+                        best[k], arg[k] = tnv + v, t
+            hit = self._family[p, c, ff] = best, arg
+        return hit
+
+    def family(self, p: CoefficientPattern, first_floor: int) -> list:
+        """best[k]: the largest sum of tn(set, floor) over families of exactly k
+        sets in p: those covering p, and those of p without one point."""
+        hit = self._family.get((p, first_floor))
+        if hit is None:
+            hit = self.cover(p, 0, first_floor)[0]
+            for i in range(len(p)):
+                rest = self.family(p[:i] + p[i + 1 :], first_floor)
+                hit = [max(a, b) for a, b in zip_longest(hit, rest, fillvalue=_NEG)]
+            self._family[p, first_floor] = hit
+        return hit
 
     def _at(self, pos: Sequence[int] | None) -> CoefficientPattern:
         # positions are increasing, so len(pos) == len(q) means the root
@@ -199,25 +195,27 @@ class _Pieces:
         return self.bps(self._at(pos), m)
 
     def root_best(self, m0: int) -> list:
-        return self.family(self.q, 0, m0)[0]
+        return self.family(self.q, m0)
 
     def sets(self, pos: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
-        """(positions, scale) of the sets of a family attaining the norm at
-        pos; empty if the sup norm attains it."""
-        p = self._at(pos)
+        """(positions, scale) of the sets of a family attaining the norm at pos, empty
+        if the sup norm attains it.  Ties: drop the first point i whose p without i
+        attains best[k] until the families covering p do; then walk cover's `arg`."""
+        p, pos = self._at(pos), tuple(pos)
         if self.norm_of(p) <= max(p):
             return []
-        best = self.family(p, 0, 2)[0]
+        best = self.family(p, 2)
         k = max(range(1, len(best)), key=lambda k: best[k] / f(k))
+        want = best[k : k + 1]  # a slice, as a shorter list does not reach k sets
+        while self.cover(p, 0, 2)[0][k : k + 1] != want:
+            i = next(i for i in range(len(p))
+                     if self.family(p[:i] + p[i + 1 :], 2)[k : k + 1] == want)
+            p, pos = p[:i] + p[i + 1 :], pos[:i] + pos[i + 1 :]
         out, a, c = [], 0, 0
         for left in range(k, 0, -1):
-            offs = self.family(p[a:], c, 2)[1][left]
-            while offs is None:  # the family leaves p[a] out
-                a += 1
-                offs = self.family(p[a:], c, 2)[1][left]
-            sub = [a + o for o in offs]
-            out.append((tuple(pos[i] for i in sub), min_m_for_budget(c)))
-            a, c = sub[-1] + 1, c + len(sub)
+            t = self.cover(p[a:], c, 2)[1][left]
+            out.append((pos[a : a + t], min_m_for_budget(c)))
+            a, c = a + t, c + t
         return out
 
     def parts(self, pos: Sequence[int], m: int) -> list[Sequence[int]]:

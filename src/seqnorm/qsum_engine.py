@@ -198,7 +198,8 @@ class QSumEngine(Engine):
         """The k-partition seminorm (1/f(k)) * best partition sum, any k >= 1."""
         if k < 1:
             raise ValueError("need k >= 1")
-        return self.best_partition_sum(x, k) / f(k)
+        T = self._root(x.pattern())
+        return unscale(T.best(None, k) / f(k), T.exp)  # divided in scaled units: no overflow
 
     def profile(self, x: FiniteVector, K: int) -> tuple[list[float], float]:
         """Scale profile: ||x||_{n_k} for k <= K, plus the l2 mass beyond K."""

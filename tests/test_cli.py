@@ -336,6 +336,8 @@ def test_construct_over_budget_status(capsys, tmp_path, args, status):
     [
         (["localized", "--l0", "2", "--l1", "3", "--l1-prime", "16"], "premise faithful_L1"),
         (["grid", "--n", "2", "--k0", "2", "--samples", "0"], "premise faithful_scale_chain"),
+        # 1 - (1 + eps)**-0.5 cancels to 0 in floats here; delta must stay positive
+        (["grid", "--eps", "1e-16"], "premise faithful_scale_chain"),
     ],
 )
 def test_construct_report_has_verify_shape(capsys, tmp_path, args, unmet):

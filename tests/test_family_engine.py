@@ -1,5 +1,6 @@
 import gc
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from seqnorm import QSumConfig, norm_ell, norm_x1, norm_x2
 from seqnorm.admissible import AdmissibleFamily, FamilyValidationError
 from seqnorm.core import EQ_TOL, FiniteVector, IndexSet, f
 from seqnorm.family_engine import (
-    Exhaustive, FamilyEngine, SegmentDP, SupportLimitError, get_engine,
+    Exhaustive, FamilyEngine, SegmentDP, SupportLimitError, _Pieces, get_engine,
 )
 from seqnorm.qsum_engine import QSumEngine
 from seqnorm.witness import (
@@ -30,6 +31,7 @@ from seqnorm.witness import (
 
 E1 = FiniteVector.basis(1)
 E12 = FiniteVector.ones(2)
+EXHAUSTIVE_CORPUS = Path(__file__).parent / "data" / "x2_exhaustive_corpus.json"
 
 
 def piecewise_constant(rng, runs, max_len):
@@ -547,6 +549,51 @@ def test_search_states_kept_for_last_root_only(rng, mode):
             n = x.support_size
             assert shared._last.p == x.pattern() and shared._last._end[0] == n
             assert np.array_equal(shared._last.ending(n, n), fresh._last.ending(n, n))
+
+
+def test_exhaustive_frozen_corpus():
+    # written by tests/data/make_x2_exhaustive_corpus.py from a checkout whose search
+    # enumerated every first set; any exhaustive search takes its maxima over the same
+    # float sums, so the values match bit for bit
+    data = json.loads(EXHAUSTIVE_CORPUS.read_text())
+    patterns = {tuple(e["pattern"]) for e in data["entries"]}
+    rng = np.random.default_rng(20240817 + 1)  # test_c04's vectors
+    c04 = {random_test_vector(rng, 10).pattern() for _ in range(200)}
+    assert c04 | {(1.0,) * r for r in range(11)} <= patterns
+
+    def values(hexes):
+        return [float.fromhex(h) for h in hexes]
+    engine = FamilyEngine(Exhaustive())
+    for e in data["entries"]:
+        x = FiniteVector.from_dense(e["pattern"])
+        assert x.pattern() == tuple(e["pattern"])
+        value, w = engine.norm(x, with_witness=True)
+        validate_witness(w, x)
+        assert value == float.fromhex(e["norm"]) and w.value == value
+        assert [engine.norm_ell(x, ell) for ell in data["ells"]] == values(e["ell"])
+        for m0 in data["m0s"]:
+            got = [engine.norm_ell_m0(x, ell, m0) for ell in data["ells"]]
+            assert got == values(e["ell_m0"][str(m0)])
+        triple = [engine.triple_norm(x, m) for m in range(2, x.support_size + 1)]
+        assert triple == values(e["triple"])
+        if "levels" in e:
+            levels = engine.iterate_levels(x)
+            assert [len(levels), levels[-1]] == [e["levels"][0], float.fromhex(e["levels"][1])]
+
+
+def test_exhaustive_search_calls_bounded(monkeypatch):
+    # a cold 12-point root: one `family` state per subset pattern and one `cover` state
+    # per subset and count; a search that enumerates the first sets of every state
+    # makes 222,690 `family` calls here
+    calls = [0]
+    for name in ("family", "cover"):
+        def counted(self, *args, search=getattr(_Pieces, name)):
+            calls[0] += 1
+            return search(self, *args)
+        monkeypatch.setattr(_Pieces, name, counted)
+    x = FiniteVector.from_dense(np.random.default_rng(12).uniform(0.1, 3.0, 12).tolist())
+    FamilyEngine(Exhaustive()).norm(x)
+    assert 0 < calls[0] <= 100_000
 
 
 def test_exhaustive_engine_shared_across_threads():

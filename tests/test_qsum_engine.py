@@ -103,6 +103,9 @@ def test_norm_k_examples(small_engine):
     e12 = FiniteVector.ones(2)
     assert small_engine.norm_k(e12, 5) == pytest.approx(2 / f(5), abs=1e-12)
     assert small_engine.norm_k(FiniteVector.basis(1), 1) == 1.0
+    # divided before unscaling: a value near the top of the double range is no overflow
+    x = FiniteVector.from_dense([1e308] * 3)
+    assert small_engine.norm_k(x, 2) == 1024 * small_engine.norm_k(x * (1 / 1024), 2)
 
 
 def test_paper_closed_form(paper_engine, rng):
