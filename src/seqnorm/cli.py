@@ -2,10 +2,10 @@
 
 Exit codes: 0 all asserted checks pass, 1 an asserted check failed (or a
 certificate failed self-evaluation), 2 usage or input error, or an arithmetic
-error such as a result beyond the double range.  Reports are
-JSON on stdout (or --out); all randomness is seeded and the seed is echoed,
-so identical inputs produce byte-identical reports apart from the "timings"
-field.
+error such as a result beyond the double range.  Reports are strict JSON,
+never Infinity or NaN, on stdout (or --out); all randomness is seeded and the
+seed is echoed, so identical inputs produce byte-identical reports apart from
+the "timings" field.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .blocks import BlockBasis, assemble_lp_average
 from .constructions import (
+    MAX_BUDGET,
     BudgetExceededError,
     GridParams,
     LocalizedParams,
@@ -52,6 +53,14 @@ def _int_at_least(low: int):
     return parse
 
 
+def _budget(text: str) -> int:
+    """The argparse type of `construct --budget`: 1 to MAX_BUDGET points."""
+    value = _int_at_least(1)(text)
+    if value > MAX_BUDGET:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_BUDGET}, got {value}")
+    return value
+
+
 def _mode(args) -> object:
     if args.mode == "segment":
         return SegmentDP()
@@ -60,7 +69,7 @@ def _mode(args) -> object:
 
 def _emit(report: dict, args, t0: float) -> None:
     report["timings"] = {"wall_s": round(time.monotonic() - t0, 6)}
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     if getattr(args, "out", None):
         Path(args.out).write_text(text + "\n")
     else:
@@ -256,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build certified special vectors")
     p.add_argument("what", choices=("chain", "localized", "grid", "lp-average"))
     p.add_argument("--out-dir", default="seqnorm_artifacts")
-    p.add_argument("--budget", type=_int_at_least(1), default=200)
+    p.add_argument("--budget", type=_budget, default=200)
     p.add_argument("--l", type=_int_at_least(1), default=2, help="chain length")
     p.add_argument("--l0", type=int, default=2)
     p.add_argument("--l1", type=int, default=3)

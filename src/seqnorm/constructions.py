@@ -30,6 +30,17 @@ from .core import FiniteVector, IndexSet, f, min_m_for_budget
 from .inequalities import Report, bound, premise
 
 
+#: The largest support budget a construction accepts.  Its vectors go to the
+#: segment engine, whose O(n^2 log n) tables take about 279 MB at 1,000 points.
+MAX_BUDGET = 1000
+
+
+def _check_budget(budget: int) -> None:
+    """Refuse a budget above MAX_BUDGET before anything is built."""
+    if budget > MAX_BUDGET:
+        raise ValueError(f"budget {budget} exceeds the ceiling of {MAX_BUDGET} points")
+
+
 class BudgetExceededError(ValueError):
     def __init__(self, message: str, min_support: int | None, desc: str = ""):
         super().__init__(message)
@@ -94,6 +105,7 @@ def build_chain(ell: int, budget: int, engine) -> ChainCertificate:
     the family ((m_i, supp w_i)) evaluates to at least l/f(l).  Exceeding the
     budget raises with the minimal support the construction would need.
     """
+    _check_budget(budget)
     plan = plan_chain(ell)
     if plan.min_support is None or plan.min_support > budget:
         raise BudgetExceededError(
@@ -199,6 +211,7 @@ class LocalizedParams:
             raise ValueError("relaxed mode needs explicit L1 and L1_prime")
         if self.relaxed and not self.L1 > self.L0:
             raise ValueError(f"relaxed scale L1 must be > L0 = {self.L0}, got {self.L1}")
+        _check_budget(self.budget)
 
 
 @dataclass
@@ -375,10 +388,11 @@ class GridParams:
             raise ValueError(f"grid side n must be >= 1, got {self.n}")
         if self.k0 < 1:
             raise ValueError(f"grid averaging count k0 must be >= 1, got {self.k0}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
         if self.samples < 0:
             raise ValueError(f"samples must be >= 0, got {self.samples}")
+        _check_budget(self.budget)
 
 
 @dataclass

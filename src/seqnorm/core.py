@@ -28,22 +28,25 @@ def f(t: float) -> float:
     """Weight function f(t) = log2(1 + t).
 
     Strictly increasing and concave on [0, inf) with f(0) = 0, f(1) = 1,
-    f(3) = 2.  Rejects negative input.
+    f(3) = 2.  Rejects negative input.  An int is taken exactly: the log of
+    the integer 1 + t, finite for any size, and the same double as
+    log2(1.0 + t) below 2**53.
     """
     if t < 0:
         raise ValueError(f"f is only defined for t >= 0, got {t}")
-    return math.log2(1.0 + t)
+    return math.log2(1 + t if isinstance(t, int) else 1.0 + t)
 
 
 def f_exceeds(m: int, budget: int) -> bool:
     """Exact integer test for f(m) > budget when budget is a whole number.
 
     f(m) > b  <=>  m > 2**b - 1  <=>  m >= 2**b, which avoids comparing
-    floats right at the boundary (e.g. f(64) > 6 must hold strictly).
+    floats right at the boundary (e.g. f(64) > 6 must hold strictly).  For
+    m >= 1 that is int(m).bit_length() > b, so 2**b is never built.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    return m >= (1 << budget)
+    return m >= 1 and int(m).bit_length() > budget
 
 
 def min_m_for_budget(budget: int) -> int:
@@ -84,88 +87,76 @@ def json_number(v) -> float:
 
 @dataclass(frozen=True)
 class IndexSet:
-    """A finite set of positive integer indices.
+    """A finite set of positive integer indices, held as one increasing sequence.
 
-    Either a closed integer interval [lo, hi] or an explicit sorted tuple.
-    The flavour is remembered so files round-trip unchanged.
+    A closed interval [lo, hi] is ``range(lo, hi + 1)``, so its size is known
+    without listing it; any other set is a tuple of strictly increasing ints.
+    The two flavours never compare equal, so files round-trip unchanged.
     """
 
-    span: tuple[int, int] | None = None
-    elems: tuple[int, ...] | None = None
+    elems: range | tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if (self.span is None) == (self.elems is None):
-            raise ValueError("IndexSet needs exactly one of span/elems")
-        if self.span is not None:
-            lo, hi = self.span
-            if lo < 1 or hi < lo:
-                raise ValueError(f"bad interval [{lo}, {hi}]")
-        else:
-            pts = self.elems
-            if any(p < 1 for p in pts):
-                raise ValueError("indices must be positive")
-            if any(a >= b for a, b in zip(pts, pts[1:])):
-                raise ValueError("explicit index set must be sorted and distinct")
+        s = self.elems
+        if isinstance(s, range):
+            if s.step != 1 or s.start < 1 or not s:
+                raise ValueError(f"bad interval [{s.start}, {s.stop - 1}]")
+        elif s and s[0] < 1:
+            raise ValueError("indices must be positive")
+        elif any(a >= b for a, b in zip(s, s[1:])):
+            raise ValueError("explicit index set must be sorted and distinct")
 
     @staticmethod
     def interval(lo: int, hi: int) -> "IndexSet":
-        return IndexSet(span=(lo, hi))
+        return IndexSet(range(lo, hi + 1))
 
     @staticmethod
     def of(indices: Iterable[int]) -> "IndexSet":
-        return IndexSet(elems=tuple(sorted(set(indices))))
+        return IndexSet(tuple(sorted(set(indices))))
 
     @staticmethod
     def empty() -> "IndexSet":
-        return IndexSet(elems=())
+        return IndexSet(())
 
     @property
     def cardinality(self) -> int:
-        if self.span is not None:
-            return self.span[1] - self.span[0] + 1
-        return len(self.elems)
+        s = self.elems
+        return s.stop - s.start if isinstance(s, range) else len(s)
 
     @property
     def is_empty(self) -> bool:
-        return self.cardinality == 0
+        return not self.elems
 
     @property
     def min(self) -> int:
-        if self.is_empty:
+        if not self.elems:
             raise ValueError("empty index set has no min")
-        return self.span[0] if self.span is not None else self.elems[0]
+        return self.elems[0]
 
     @property
     def max(self) -> int:
-        if self.is_empty:
+        if not self.elems:
             raise ValueError("empty index set has no max")
-        return self.span[1] if self.span is not None else self.elems[-1]
+        return self.elems[-1]
 
     def __contains__(self, i: int) -> bool:
-        if self.span is not None:
-            return self.span[0] <= i <= self.span[1]
         return i in self.elems
 
     def __iter__(self) -> Iterator[int]:
-        if self.span is not None:
-            return iter(range(self.span[0], self.span[1] + 1))
         return iter(self.elems)
 
     def precedes(self, other: "IndexSet") -> bool:
         """Successive ordering: every index here is below every index there."""
-        if self.is_empty or other.is_empty:
-            return True
-        return self.max < other.min
+        return not self.elems or not other.elems or self.elems[-1] < other.elems[0]
 
     def to_json(self):
-        if self.span is not None:
-            return [self.span[0], self.span[1]]
-        return {"set": list(self.elems)}
+        s = self.elems
+        return [s.start, s.stop - 1] if isinstance(s, range) else {"set": list(s)}
 
     @staticmethod
     def from_json(obj) -> "IndexSet":
         if isinstance(obj, dict):
-            return IndexSet(elems=tuple(map(json_int, obj["set"])))
+            return IndexSet(tuple(map(json_int, obj["set"])))
         if isinstance(obj, (list, tuple)) and len(obj) == 2:
             return IndexSet.interval(json_int(obj[0]), json_int(obj[1]))
         raise ValueError(f"cannot parse index set from {obj!r}")

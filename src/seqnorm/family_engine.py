@@ -471,9 +471,9 @@ class FamilyEngine(Engine):
             return SupWitness(abs(x.coefficients[i]), x.indices[i])
         pairs, children = [], []
         for E, m in sets:
-            pieces = tuple((IndexSet.of(x.indices[i] for i in P), self._node(x, S, P))
+            pieces = tuple((IndexSet(tuple(x.indices[i] for i in P)), self._node(x, S, P))
                            for P in S.parts(E, m))
-            pairs.append((m, IndexSet.of(x.indices[i] for i in E)))
+            pairs.append((m, IndexSet(tuple(x.indices[i] for i in E))))
             value = unscale(_ratio(S.best(E, m), m), S.exp)
             children.append(PartitionWitness(value, m, float(m), pieces))
         return FamilyWitness(unscale(S.value(pos), S.exp), tuple(pairs), tuple(children))

@@ -47,7 +47,8 @@ class Check:
     Verifiers, suites and constructions all report in this one shape.  A
     check fails only when it is asserted and its margin is below -tol;
     unasserted checks (premises, and conclusions whose premises are UNMET)
-    are diagnostics and never fail a report.
+    are diagnostics and never fail a report.  An unbounded requirement
+    (rhs = inf) is written to JSON as null.
     """
 
     instance: str
@@ -68,7 +69,7 @@ class Check:
             "instance": self.instance,
             "premise_status": self.premise_status,
             "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
+            "rhs": None if self.rhs == math.inf else float(self.rhs),
             "margin": float(self.margin),
             "asserted": bool(self.asserted),
             "ok": bool(self.ok),

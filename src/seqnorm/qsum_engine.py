@@ -256,7 +256,7 @@ class QSumEngine(Engine):
         head = []
         for nk, f_nk in T.scales[: bisect_left(T.nks, L)]:
             runs = T.runs(nk, s, L)
-            pieces = tuple((IndexSet.of(idx[a : a + w]), self._witness(T, idx, a, w))
+            pieces = tuple((IndexSet(idx[a : a + w]), self._witness(T, idx, a, w))
                            for a, w in runs)
             total = sum(T.N[w, a] for a, w in runs)
             head.append((nk, PartitionWitness(unscale(total / f_nk, T.exp), nk, f_nk, pieces)))

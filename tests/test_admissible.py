@@ -56,3 +56,10 @@ def test_json_roundtrip_preserves_flavour():
 def test_cumulative_cardinalities():
     f1 = fam((2, [1, 2]), (4, [3, 4, 5, 6]))
     assert f1.cumulative_cardinalities() == (2, 6)
+
+
+def test_huge_interval_family_rejected_without_building_two_to_the_budget():
+    # the cumulative cardinality 2**70 would make 2**budget far too large to build
+    with pytest.raises(FamilyValidationError, match="pair 2"):
+        AdmissibleFamily.of([(2, IndexSet.interval(1, 2**70)),
+                             (4, IndexSet.interval(2**70 + 1, 2**70 + 3))])

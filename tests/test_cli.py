@@ -1,18 +1,28 @@
+import argparse
 import json
 import math
 
 import pytest
 
-from seqnorm.cli import main
+from seqnorm.cli import _emit, main
 from seqnorm.core import FiniteVector
 from seqnorm.io import InputError, load_family, load_vector, load_witness, save_vector
 from seqnorm.witness import evaluate_witness, validate_witness, witness_from_json, witness_to_json
 
 
+def _non_json_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def strict_loads(text):
+    """json.loads that refuses Infinity and NaN, as a strict JSON reader does."""
+    return json.loads(text, parse_constant=_non_json_constant)
+
+
 def run_cli(capsys, *args):
     code = main([str(a) for a in args])
     out = capsys.readouterr().out
-    return code, (json.loads(out) if out.strip() else None)
+    return code, (strict_loads(out) if out.strip() else None)
 
 
 @pytest.fixture()
@@ -253,7 +263,7 @@ def test_verify_contract_every_suite(capsys, suite):
         code = main(["verify", suite, "--seed", "3", "--count", "2"])
         captured = capsys.readouterr()
         assert code == 0 and captured.err == ""
-        out = json.loads(captured.out)
+        out = strict_loads(captured.out)
         out.pop("timings")
         assert out["checked"] == len(out["items"])
         assert all(set(item) == ITEM_KEYS for item in out["items"])
@@ -355,3 +365,68 @@ def test_construct_report_has_verify_shape(capsys, tmp_path, args, unmet):
               if not name.startswith("premise ") and name != "mid_level_witness"]
     assert bounds
     assert all(b["premise_status"] == "UNMET" and not b["asserted"] for b in bounds)
+
+
+@pytest.mark.parametrize(
+    "args, unbounded",
+    [
+        (["localized", "--l0", "2", "--l1", "3", "--l1-prime", "16", "--eps", "0.9"],
+         ["premise faithful_L1_prime"]),
+        (["localized", "--l0", "2", "--l1", "3", "--l1-prime", "16", "--eps", "1e-300"],
+         ["premise faithful_L1", "premise faithful_L1_prime"]),
+        (["grid", "--n", "2", "--eps", "1e-300"], ["premise faithful_scale_chain"]),
+    ],
+)
+def test_unbounded_requirement_reads_null(capsys, tmp_path, args, unbounded):
+    code, out = run_cli(capsys, "construct", *args, "--out-dir", tmp_path / "art")
+    assert code == 0 and out["status"] == "ok"
+    items = out["report"]["items"]
+    assert [item["instance"] for item in items if item["rhs"] is None] == unbounded
+
+
+def test_grid_rejects_infinite_eps(capsys, tmp_path):
+    code = main(["construct", "grid", "--n", "2", "--eps", "inf",
+                 "--out-dir", str(tmp_path / "art")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "eps" in captured.err and "Traceback" not in captured.err
+    assert not (tmp_path / "art").exists()
+
+
+def test_emit_refuses_non_finite_numbers(capsys):
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            _emit({"value": bad}, argparse.Namespace(out=None), 0.0)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["chain", "--l", "4", "--budget", str(10**30)],
+     ["localized", "--l1", "4", "--budget", "100000"],
+     ["grid", "--n", "60", "--k0", "2", "--budget", "100000"]],
+    ids=["chain", "localized", "grid"],
+)
+def test_budget_above_ceiling_rejected(capsys, tmp_path, no_large_builds, args):
+    try:
+        code = main(["construct", *args, "--out-dir", str(tmp_path / "art")])
+    except SystemExit as exc:  # argparse rejects at parse time
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "argument --budget:" in captured.err
+    assert not (tmp_path / "art").exists()
+
+
+@pytest.mark.parametrize("space", ["x2", "x1"])
+def test_seminorm_level_beyond_the_double_range(capsys, vec_file, space):
+    code, out = run_cli(capsys, "seminorm", "ell", vec_file, "--space", space,
+                        "-l", 10**309)
+    assert code == 0 and out["l"] == 10**309
+    assert 0.0 < out["value"] < 1e-2
+
+
+def test_localized_upper_scale_beyond_the_double_range(capsys, tmp_path):
+    code, out = run_cli(capsys, "construct", "localized", "--l0", "2", "--l1", "3",
+                        "--l1-prime", 10**309, "--out-dir", tmp_path / "art")
+    assert code == 0 and out["status"] == "ok"

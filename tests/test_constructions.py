@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from seqnorm.constructions import (
@@ -48,6 +50,24 @@ def test_build_chain_certificates(seg_engine):
     # blocks are honest sup-norm averages; their norms are reported
     assert c3.block_norms[0] == 1.0 and c3.block_norms[1] == 1.0
     assert c3.block_norms[2] > 1.0
+
+
+def test_budget_above_ceiling_refused_before_building(seg_engine, no_large_builds):
+    with pytest.raises(ValueError, match="ceiling"):
+        build_chain(4, 10**30, seg_engine)
+    with pytest.raises(ValueError, match="ceiling"):
+        LocalizedParams(L0=2, eps=0.25, L1=4, L1_prime=16, budget=100_000)
+    with pytest.raises(ValueError, match="ceiling"):
+        GridParams(n=60, eps=0.25, k0=2, budget=100_000)
+    # the ceiling itself, 1,000 points, is accepted
+    LocalizedParams(L0=2, eps=0.25, L1=4, L1_prime=16, budget=1000)
+    GridParams(n=60, eps=0.25, k0=2, budget=1000)
+
+
+def test_grid_rejects_non_finite_eps():
+    for eps in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps"):
+            GridParams(n=2, eps=eps)
 
 
 def test_build_chain_budget(seg_engine):

@@ -46,6 +46,22 @@ def test_f_exceeds_matches_float_f_on_boundaries():
     assert min_m_for_budget(6) == 64
 
 
+def test_f_exact_on_integers():
+    # the same double as before on floats and on ints below 2**53
+    rng = np.random.default_rng(0)
+    ints = [int(t) for t in rng.integers(0, 2**53, size=2000)] + [0, 1, 2**53 - 1]
+    for t in ints + [float(t) for t in ints] + list(rng.uniform(0.0, 1e300, size=200)):
+        assert f(t) == math.log2(1.0 + t)
+    # a huge int has an exact log, where float(t) overflows
+    assert f(10**400) == pytest.approx(400 * math.log2(10), rel=1e-15)
+    assert f(2**2000 - 1) == 2000.0
+
+
+def test_f_exceeds_never_builds_two_to_the_budget():
+    assert not f_exceeds(4, 2**70)
+    assert f_exceeds(2**2**20, 2**20) and not f_exceeds(2**2**20 - 1, 2**20)
+
+
 def test_submultiplicative_examples():
     assert check_f_submultiplicative(1, 1) == 0.0
     assert check_f_submultiplicative(3, 3) == pytest.approx(4 - math.log2(10), abs=1e-12)
@@ -174,3 +190,34 @@ def test_pattern_invariant_under_spread_and_flips(pairs, shift):
     flipped = x.flip_signs([(-1) ** k for k in range(x.support_size)])
     assert x.spread(sigma).pattern() == x.pattern()
     assert flipped.pattern() == x.pattern()
+
+
+def test_huge_interval_is_never_listed():
+    n = 2**70
+    E = IndexSet.interval(1, n)
+    assert E.cardinality == n and not E.is_empty
+    assert (E.min, E.max) == (1, n)
+    assert 1 in E and n in E and n + 1 not in E and 0 not in E
+    assert E.precedes(IndexSet.interval(n + 1, n + 3))
+    assert not E.precedes(IndexSet.of([n]))
+    assert E.to_json() == [1, n]
+    assert IndexSet.from_json(E.to_json()) == E
+
+
+def test_index_set_flavours_stay_distinct():
+    assert IndexSet.interval(2, 4) != IndexSet.of([2, 3, 4])
+    assert IndexSet.of([2, 3, 4]).to_json() == {"set": [2, 3, 4]}
+    assert IndexSet.empty().is_empty and IndexSet.empty().cardinality == 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: IndexSet.interval(5, 4), lambda: IndexSet.interval(0, 3),
+     lambda: IndexSet((3, 2)), lambda: IndexSet((2, 2)), lambda: IndexSet((0, 1)),
+     lambda: IndexSet.from_json({"set": [4, 1]}), lambda: IndexSet.from_json([3, 2])],
+    ids=["empty-interval", "zero-interval", "unsorted", "repeated", "zero-index",
+         "unsorted-json", "empty-interval-json"],
+)
+def test_index_set_constructor_rejects(make):
+    with pytest.raises(ValueError):
+        make()

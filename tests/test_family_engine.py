@@ -102,6 +102,16 @@ def test_norm_ell_examples(ex_engine):
     assert ex_engine.norm_ell(E1, 5) == pytest.approx(0.5 / f(5), abs=1e-12)
 
 
+@pytest.mark.parametrize("mode", [Exhaustive(), SegmentDP()], ids=["exhaustive", "segment"])
+def test_norm_ell_at_a_level_beyond_the_double_range(mode):
+    # 10**400 is too large for a float; f takes the exact integer 1 + ell.  A
+    # 3-point vector's best family has at most 3 sets, so its sum is reached at ell = 3.
+    x = FiniteVector([(1, 1.0), (2, 0.7), (4, 0.3)])
+    engine = FamilyEngine(mode)
+    best_sum = engine.norm_ell(x, 3) * f(3)
+    assert engine.norm_ell(x, 10**400) == pytest.approx(best_sum / f(10**400), rel=1e-15)
+
+
 def test_norm_ell_m0_examples(ex_engine):
     assert ex_engine.norm_ell_m0(E12, 1, 2) == ex_engine.norm_ell(E12, 1)
     assert ex_engine.norm_ell_m0(E12, 1, 4) == pytest.approx(0.5, abs=1e-12)

@@ -99,6 +99,13 @@ def test_small_preset_values(small_engine):
     assert small_engine.norm_k(x4, 2) == pytest.approx(1.6393, abs=1e-3)
 
 
+def test_norm_k_at_a_level_beyond_the_double_range():
+    # 10**400 is too large for a float; f takes the exact integer 1 + k
+    x = FiniteVector([(1, 1.0), (2, 0.7), (4, 0.3)])
+    engine = QSumEngine(QSumConfig.small())
+    assert engine.norm_k(x, 10**400) == engine.best_partition_sum(x, 3) / f(10**400)
+
+
 def test_norm_k_examples(small_engine):
     e12 = FiniteVector.ones(2)
     assert small_engine.norm_k(e12, 5) == pytest.approx(2 / f(5), abs=1e-12)
