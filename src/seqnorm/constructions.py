@@ -20,6 +20,7 @@ marks the bounds that rest on an UNMET premise UNMET and unasserted.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,19 +230,21 @@ class LocalizedResult:
 
 
 def faithful_localization_scales(L0: int, eps: float, scan_cap: int = 1 << 22):
-    """The faithful localization scale L1 (scanned) and the log2 size of L1'.
+    """The faithful localization scale L1 (bisected) and the log2 size of L1'.
 
-    L1 is the smallest integer above L0 with f(L1)/f(L1/L0) <= 1 + eps and
-    f(L1)/L1 < eps/2; L1' must push f(L1)/f(L1') below (1-eps)eps - f(L1)/L1,
-    which is astronomically large whenever that difference is small.
+    L1 is the smallest integer in (L0, scan_cap) with f(L1)/f(L1/L0) <= 1 + eps
+    and f(L1)/L1 < eps/2; L1' must push f(L1)/f(L1') below (1-eps)eps - f(L1)/L1,
+    which is astronomically large whenever that difference is small.  Both
+    ratios strictly decrease in L1, so the test fails, then holds for good.
     """
-    L1 = None
-    for cand in range(L0 + 1, scan_cap):
-        if f(cand) / f(cand / L0) <= 1.0 + eps and f(cand) / cand < eps / 2.0:
-            L1 = cand
-            break
-    if L1 is None:
+    def faithful(c):
+        return f(c) / f(c / L0) <= 1.0 + eps and f(c) / c < eps / 2.0
+
+    cands = range(L0 + 1, scan_cap)
+    i = bisect_left(cands, True, key=faithful)
+    if i == len(cands):
         return None, None
+    L1 = cands[i]
     room = (1.0 - eps) * eps - f(L1) / L1
     if room <= 0:
         return L1, math.inf

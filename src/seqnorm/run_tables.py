@@ -32,8 +32,12 @@ C_fl / fl (l1 / fl once fl >= L).  Rows are the counts asked for and 1, closed
 under halving: ``x1``'s scales, ``x2``'s floors 2, 4, ..., so O(log n) rows
 and O(n^3 log n) additions; `table` adds a count asked later.
 
-The fill goes by increasing length, one numpy reduction per length over one
-strided view of the rests C_b[L-t, s+t] (`rests`); then a hook of the engine
+The fill goes by increasing length, the rests C_b[L-t, s+t] read through one
+strided view (`rests`).  While the candidates of all rows of a length fit in
+`SPLIT_BYTES`, one numpy reduction takes their max; past it (long runs), each
+row adds its two views into one buffer, a block of split points at a time, and
+combines the block maxima with `np.maximum`: no gather and no temporary past
+the cache, and the same bits, max being exact.  Then a hook of the engine
 (`outer`) turns the sums into the values of the runs of that length.  Only
 values are stored: a witness walk re-derives the split of each state it visits
 as the first argmax of the same candidates (`_splits`).
@@ -72,6 +76,9 @@ from bisect import bisect_left
 import numpy as np
 
 from .core import EQ_TOL
+
+SPLIT_BYTES = 512 * 1024  # split candidates in one temporary up to this size, else in blocks of it:
+# a share of a core's L2 cache (256 KiB and 1 MiB measured about the same)
 
 
 class IterationCapError(RuntimeError):
@@ -183,14 +190,28 @@ class RunTables:
     def _grow(self, C, rows, step):
         """Fill the rows of C (ascending counts) by increasing length, then step(L, cnt)."""
         n, cut = len(self.p), [self.ms[i] for i in rows]
-        R, j = rests(C) if n > 2 else None, 0
+        R, j, buf = rests(C) if n > 2 else None, 0, None
         for L in range(2, n + 1):
             cnt = n - L + 1
             if j < len(cut) and cut[j] < L:  # the rows with counts m < L, and those they split into
                 j = bisect_left(cut, L)
                 i, up, down = _run(rows[:j]), _run(self.up[rows[:j]]), _run(self.down[rows[:j]])
-            if j:
+            if j and j * (L - 1) * cnt * 8 <= SPLIT_BYTES:
                 C[i, L, :cnt] = self._splits(C, R, up, down, L, slice(0, cnt)).max(axis=1)
+            elif j:  # row by row over views, in blocks of split points that fit the budget
+                k = max(1, SPLIT_BYTES // (8 * cnt))
+                if buf is None:  # cnt only shrinks; local to the call, since threads share roots
+                    buf = np.empty(max(SPLIT_BYTES // 8, cnt))
+                for r in rows[:j].tolist():  # an int row: C[r, L] is a view, not a copy
+                    a, b, out = self.up[r], self.down[r], C[r, L, :cnt]
+                    for t0 in range(1, L, k):
+                        t1 = min(t0 + k, L)
+                        block = np.add(C[a, t0:t1, :cnt], R[b, L, L - t0 : L - t1 : -1, :cnt],
+                                       out=buf[: (t1 - t0) * cnt].reshape(t1 - t0, cnt))
+                        if t0 == 1:
+                            block.max(axis=0, out=out)
+                        else:
+                            np.maximum(out, block.max(axis=0), out=out)
             step(L, cnt)
 
     @staticmethod

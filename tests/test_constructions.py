@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -88,6 +89,27 @@ def test_faithful_scales_are_out_of_reach():
     L1, log2_L1p = faithful_localization_scales(2, 0.25)
     assert L1 is not None and L1 > 10
     assert log2_L1p > 60  # the upper scale is astronomically large
+
+
+def _first_faithful_scan(L0, eps, scan_cap):
+    for cand in range(L0 + 1, scan_cap):
+        if f(cand) / f(cand / L0) <= 1.0 + eps and f(cand) / cand < eps / 2.0:
+            return cand
+    return None
+
+
+@pytest.mark.parametrize("L0", [1, 2, 3, 5, 16])
+def test_faithful_scale_bisection_equals_scan(L0):
+    # the bisection returns the first L1 of a linear scan, found or not below the cap
+    for eps in (0.9, 0.5, 0.25, 0.15, 0.1, 0.05, 1e-3, 1e-300):
+        assert faithful_localization_scales(L0, eps, 6000)[0] == _first_faithful_scan(L0, eps, 6000)
+    assert faithful_localization_scales(2, 0.25)[0] == _first_faithful_scan(2, 0.25, 1 << 22) == 44
+
+
+def test_no_faithful_scale_found_quickly():
+    t0 = time.perf_counter()
+    assert faithful_localization_scales(2, 1e-300) == (None, None)
+    assert time.perf_counter() - t0 < 0.05
 
 
 def test_localized_relaxed_build(seg_engine):

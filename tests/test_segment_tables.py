@@ -11,6 +11,7 @@ from itertools import combinations
 from pathlib import Path
 
 import numpy as np
+import pytest
 from numpy.lib.array_utils import byte_bounds
 
 from conftest import random_test_vector
@@ -295,6 +296,54 @@ def test_cold_norm_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 12_000_000
+
+
+@pytest.mark.parametrize("budget", [16, 1000])
+def test_tiled_split_reduction_equals_one_expression(monkeypatch, budget):
+    # a budget of 16 bytes sends every length that splits row by row, one split point
+    # per block; 1,000 bytes mixes both forms, with blocks of a few split points and a
+    # ragged last block; tables, values and witnesses stay bit-identical
+    rng = np.random.default_rng(59)
+    x = FiniteVector.from_dense(rng.uniform(0.1, 3.0, size=40).tolist())
+    small = FiniteVector.from_dense(rng.uniform(0.1, 3.0, size=20).tolist())
+
+    def run():
+        x1, x2 = QSumEngine(QSumConfig.small()), FamilyEngine(SegmentDP())
+        w1, w2 = x1.norm(x, with_witness=True)[1], x2.norm(x, with_witness=True)[1]
+        T1, T2 = x1._last, x2._last
+        out = [T1.C.copy(), T1.N.copy(), T2.C.copy(), T2.tn.copy(), T2.ending(40, 40).copy()]
+        out += [canonical_json(witness_to_json(w)) for w in (w1, w2)]
+        out += [x1.norm(x), x2.norm(x), [x2.triple_norm(x, m) for m in (3, 6, 40)]]
+        out += [[x1.norm_k(x, k) for k in (29, 5, 12, 3, 7)], x1._last.C.copy()]  # rows out of order
+        full = _Segment(x.pattern())
+        full.row = full._index(range(1, 30))
+        full.fill()
+        out += [full.C, full.ending(40, 40)]
+        for engine in (QSumEngine(QSumConfig.small()), FamilyEngine(SegmentDP())):
+            out += [engine.fixed_point_residual(x), engine.iterate_levels(small)]
+        return out
+
+    want = run()
+    monkeypatch.setattr(run_tables, "SPLIT_BYTES", budget)
+    got = run()
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+def test_cold_x1_norm_transient_memory_bounded():
+    # a 320-point x1 fill reduces the splits of a long run in blocks, not in one
+    # (rows, L - 1, n - L + 1) temporary: beside its tables it holds about a megabyte
+    x = FiniteVector.from_dense(np.random.default_rng(61).uniform(0.1, 3.0, size=320).tolist())
+    QSumEngine(QSumConfig.small()).norm(FiniteVector.from_dense([1.0, 2.0, 3.0, 4.0]))
+    engine = QSumEngine(QSumConfig.small())
+    tracemalloc.start()
+    try:
+        engine.norm(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    T = engine._last
+    assert peak - (T.C.nbytes + T.l1.nbytes + T.sup.nbytes) < 2_500_000
 
 
 def test_run_sums_accumulate_in_sequence():
