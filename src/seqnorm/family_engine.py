@@ -27,13 +27,13 @@ the tests).  ``exhaustive`` mode takes arbitrary subsets, up to
 ``max_support`` points (default `MAX_EXHAUSTIVE_SUPPORT`), on one `_Pieces` per
 root: a family covers its points or leaves one out, and every search sums its
 sets in one order, so values are bit-equal; every supremum is memoised by
-coefficient pattern in dicts the engine shares across roots, sound because the
-norm is 1-unconditional and 1-subsymmetric (both under test), and only the last
-root's family search states are kept.  One walker over root positions, which
-both modes answer with the sets, scales and pieces attaining each maximum,
-builds the witnesses.  Both modes scale a root by the power of two of
-`run_tables.scale_exp`, and `FamilyEngine` is a `run_tables.Engine`, the frame
-it shares with ``x1``.
+coefficient pattern, sound because the norm is 1-unconditional and
+1-subsymmetric (both under test): norms in one dict the engine shares across
+roots, partition sums and family search states in the root's own, so only the
+last root's are kept.  One walker over root positions, which both modes answer
+with the sets, scales and pieces attaining each maximum, builds the witnesses.
+Both modes scale a root by the power of two of `run_tables.scale_exp`, and
+`FamilyEngine` is a `run_tables.Engine`, the frame it shares with ``x1``.
 """
 from __future__ import annotations
 
@@ -81,27 +81,27 @@ def SegmentDP() -> SearchMode:
     return SearchMode("segment", 0)
 
 
-def _ratio(l1: float, fl: int) -> float:
-    if fl.bit_length() > _FLOOR_BITS_CAP:
-        return 0.0
-    return l1 / fl
+def _ratio(l1, fl: int):
+    """l1 / fl, zero (of l1's shape) for a floor past `_FLOOR_BITS_CAP` bits."""
+    return l1 / fl if fl.bit_length() <= _FLOOR_BITS_CAP else 0.0 * l1
 
 
 class _Pieces:
     """Exhaustive mode's answers on one root p, by positions of q = p * 2**-exp
-    (`scale_exp`): the sups of the fixed-point equation, memoised by pattern in
-    the engine's norm and partition-sum dicts (`memos`, shared across roots),
-    and this root's family search states.  Helper pieces in `residual` and
+    (`scale_exp`): the sups of the fixed-point equation, memoised by pattern:
+    norms in the engine's dict (`norms`, shared across roots), partition sums
+    and family search states in this root's.  Helper pieces in `residual` and
     `levels` take given piece values as their norm memo.  A family's sets are
     the runs of the points U it covers, and the budget counts set points only:
     a family of p covers p (`cover`) or lies in p without a point (`family`).
     Each candidate is the float sum tn(E_1) + (tn(E_2) + ...) however a search
     reaches it, and max is exact, so values do not depend on the search order."""
 
-    def __init__(self, p: CoefficientPattern, memos: tuple[dict, dict]):
+    def __init__(self, p: CoefficientPattern, norms: dict):
         self.p, self.exp = p, scale_exp(p)
         self.q = tuple(math.ldexp(v, -self.exp) for v in p)
-        self._norm, self._bps = memos
+        self._norm = norms
+        self._split: dict[tuple, tuple[float, int]] = {}  # `split`: (best, first-run width)
         self._family: dict[tuple, list | tuple[list, list]] = {}  # `family` and `cover` states
 
     def fill(self) -> None:
@@ -129,20 +129,14 @@ class _Pieces:
             return sum(p), 1
         if m == 1:
             return self.norm_of(p), n
-        best, width = _NEG, 0
-        for t in range(1, n):
-            cand = self.norm_of(p[:t]) + self.bps(p[t:], m - 1)
-            if cand > best:
-                best, width = cand, t
-        return best, width
-
-    def bps(self, p: CoefficientPattern, m: int) -> float:
-        if m >= len(p) or m == 1:
-            return self.split(p, m)[0]
-        key = (p, m)
-        hit = self._bps.get(key)
+        hit = self._split.get((p, m))
         if hit is None:
-            hit = self._bps[key] = self.split(p, m)[0]
+            hit = _NEG, 0
+            for t in range(1, n):
+                cand = self.norm_of(p[:t]) + self.split(p[t:], m - 1)[0]
+                if cand > hit[0]:
+                    hit = cand, t
+            self._split[p, m] = hit
         return hit
 
     def cover(self, p: CoefficientPattern, c: int, first_floor: int) -> tuple[list, list]:
@@ -161,7 +155,7 @@ class _Pieces:
         if hit is None:
             best, arg = [_NEG], [0]
             for t in range(1, r + 1):
-                tnv = _ratio(self.bps(p[:t], fl), fl)  # tn at scales >= fl: the floor rule
+                tnv = _ratio(self.split(p[:t], fl)[0], fl)  # tn at scales >= fl: the floor rule
                 for k, v in enumerate(self.cover(p[t:], c + t, ff)[0], 1):
                     if k == len(best):
                         best, arg = best + [_NEG], arg + [0]
@@ -192,7 +186,7 @@ class _Pieces:
         return self.norm_of(self._at(pos))
 
     def best(self, pos: Sequence[int] | None, m: int) -> float:
-        return self.bps(self._at(pos), m)
+        return self.split(self._at(pos), m)[0]
 
     def root_best(self, m0: int) -> list:
         return self.family(self.q, m0)
@@ -229,7 +223,7 @@ class _Pieces:
 
     def residual(self) -> float:
         """`FamilyEngine.fixed_point_residual` at the root."""
-        return unscale(abs(self.value() - _Pieces(self.p, (self._norm, {})).rhs(self.q)), self.exp)
+        return unscale(abs(self.value() - _Pieces(self.p, self._norm).rhs(self.q)), self.exp)
 
     def levels(self) -> list[float]:
         """`RunTables.levels` on every restriction of the root, the sup norm of
@@ -238,7 +232,7 @@ class _Pieces:
         closure = list({z for k in range(1, len(q) + 1) for z in combinations(q, k)})
 
         def step(values):
-            pieces = _Pieces(self.p, (dict(zip(closure, values.tolist())), {}))
+            pieces = _Pieces(self.p, dict(zip(closure, values.tolist())))
             return np.array([pieces.rhs(z) for z in closure])
         return iterate(np.array([max(z) for z in closure]), step, closure.index(q), max(q),
                        10 * len(q), self.exp)
@@ -375,7 +369,7 @@ class _Segment(RunTables):
             return S[0, :, 0]
         a, e = np.triu_indices(n + 1, 1)  # every first run, of t = e - a points
         t = e - a
-        head = self.table(m0)[t, a] / m0 if m0.bit_length() <= _FLOOR_BITS_CAP else 0.0 * t
+        head = _ratio(self.table(m0)[t, a], m0)
         r, b = t <= nc, (t > nc) & (e < n)  # rests in S, or one merged run
         rest = (head[r, None] + S[t[r], 1:-1, e[r]]).max(axis=0)  # k >= 2
         merged = head[b] + self.pow2[0, t[b]] * self.l1[n - e[b], e[b]]
@@ -404,14 +398,14 @@ class _Segment(RunTables):
 
 class FamilyEngine(Engine):
     """Evaluator for the family norm and its seminorms, on the last root's
-    object only: a `_Pieces` on the engine's pattern memos, or a `_Segment`.
+    object only: a `_Pieces` on the engine's norm memo, or a `_Segment`.
     Every memo entry is a function of its key alone and an operation holds its
     root object, so an instance shared across threads stays correct but may
     repeat a search."""
 
     def __init__(self, mode: SearchMode):
         self.mode = mode
-        self._memos: tuple[dict, dict] = ({}, {})  # exhaustive: norms and partition sums
+        self._norms: dict = {}  # exhaustive: norms by pattern, shared across roots
 
     def norm(self, x: FiniteVector, with_witness: bool = False):
         S = self._root(x.pattern())
@@ -459,7 +453,7 @@ class FamilyEngine(Engine):
         if len(p) > self.mode.max_support:
             raise SupportLimitError(f"support {len(p)} exceeds exhaustive limit "
                                     f"{self.mode.max_support}; use segment mode")
-        return _Pieces(p, self._memos)
+        return _Pieces(p, self._norms)
 
     def _node(self, x: FiniteVector, S: _Pieces | _Segment, pos: Sequence[int]) -> Witness:
         """Certificate for the norm of x on the support positions pos."""

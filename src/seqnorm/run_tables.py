@@ -282,7 +282,12 @@ class Engine:
 
     def fixed_point_residual(self, x) -> float:
         """|LHS - RHS| of the implicit equation, the RHS supremum re-evaluated
-        one step with the computed norm as the piece oracle."""
+        one step with the computed norm as the piece oracle.  That re-runs the
+        map the engine computed its norms with on those same norms, so it reads
+        0.0 whenever the search is deterministic (0.0 on every vector sampled,
+        in both modes of ``x2`` and in ``x1``): it catches a search that does
+        not reproduce its own values.  Convergence of the construction is what
+        `iterate_levels` checks."""
         p = x.pattern()
         return self._root(p).residual() if p else 0.0
 

@@ -91,7 +91,9 @@ def random_average(rng, p: float, engine, start: int = 1):
 
 def suite_fixedpoint(count: int, seed: int) -> Report:
     """Fixed-point residuals: family norm (exhaustive, support <= 10) and
-    scale norm (small preset, support <= 30)."""
+    scale norm (small preset, support <= 30).  Each re-runs the engine's map
+    on its own norms (`Engine.fixed_point_residual`), so it reads 0.0 for a
+    deterministic search; the levels iteration is what checks convergence."""
     rng = np.random.default_rng(seed)
     report = Report(suite="fixedpoint", seed=seed)
     for space, engine, support in (("x2", get_engine(Exhaustive()), 10),

@@ -74,7 +74,8 @@ Witness = Union[SupWitness, PartitionWitness, FamilyWitness, QuadraticWitness]
 def evaluate_witness(w: Witness, x: FiniteVector) -> float:
     """Recompute the witness value bottom-up against x, checking the tree on
     the way: at most m ordered partition pieces, admissible families with one
-    child per pair.  A malformed tree raises ValueError.
+    child per pair, each a partition whose m and divisor are its pair's scale.
+    A malformed tree raises ValueError.
 
     Each child is evaluated against x restricted to its set, read by index
     lookups into x: a sup index counts only if every enclosing set holds it.
@@ -99,6 +100,9 @@ def _evaluate(w: Witness, coef: dict[int, float], within: tuple[IndexSet, ...]) 
         AdmissibleFamily(w.pairs).validate()
         if len(w.children) != len(w.pairs):
             raise ValueError("family witness needs one child per pair")
+        for (m, _), child in zip(w.pairs, w.children):
+            if not (isinstance(child, PartitionWitness) and child.m == m and child.divisor == m):
+                raise ValueError(f"family child of scale {m} is not a partition divided by {m}")
         div = f(len(w.pairs))
         return sum(
             _evaluate(child, coef, (*within, E)) / div

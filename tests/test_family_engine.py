@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -470,6 +472,22 @@ def test_evaluate_witness_rejects_malformed_trees():
             evaluate_witness(w, x)
 
 
+@pytest.mark.parametrize("forge", [
+    lambda m, c: replace(c, divisor=c.divisor / 4),  # would certify 5.1131 for 1.2783
+    lambda m, c: replace(c, m=1000),
+    lambda m, c: SupWitness(1.0, c.pieces[0][0].min),  # |x_i| undivided by the scale
+], ids=["divisor-below-scale", "scale-not-its-pairs", "sup-child"])
+def test_witness_rejects_forged_family_child(forge):
+    # the exhaustive witness of ones(10), its family children forged
+    x = FiniteVector.ones(10)
+    w = FamilyEngine(Exhaustive()).norm(x, with_witness=True)[1]
+    assert isinstance(w, FamilyWitness) and w.value == pytest.approx(1.2783, abs=1e-4)
+    validate_witness(w, x)
+    forged = replace(w, children=tuple(forge(m, c) for (m, _), c in zip(w.pairs, w.children)))
+    with pytest.raises(ValueError):
+        evaluate_witness(forged, x)
+
+
 def test_witness_families_are_admissible(ex_engine, rng):
     for _ in range(20):
         x = random_test_vector(rng, 9)
@@ -559,6 +577,35 @@ def test_search_states_kept_for_last_root_only(rng, mode):
             n = x.support_size
             assert shared._last.p == x.pattern() and shared._last._end[0] == n
             assert np.array_equal(shared._last.ending(n, n), fresh._last.ending(n, n))
+
+
+def test_exhaustive_state_bounded_by_one_root():
+    # 1,000 distinct roots on one engine: the norm memo is its only engine-wide
+    # container, and the partition sums it holds are the last root's
+    rng = np.random.default_rng(11)
+    roots = {random_test_vector(rng, 5).pattern() for _ in range(1100)}
+    roots = [FiniteVector.from_dense(p) for p in sorted(roots, key=lambda p: (len(p), p))[-1000:]]
+    assert len(roots) == 1000
+    tracemalloc.start()
+    try:
+        FamilyEngine(Exhaustive()).norm(roots[0])  # one-time allocations outside the engine
+        gc.collect()  # a full collection also empties the interpreter's free lists
+        base = tracemalloc.get_traced_memory()[0]
+        engine = FamilyEngine(Exhaustive())
+        for x in roots:
+            engine.norm(x)
+        root = engine._last
+        assert [k for k, v in vars(engine).items() if v and isinstance(v, (dict, tuple))] == ["_norms"]
+        assert root.p == roots[-1].pattern() and root._split
+        subpatterns = {z for k in range(1, len(root.q) + 1) for z in combinations(root.q, k)}
+        assert {p for p, _ in root._split} <= subpatterns
+        engine._norms.clear()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    # one 5-point root's states; with an engine-wide partition-sum memo this read 920 KB
+    assert held < 100_000
 
 
 def test_exhaustive_frozen_corpus():
