@@ -72,8 +72,6 @@ def random_family(rng, x: FiniteVector, max_sets: int = 4) -> AdmissibleFamily:
         pos += size + int(rng.integers(0, 2))
         if consumed > 6:
             break
-    if not pairs:
-        pairs = [(2, IndexSet.of(idx[:1]))]
     return AdmissibleFamily.of(pairs)
 
 

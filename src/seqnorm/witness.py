@@ -74,7 +74,9 @@ Witness = Union[SupWitness, PartitionWitness, FamilyWitness, QuadraticWitness]
 def evaluate_witness(w: Witness, x: FiniteVector) -> float:
     """Recompute the witness value bottom-up against x, checking the tree on
     the way: at most m ordered partition pieces, admissible families with one
-    child per pair, each a partition whose m and divisor are its pair's scale.
+    child per pair, each a partition whose m and divisor are its pair's scale,
+    and square sums whose head scales n increase, end before the tail and
+    are each 2**k - 1, with a partition child of m = n and divisor f(n).
     A malformed tree raises ValueError.
 
     Each child is evaluated against x restricted to its set, read by index
@@ -109,6 +111,13 @@ def _evaluate(w: Witness, coef: dict[int, float], within: tuple[IndexSet, ...]) 
             for (_, E), child in zip(w.pairs, w.children)
         )
     if isinstance(w, QuadraticWitness):
+        keys = [n for n, _ in w.head]
+        if not (all(a < b for a, b in zip(keys, keys[1:])) and w.tail_start > len(keys)):
+            raise ValueError("l2sum head scales must increase and end before its tail")
+        for n, child in w.head:
+            if not (n > 0 and n & (n + 1) == 0 and isinstance(child, PartitionWitness)
+                    and child.m == n and child.divisor == f(n)):
+                raise ValueError(f"head child of scale {n} is not a partition divided by f({n})")
         return math.hypot(*(_evaluate(child, coef, within) for _, child in w.head), w.tail_l2)
     raise TypeError(f"not a witness: {w!r}")
 

@@ -6,7 +6,10 @@ import pytest
 
 from seqnorm.cli import _emit, main
 from seqnorm.core import FiniteVector
-from seqnorm.io import InputError, load_family, load_vector, load_witness, save_vector
+from seqnorm.qsum_engine import QSumConfig, get_qsum_engine
+from seqnorm.io import (
+    InputError, config_hash, load_family, load_vector, load_witness, save_vector,
+)
 from seqnorm.witness import evaluate_witness, validate_witness, witness_from_json, witness_to_json
 
 
@@ -430,3 +433,27 @@ def test_localized_upper_scale_beyond_the_double_range(capsys, tmp_path):
     code, out = run_cli(capsys, "construct", "localized", "--l0", "2", "--l1", "3",
                         "--l1-prime", 10**309, "--out-dir", tmp_path / "art")
     assert code == 0 and out["status"] == "ok"
+
+
+def test_x1_config_file(capsys, tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"preset": {"custom": {"f_of_nk": [3, 5], "tail": "geometric"}}}))
+    x = FiniteVector(zip(range(1, 21), [0.5 + (i % 7) / 3 for i in range(20)]))
+    vec = tmp_path / "v.json"
+    save_vector(x, str(vec))
+    cfg = QSumConfig.custom([3, 5], "geometric")
+    code, out = run_cli(capsys, "norm", "x1", vec, "--config", cfg_file)
+    assert code == 0
+    assert out["config"] == cfg.to_json() and out["config_hash"] == config_hash(cfg.to_json())
+    assert out["value"] == get_qsum_engine(cfg).norm(x)
+    code, out = run_cli(capsys, "seminorm", "ell", vec, "--space", "x1", "-l", "3",
+                        "--config", cfg_file)
+    assert code == 0
+    assert out["config"] == cfg.to_json() and out["value"] == get_qsum_engine(cfg).norm_k(x, 3)
+
+
+@pytest.mark.parametrize("kind", ["triple", "ellm0"])
+def test_x1_seminorm_other_than_ell_rejected(capsys, vec_file, kind):
+    assert main(["seminorm", kind, str(vec_file), "--space", "x1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "only the 'ell' seminorm" in captured.err

@@ -189,6 +189,28 @@ def test_grid_two_by_two(seg_engine):
     assert starts.premise_status == "UNMET" and starts.rhs == 7.0
 
 
+@pytest.mark.parametrize("n, k0", [(1, 3), (2, 1), (3, 2)])
+def test_grid_cells_are_runs_of_one_chain_norm(seg_engine, n, k0):
+    class Counting:
+        calls = 0
+
+        def norm(self, x):
+            Counting.calls += 1
+            return seg_engine.norm(x)
+
+        def evaluate_family(self, x, fam):
+            return seg_engine.evaluate_family(x, fam)
+
+    samples = 2
+    res = build_matrix_grid(GridParams(n=n, eps=0.5, k0=k0, budget=400, samples=samples),
+                            Counting())
+    # one norm for the chain, then one per sampled matrix: I, ones, n columns
+    assert Counting.calls == 1 + (2 + n + samples)
+    coef = (1.0 / k0) * ((1.0 / seg_engine.norm((f(2) / 2) * FiniteVector.ones(6))) * (f(2) / 2))
+    for (i, j), cell in res.cells.items():
+        assert cell == coef * FiniteVector.ones(6 * k0, 1 + ((i - 1) * n + j - 1) * 6 * k0)
+
+
 def test_grid_budget(seg_engine):
     with pytest.raises(BudgetExceededError):
         build_matrix_grid(GridParams(n=3, eps=0.5, k0=4, budget=50), seg_engine)
@@ -211,6 +233,20 @@ def test_equal_split_examples():
         equal_split_check(1, 5.0)
     with pytest.raises(ValueError):
         equal_split_check(3, 2.0)
+
+
+@pytest.mark.parametrize("ell, m", [(3, 9.0), (4, 10.0), (5, 7.5), (7, 100.0)])
+def test_equal_split_scans_vertices_and_edge_midpoints(ell, m):
+    # with no random samples, the scan is the vertices and the cyclic edge
+    # midpoints of the shifted simplex {a_i >= 1, sum a_i = m}
+    def g(a):
+        return sum(t / f(t) for t in a)
+
+    vertex = g([1.0 + (m - ell)] + [1.0] * (ell - 1))
+    midpoint = g([1.0 + (m - ell) / 2.0] * 2 + [1.0] * (ell - 2))
+    center = ell * (m / ell) / f(m / ell)
+    assert equal_split_check(ell, m, resolution=0) == pytest.approx(
+        max(vertex, midpoint) - center, rel=1e-12, abs=1e-12)
 
 
 def test_equal_split_grid():

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from seqnorm.admissible import AdmissibleFamily
-from seqnorm.blocks import BlockBasis, assemble_lp_average
+from seqnorm.blocks import AssembledAverage, BlockBasis, assemble_lp_average
 from seqnorm.constructions import build_average
 from seqnorm.core import FiniteVector, IndexSet, f
 from seqnorm.inequalities import (
@@ -139,6 +139,26 @@ def test_rapid_averages_trivial_single(ex_engine):
     rep = verify_rapid_averages([avg], 0.25, [4], ex_engine)
     big = next(b for b in rep.items if b.instance.startswith("large_level"))
     assert big.margin == pytest.approx(0.5, abs=1e-12)
+
+
+def test_rapid_averages_small_level_bound():
+    # one l1 average of k1 = 576 singletons at eps = 1/4: the small-level
+    # threshold eps k1^(1/2) / 6n is exactly 1, so level 1 takes the
+    # (||y|| + eps) / f(ell) bound and level 2 the large-level one
+    class Stub:
+        def norm(self, x):
+            return 0.75
+
+        def norm_ell(self, x, ell):
+            return 0.5 / ell
+
+    blocks = BlockBasis(tuple(FiniteVector.basis(i) for i in range(1, 577)))
+    avg = AssembledAverage(blocks.combine([1.0 / 576] * 576), blocks, 1.0, 1.0, 1.0, True)
+    rep = verify_rapid_averages([avg], 0.25, [1, 2], Stub())
+    small = next(b for b in rep.items if b.instance == "small_level_bound[ell=1]")
+    assert (small.lhs, small.rhs) == (0.5, (0.75 + 0.25) / f(1))
+    large = next(b for b in rep.items if b.instance == "large_level_bound[ell=2]")
+    assert large.rhs == 2 * 0.25 + 0.25
 
 
 def test_chain_stacks_single_stack_base_case(ex_engine):

@@ -1,6 +1,8 @@
 import math
+from dataclasses import replace
 
 import mpmath
+import numpy as np
 import pytest
 
 from conftest import random_test_vector
@@ -275,6 +277,35 @@ def test_witness(small_engine, rng):
         validate_witness(w, x)
         assert evaluate_witness(w, x) == pytest.approx(v, rel=1e-12)
         assert witness_from_json(witness_to_json(w)) == w
+
+
+@pytest.mark.parametrize("forge", [
+    lambda w: replace(w, head=tuple((n, replace(c, divisor=c.divisor / 4)) for n, c in w.head)),
+    lambda w: replace(w, head=w.head + w.head[-1:]),
+    lambda w: replace(w, tail_start=1),
+], ids=["divisors-quartered", "last-head-entry-repeated", "tail-start-one"])
+def test_witness_rejects_forged_head(forge):
+    # the small witness of a 40-point vector (norm 33.248, heads at 15 and 31);
+    # the forgeries would re-evaluate to 75.81, 35.56 and 33.248
+    x = FiniteVector.from_dense(np.random.default_rng(0).uniform(0.1, 3.0, 40))
+    v, w = QSumEngine(QSumConfig.small()).norm(x, with_witness=True)
+    assert v == pytest.approx(33.248, abs=1e-3) and [n for n, _ in w.head] == [15, 31]
+    validate_witness(w, x)
+    with pytest.raises(ValueError):
+        evaluate_witness(forge(w), x)
+
+
+@pytest.mark.parametrize("config", [
+    QSumConfig.small(), QSumConfig.paper_faithful(),
+    QSumConfig.custom([3, 5]), QSumConfig.custom([3, 5], "geometric"),
+], ids=["small", "paper", "custom-zeta", "custom-geometric"])
+def test_engine_witness_heads_validate(config):
+    engine = QSumEngine(config)
+    rng = np.random.default_rng(5)
+    for n in (1, 8, 16, 33, 70, 130):
+        for coefs in (rng.uniform(0.1, 3.0, n), np.ones(n), np.exp(rng.uniform(-30, 30, n))):
+            x = FiniteVector.from_dense(coefs)
+            validate_witness(engine.norm(x, with_witness=True)[1], x)
 
 
 @pytest.mark.parametrize("with_witness", [False, True])
