@@ -185,6 +185,14 @@ def equivalence_constant(A: BasisEvaluator, B: BasisEvaluator) -> EquivalenceEst
     )
 
 
+def check_normalized(blocks: BlockBasis, engine) -> None:
+    """Refuse a block whose engine norm is not 1 to INEQ_TOL."""
+    for j, v in enumerate(blocks.vectors, start=1):
+        nrm = engine.norm(v)
+        if abs(nrm - 1.0) > INEQ_TOL:
+            raise BlockBasisError(f"block {j} is not normalized: norm {nrm}")
+
+
 def assemble_lp_average(blocks: BlockBasis, p: float, engine) -> AssembledAverage:
     """Scale the sum of normalized blocks into an l_p^n average.
 
@@ -200,10 +208,7 @@ def assemble_lp_average(blocks: BlockBasis, p: float, engine) -> AssembledAverag
     n = len(blocks)
     if n == 0:
         raise BlockBasisError("an l_p average needs at least one block")
-    for j, v in enumerate(blocks.vectors, start=1):
-        nrm = engine.norm(v)
-        if abs(nrm - 1.0) > INEQ_TOL:
-            raise BlockBasisError(f"block {j} is not normalized: norm {nrm}")
+    check_normalized(blocks, engine)
     vec = blocks.combine([n ** (-1.0 / p)] * n)  # 1/inf = 0: the plain sum
     sandwich = float(n) ** max(1.0 / p, 1.0 - 1.0 / p)
     est = equivalence_constant(engine_basis(engine, blocks), lp_basis(p, n))
@@ -279,28 +284,26 @@ class EmbeddedBasis:
         return _linf_combination(b, self.coefficients)
 
 
-def embed_unconditional(
-    y_coords, seed: int = 0, trials: int = 64, tol: float = EQ_TOL
-) -> EmbeddedBasis:
+def embed_unconditional(y_coords, seed: int = 0) -> EmbeddedBasis:
     """Place row k of `y_coords` into row k of the matrix basis.
 
     The rows are asserted by the caller to represent a 1-unconditional
-    sequence in l_inf^n; a seeded spot check verifies that the coordinate
-    norm max_j |sum_k b_k a_{k,j}| is invariant under sign flips of b, and a
-    failure is an error.  For unconditional rows the embedding satisfies
-    ||sum b_k x_k|| = max_j sum_k |b_k a_{k,j}| = ||sum b_k y_k||.
+    sequence in l_inf^n; a seeded spot check of 64 trials verifies that the
+    coordinate norm max_j |sum_k b_k a_{k,j}| is invariant, to EQ_TOL, under
+    sign flips of b, and a failure is an error.  For unconditional rows the
+    embedding satisfies ||sum b_k x_k|| = max_j sum_k |b_k a_{k,j}| = ||sum b_k y_k||.
     """
     arr = np.asarray(y_coords, dtype=float)
     if arr.ndim != 2:
         raise ValueError("need an m x n coordinate array")
     m, n = arr.shape
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
+    for _ in range(64):
         b = rng.normal(size=m)
         eps = rng.choice([-1.0, 1.0], size=m)
         plain = _linf_combination(b, arr)
         flipped = _linf_combination(eps * b, arr)
-        if abs(plain - flipped) > tol * max(1.0, plain):
+        if abs(plain - flipped) > EQ_TOL * max(1.0, plain):
             raise UnconditionalityError(
                 f"sign flip changed the coordinate norm: {plain} vs {flipped}"
             )

@@ -175,10 +175,8 @@ def cmd_construct(args) -> int:
                           certificate=cert.value, bound=cert.bound,
                           block_norms=list(cert.block_norms))
     elif args.what == "localized":
-        params = LocalizedParams(
-            L0=args.l0, eps=args.eps, m0=args.m0, relaxed=not args.faithful,
-            L1=args.l1, L1_prime=args.l1_prime, budget=args.budget,
-        )
+        params = LocalizedParams(L0=args.l0, eps=args.eps, L1=args.l1,
+                                 L1_prime=args.l1_prime, m0=args.m0, budget=args.budget)
         try:
             res = build_localized_vector(params, get_engine(SegmentDP()))
         except (BudgetExceededError, ValueError) as exc:
@@ -263,26 +261,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("construct", help="build certified special vectors")
-    p.add_argument("what", choices=("chain", "localized", "grid", "lp-average"))
-    p.add_argument("--out-dir", default="seqnorm_artifacts")
-    p.add_argument("--budget", type=_budget, default=200)
-    p.add_argument("--l", type=_int_at_least(1), default=2, help="chain length")
-    p.add_argument("--l0", type=int, default=2)
-    p.add_argument("--l1", type=int, default=3)
-    p.add_argument("--l1-prime", type=int, default=16)
-    p.add_argument("--m0", type=int, default=2)
-    p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--faithful", action="store_true",
-                   help="refuse relaxed scales (usually infeasible)")
-    p.add_argument("--n", type=int, default=2, help="grid side")
-    p.add_argument("--k0", type=int, default=1, help="grid averaging count")
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--samples", type=int, default=4)
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--blocks", nargs="*", default=(), help="block vector files")
-    add_mode(p)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_construct)
+    targets = p.add_subparsers(dest="what", required=True)
+
+    def target(name: str, about: str):
+        """The parser of one construct target; each takes only the flags it reads."""
+        t = targets.add_parser(name, help=about)
+        t.add_argument("--out-dir", default="seqnorm_artifacts")
+        t.add_argument("--out")
+        if name != "lp-average":
+            t.add_argument("--budget", type=_budget, default=200)
+        t.set_defaults(func=cmd_construct)
+        return t
+
+    t = target("chain", "sup-norm chain with one certifying family")
+    t.add_argument("--l", type=_int_at_least(1), default=2, help="chain length")
+    t = target("localized", "scale-localized vector at relaxed scales")
+    t.add_argument("--l0", type=int, default=2)
+    t.add_argument("--l1", type=int, default=3)
+    t.add_argument("--l1-prime", type=int, default=16)
+    t.add_argument("--m0", type=int, default=2)
+    t.add_argument("--eps", type=float, default=0.25)
+    t = target("grid", "relaxed matrix grid")
+    t.add_argument("--n", type=int, default=2, help="grid side")
+    t.add_argument("--k0", type=int, default=1, help="grid averaging count")
+    t.add_argument("--eps", type=float, default=0.25)
+    t.add_argument("--seed", type=_int_at_least(0), default=0)
+    t.add_argument("--samples", type=int, default=4)
+    t = target("lp-average", "l_p average of normalized block files")
+    t.add_argument("--p", type=float, default=1.0)
+    t.add_argument("--blocks", nargs="*", default=(), help="block vector files")
+    add_mode(t)
     return ap
 
 

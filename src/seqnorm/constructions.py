@@ -43,10 +43,9 @@ def _check_budget(budget: int) -> None:
 
 
 class BudgetExceededError(ValueError):
-    def __init__(self, message: str, min_support: int | None, desc: str = ""):
+    def __init__(self, message: str, min_support: int | None):
         super().__init__(message)
         self.min_support = min_support
-        self.min_support_desc = desc or (str(min_support) if min_support else "")
 
 
 # ----------------------------------------------------------------------
@@ -61,21 +60,24 @@ class ChainPlan:
     min_support_desc: str
 
 
-def plan_chain(ell: int, shift_cap: int = 4096) -> ChainPlan:
+SHIFT_CAP = 4096  # the largest exponent `plan_chain` materializes as a size 2**shift
+
+
+def plan_chain(ell: int) -> ChainPlan:
     """Block sizes of the l-element chain and the total support it needs.
 
     The first block has 2 points with scale 2; each later block's scale must
     exceed the cumulative support in the exact sense m >= 2**consumed, and
     the block needs m points to make its triple norm 1.  Sizes therefore grow
     doubly exponentially (2, 4, 64, 2**70, 2**(70 + 2**70), ...); once the
-    next exponent passes `shift_cap` the total is reported symbolically.
+    next exponent passes `SHIFT_CAP` the total is reported symbolically.
     """
     if ell < 1:
         raise ValueError("need ell >= 1")
     sizes = [2]
     while len(sizes) < ell:
         shift = sum(sizes)
-        if shift > shift_cap:
+        if shift > SHIFT_CAP:
             return ChainPlan(
                 sizes=tuple(sizes),
                 min_support=None,
@@ -113,7 +115,6 @@ def build_chain(ell: int, budget: int, engine) -> ChainCertificate:
             f"chain of length {ell} needs support {plan.min_support_desc} "
             f"> budget {budget}",
             min_support=plan.min_support,
-            desc=plan.min_support_desc,
         )
     sizes = plan.sizes
     vectors = []
@@ -190,12 +191,14 @@ def build_average(
 
 @dataclass(frozen=True)
 class LocalizedParams:
+    """Relaxed scales L1 and L1': no budget up to MAX_BUDGET holds the L1 >= 6
+    stacks of the faithful scales (`faithful_localization_scales`)."""
+
     L0: int
     eps: float
+    L1: int
+    L1_prime: int
     m0: int = 2
-    relaxed: bool = True
-    L1: int | None = None  # required in relaxed mode
-    L1_prime: int | None = None
     budget: int = 200
 
     def __post_init__(self) -> None:
@@ -205,12 +208,10 @@ class LocalizedParams:
             raise ValueError(f"eps must be in (0, 1), got {self.eps}")
         if self.m0 < 2:
             raise ValueError(f"first-scale floor m0 must be >= 2, got {self.m0}")
-        if self.L1_prime is not None and self.L1_prime < 1:
+        if self.L1_prime < 1:
             raise ValueError(f"upper localization scale L1_prime must be >= 1, "
                              f"got {self.L1_prime}")
-        if self.relaxed and (self.L1 is None or self.L1_prime is None):
-            raise ValueError("relaxed mode needs explicit L1 and L1_prime")
-        if self.relaxed and not self.L1 > self.L0:
+        if not self.L1 > self.L0:
             raise ValueError(f"relaxed scale L1 must be > L0 = {self.L0}, got {self.L1}")
         _check_budget(self.budget)
 
@@ -263,23 +264,19 @@ def build_localized_vector(params: LocalizedParams, engine) -> LocalizedResult:
 
     Checks reported: (a) ||x||_ell <= 2/f(ell) for ell <= L0;
     (b) ||x||_(L1, m0) >= 1 - eps, with the construction's own family as a
-    certified lower bound; (c) ||x||_ell <= eps for ell >= L1'.  Conclusions
-    are asserted only at faithful scales; the witness value never exceeds the
-    mid-level seminorm, so that check is asserted at every scale.
+    certified lower bound; (c) ||x||_ell <= eps for ell >= L1'.  The faithful
+    L1 and log2 L1' are reported as premises, which the relaxed scales never
+    meet, so these conclusions are reported but never asserted.  Only the
+    witness check is asserted: the witness value never exceeds the mid-level
+    seminorm at any scale.
     """
     report = Report()
     L1_req, L1p_req = faithful_localization_scales(params.L0, params.eps)
-    if params.relaxed:
-        L1, L1p = params.L1, params.L1_prime
-        report.notes.append(
-            f"relaxed scales L1={L1}, L1'={L1p}; faithful would need "
-            f"L1={L1_req}, log2(L1') ~ {L1p_req if L1p_req is not None else 'n/a'}"
-        )
-    else:
-        if L1_req is None or not math.isfinite(L1p_req):
-            raise ValueError("no faithful scales found within the scan cap")
-        L1 = L1_req
-        L1p = 1 << max(1, math.ceil(L1p_req))
+    L1, L1p = params.L1, params.L1_prime
+    report.notes.append(
+        f"relaxed scales L1={L1}, L1'={L1p}; faithful would need "
+        f"L1={L1_req}, log2(L1') ~ {L1p_req if L1p_req is not None else 'n/a'}"
+    )
     report.items.append(
         premise(
             "faithful_L1",
@@ -313,14 +310,7 @@ def build_localized_vector(params: LocalizedParams, engine) -> LocalizedResult:
                 min_support=consumed + want,
             )
         size = min(want, room)
-        if size < want:
-            if not params.relaxed:
-                raise BudgetExceededError(
-                    f"faithful stack growth needs {want} more points at stack "
-                    f"{i + 1}, budget {params.budget}",
-                    min_support=consumed + want if want < (1 << 62) else None,
-                )
-            capped = True
+        capped |= size < want
         pairs.append((want, IndexSet.interval(consumed + 1, consumed + size)))
         consumed += size
     if capped:
@@ -348,7 +338,7 @@ def build_localized_vector(params: LocalizedParams, engine) -> LocalizedResult:
     # valued before the level checks, which then share x's search
     witness_value = engine.evaluate_family(x, fam)
 
-    status, asserted = report.verdict(params.relaxed)
+    status, asserted = report.verdict(relaxed=True)
     for ell in range(1, params.L0 + 1):
         report.items.append(
             bound(f"low_level[ell={ell}]", engine.norm_ell(x, ell), 2.0 / f(ell),
@@ -495,7 +485,7 @@ def build_matrix_grid(params: GridParams, engine) -> GridResult:
             0.0,
             float(waived),
             holds=waived == 0,
-            note=f"{waived} cells would need start scale 2**(consumed) "
+            note=f"{waived} chains would need start scale 2**(consumed) "
             "to concatenate admissibly; lifted instead",
         )
     )

@@ -57,6 +57,9 @@ _FLOOR_BITS_CAP = 1020
 # on a 2-vCPU Xeon (BENCH_16.json), but the limit decides which suite instances run
 # exhaustively, and the frozen suite reports and benchmark references were taken at 12.
 MAX_EXHAUSTIVE_SUPPORT = 12
+# The most norms exhaustive mode keeps by pattern (about 13 MB); an insert past it clears them.
+# After its warm-up, a seed-1 `suites-warm` benchmark run of 6,000 operations peaks at 30,842.
+MAX_NORMS = 1 << 17
 
 
 class SupportLimitError(ValueError):
@@ -113,7 +116,10 @@ class _Pieces:
             return max(p, default=0.0)
         hit = self._norm.get(p)
         if hit is None:
-            hit = self._norm[p] = self.rhs(p)
+            hit = self.rhs(p)
+            if len(self._norm) >= MAX_NORMS:
+                self._norm.clear()
+            self._norm[p] = hit
         return hit
 
     def rhs(self, p: CoefficientPattern) -> float:
@@ -257,7 +263,7 @@ class _Segment(RunTables):
         n = len(p)
         self.nc = max(2, (n - 1).bit_length())  # c = 0 .. floor(log2(n - 1)) are searched
         self.K = self.nc + 2  # at most nc + 1 sets
-        self.floors = np.array([max(2, 1 << c) for c in range(2 * self.nc)])
+        self.floors = np.array([min_m_for_budget(c) for c in range(2 * self.nc)])
         super().__init__(p, self.floors[: self.nc].tolist())
         self.fk = np.array([f(k) for k in range(1, self.K)])
         v = np.ldexp(1.0, -np.arange(self.nc + n + 1))
@@ -388,7 +394,7 @@ class _Segment(RunTables):
         for left in range(k, 0, -1):
             while not (t := self._first(S, D, e, c, a, left)):
                 a += 1  # the family leaves p[a] out
-            out.append((range(a, a + t), max(2, 1 << c)))  # the floor attains tn
+            out.append((range(a, a + t), min_m_for_budget(c)))  # the floor attains tn
             a, c = a + t, c + t
         return out
 

@@ -41,7 +41,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import CoefficientPattern, FiniteVector, IndexSet, INEQ_TOL, f
+from .blocks import BlockBasis, check_normalized
+from .core import CoefficientPattern, FiniteVector, IndexSet, f
 from .run_tables import Engine, RunTables, unscale
 from .witness import PartitionWitness, QuadraticWitness, SupWitness, Witness
 
@@ -225,14 +226,7 @@ class QSumEngine(Engine):
                 f"block count {count} is not one of the configured scales "
                 f"(nearest are {self.cfg.n_at(max(k - 1, 1))} and {self.cfg.n_at(k)})"
             )
-        prev_max = 0
-        for j, y in enumerate(blocks, start=1):
-            if y.support_size == 0 or y.indices[0] <= prev_max:
-                raise ValueError(f"block {j} breaks the successive-support ordering")
-            prev_max = y.indices[-1]
-            nrm = self.norm(y)
-            if abs(nrm - 1.0) > INEQ_TOL:
-                raise ValueError(f"block {j} is not normalized: norm {nrm}")
+        check_normalized(BlockBasis(tuple(blocks)), self)  # successive supports, each of norm 1
         bound = count / self.cfg.f_nk(k)
         return self.norm(FiniteVector.sum(blocks)) - bound
 

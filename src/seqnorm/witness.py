@@ -122,10 +122,10 @@ def _evaluate(w: Witness, coef: dict[int, float], within: tuple[IndexSet, ...]) 
     raise TypeError(f"not a witness: {w!r}")
 
 
-def validate_witness(w: Witness, x: FiniteVector, tol: float = EQ_TOL) -> None:
-    """Check structural soundness and that re-evaluation reproduces the value."""
+def validate_witness(w: Witness, x: FiniteVector) -> None:
+    """Check structural soundness and that re-evaluation reproduces the value to EQ_TOL."""
     got = evaluate_witness(w, x)
-    if abs(got - w.value) > tol * max(1.0, abs(w.value)):
+    if abs(got - w.value) > EQ_TOL * max(1.0, abs(w.value)):
         raise ValueError(f"witness re-evaluates to {got}, claims {w.value}")
 
 

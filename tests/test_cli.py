@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from seqnorm.blocks import _samples
 from seqnorm.cli import _emit, main
 from seqnorm.core import FiniteVector
 from seqnorm.qsum_engine import QSumConfig, get_qsum_engine
@@ -254,6 +255,48 @@ def test_construct_lp_average(capsys, tmp_path):
     assert avg == 0.5 * FiniteVector.ones(2)
 
 
+def test_construct_lp_average_beyond_six_blocks(capsys, tmp_path):
+    # past 6 blocks the ratios are read on the unit vectors, the all-ones vector
+    # and 64 normals, so the certified constant is the l1/l_inf sandwich
+    files = []
+    for i in range(1, 8):
+        files.append(tmp_path / f"b{i}.json")
+        save_vector(FiniteVector.basis(i), str(files[-1]))
+    code, out = run_cli(capsys, "construct", "lp-average", "--p", "1", "--blocks", *files,
+                        "--out-dir", tmp_path / "art")
+    assert code == 0 and out["n"] == 7 and not out["exact"]
+    assert out["constant"] == 7.0 and 1.0 < out["sampled_lower"] < 7.0
+    units = [tuple(float(i == j) for j in range(7)) for i in range(7)]
+    samples = _samples(7)
+    assert len(samples) == 72 and list(samples[:8]) == [*units, (1.0,) * 7]
+
+
+def test_construct_lp_average_takes_no_budget(capsys, tmp_path):
+    b1 = tmp_path / "b1.json"
+    b2 = tmp_path / "b2.json"
+    save_vector(FiniteVector.basis(1), str(b1))
+    save_vector(FiniteVector.basis(2), str(b2))
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "lp-average", "--p", "1", "--blocks", str(b1), str(b2),
+              "--budget", "10", "--out-dir", str(tmp_path / "art")])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--budget" in captured.err and "Traceback" not in captured.err
+    assert not (tmp_path / "art").exists()
+
+
+def test_out_writes_the_report_to_a_file(capsys, tmp_path):
+    args = ["construct", "chain", "--l", "2", "--out-dir", tmp_path / "art"]
+    code, printed = run_cli(capsys, *args)
+    assert code == 0
+    code, out = run_cli(capsys, *args, "--out", tmp_path / "report.json")
+    assert code == 0 and out is None  # nothing on stdout
+    written = strict_loads((tmp_path / "report.json").read_text())
+    printed.pop("timings")
+    written.pop("timings")
+    assert written == printed
+
+
 ITEM_KEYS = {"instance", "premise_status", "lhs", "rhs", "margin", "asserted", "ok", "note"}
 SUITE_NAMES = ("fixedpoint", "unconditional", "avgbounds", "offpeak", "stackbound",
                "rapidavg", "chainstacks", "gmax", "matrix", "embed")
@@ -322,7 +365,10 @@ def test_out_of_range_numbers_rejected(capsys, tmp_path, args, names):
      ["lp-average", "--p", "1"], ["lp-average", "--p", "0.5"],
      ["localized", "--l1-prime", "0"], ["localized", "--m0", "1"],
      ["localized", "--eps", "5"], ["chain", "--budget", "-1"],
-     ["localized", "--budget", "-5"], ["grid", "--budget", "-3"]],
+     ["localized", "--budget", "-5"], ["grid", "--budget", "-3"],
+     # each target takes only the flags it reads
+     ["localized", "--faithful"], ["chain", "--mode", "exhaustive"],
+     ["localized", "--k0", "2"], ["grid", "--p", "2"]],
 )
 def test_rejected_construct_leaves_no_directory(capsys, tmp_path, args):
     try:

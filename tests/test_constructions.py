@@ -113,7 +113,7 @@ def test_no_faithful_scale_found_quickly():
 
 
 def test_localized_relaxed_build(seg_engine):
-    params = LocalizedParams(L0=2, eps=0.25, m0=2, relaxed=True, L1=3, L1_prime=16,
+    params = LocalizedParams(L0=2, eps=0.25, m0=2, L1=3, L1_prime=16,
                              budget=100)
     res = build_localized_vector(params, seg_engine)
     assert res.stack_sizes == (2, 4, 64)
@@ -130,7 +130,7 @@ def test_localized_relaxed_build(seg_engine):
 
 
 def test_localized_respects_m0(seg_engine):
-    params = LocalizedParams(L0=1, eps=0.25, m0=4, relaxed=True, L1=2, L1_prime=12,
+    params = LocalizedParams(L0=1, eps=0.25, m0=4, L1=2, L1_prime=12,
                              budget=64)
     res = build_localized_vector(params, seg_engine)
     assert res.stack_sizes[0] == 4  # first stack carries the m0 floor
@@ -140,7 +140,7 @@ def test_localized_respects_m0(seg_engine):
 
 
 def test_localized_budget_capping_recorded(seg_engine):
-    params = LocalizedParams(L0=2, eps=0.25, m0=2, relaxed=True, L1=4, L1_prime=20,
+    params = LocalizedParams(L0=2, eps=0.25, m0=2, L1=4, L1_prime=20,
                              budget=100)
     res = build_localized_vector(params, seg_engine)
     grow = next(p for p in res.report.items if p.instance == "premise exact_stack_growth")

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import random_test_vector
 from oracles import BruteFamilyNorm, evaluate_witness_restrict
 import seqnorm
-from seqnorm import QSumConfig, norm_ell, norm_x1, norm_x2
+from seqnorm import QSumConfig, family_engine, norm_ell, norm_x1, norm_x2
 from seqnorm.admissible import AdmissibleFamily, FamilyValidationError
 from seqnorm.core import EQ_TOL, FiniteVector, IndexSet, f
 from seqnorm.family_engine import (
@@ -606,6 +606,23 @@ def test_exhaustive_state_bounded_by_one_root():
         tracemalloc.stop()
     # one 5-point root's states; with an engine-wide partition-sum memo this read 920 KB
     assert held < 100_000
+
+
+def test_exhaustive_norm_memo_is_bounded(monkeypatch):
+    rng = np.random.default_rng(13)
+    roots = [FiniteVector.from_dense(p)
+             for p in dict.fromkeys(random_test_vector(rng, 8).pattern() for _ in range(1000))]
+    assert len(roots) == 1000
+    fresh = FamilyEngine(Exhaustive())
+    want = [fresh.norm(x) for x in roots]
+    assert len(fresh._norms) > 500
+    monkeypatch.setattr(family_engine, "MAX_NORMS", 500)
+    engine = FamilyEngine(Exhaustive())
+    got, sizes = [], []
+    for x in roots:
+        got.append(engine.norm(x))
+        sizes.append(len(engine._norms))
+    assert max(sizes) <= 500 and got == want
 
 
 def test_exhaustive_frozen_corpus():

@@ -99,6 +99,9 @@ def test_strict_drop_literal_implication(ex_engine, half_pair):
     # large ell with k0 = 2: premise still fails (12*2/sqrt(2) is huge)
     chk = strict_drop_check([half_pair], [1.0], 64, ex_engine)
     assert chk.ok
+    # a zero combination has no level norm to drop: the conclusion holds vacuously
+    chk = strict_drop_check([half_pair], [0.0], 2, ex_engine)
+    assert chk.conclusion_holds and chk.ok
 
 
 # ----------------------------------------------------------------------
