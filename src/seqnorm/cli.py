@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -211,8 +212,8 @@ def cmd_construct(args) -> int:
         blocks = BlockBasis(tuple(load_vector(p) for p in args.blocks))
         avg = assemble_lp_average(blocks, args.p, get_engine(_mode(args)))
         save_vector(avg.vector, str(out("average.json")))
-        report.update(status="ok", p=args.p, n=avg.n, constant=avg.constant,
-                      sampled_lower=avg.sampled_lower, exact=avg.exact)
+        report.update(status="ok", p=args.p if args.p < math.inf else "inf", n=avg.n,
+                      constant=avg.constant, sampled_lower=avg.sampled_lower, exact=avg.exact)
     _emit(report, args, t0)
     return code
 
@@ -236,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="x1 config: file path, 'small' or 'paper'")
     p.add_argument("--witness", help="write the witness JSON here")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_norm)
+    p.set_defaults(func=cmd_norm, parser=p)
 
     p = sub.add_parser("seminorm", help="triple / level seminorms")
     p.add_argument("kind", choices=("triple", "ell", "ellm0"))
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-l", type=_int_at_least(1), default=1, help="level for 'ell'/'ellm0'")
     p.add_argument("--m0", type=_int_at_least(2), default=2, help="first-scale floor for 'ellm0'")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_seminorm)
+    p.set_defaults(func=cmd_seminorm, parser=p)
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
@@ -258,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relaxed", action="store_true",
                    help="waive largeness premises, report all margins")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
 
     p = sub.add_parser("construct", help="build certified special vectors")
     targets = p.add_subparsers(dest="what", required=True)
@@ -270,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         t.add_argument("--out")
         if name != "lp-average":
             t.add_argument("--budget", type=_budget, default=200)
-        t.set_defaults(func=cmd_construct)
+        t.set_defaults(func=cmd_construct, parser=t)
         return t
 
     t = target("chain", "sup-norm chain with one certifying family")
@@ -295,8 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # reported with the usage of the subcommand or target chosen
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:

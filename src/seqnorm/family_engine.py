@@ -21,7 +21,15 @@ piece is a run of the root: it fills the interval tables of `run_tables` for
 the last root, with rows for the floors and the counts a caller asks for,
 closed under halving, in O(n^3 log n) additions and O(n^2 log n) memory: the
 family states live in a window of lengths during the fill, and those of one
-right end are derived again for a witness.  It gives a certified lower
+right end are derived again for a witness.  A merged-rest candidate (a first run of t >
+nc points, then one merged run) B(t) = tn[c, t, s] + 2**-(c+t) l1(rest) is tn[c, t, s]
+from t = t0 on, so the fill keeps a running max of tn there.  Proof: C_m >= sup in
+floating point (pieces are, with N = max(sup, .) and in `levels` and `residual`, and
+candidates sum nonnegatives), so tn[c, t, s] >= lo[c, s] = fl(sup[nc+1, s] / fl(c)) for
+t > nc; a rest l1, in any order, is below 2 l1[n, 0] <= 2**eW; so from t0 = max(nc + 1,
+eW - c - k + 2), 2**k = spacing(lo), the product rounds to at most spacing(lo) / 4 (a
+bit spare for a subnormal one rounding up), under half the spacing of tn; c + k is least
+at c = 0 (fl(0) = 2) and the least lo (`_Segment.t0`).  It gives a certified lower
 bound, exact on constant patterns but not in general (frozen counterexample in
 the tests).  ``exhaustive`` mode takes arbitrary subsets, up to
 ``max_support`` points (default `MAX_EXHAUSTIVE_SUPPORT`), on one `_Pieces` per
@@ -270,6 +278,8 @@ class _Segment(RunTables):
         self.pow2 = np.ndarray((self.nc, n + 1), v.dtype, v, 0, v.strides * 2)  # 2**-(c+t)
         # the states searched at length L: c < cl[L], those with fl(c) < L
         self.cl = [0, 0, 0] + [min(self.nc, (L - 1).bit_length()) for L in range(3, n + 1)]
+        lo = float(self.sup[min(self.nc + 1, n), : max(0, n - self.nc - 1)].min(initial=1.0)) / 2
+        self.t0 = max(self.nc + 1, math.frexp(self.l1[n, 0])[1] + 4 - math.frexp(math.ulp(lo))[1])
         self._end = (-1, 0, None)  # the last `ending`: right end, first start, states
 
     def outer(self, C, values, keep):
@@ -286,6 +296,7 @@ class _Segment(RunTables):
         # last nc lengths, at its start, and the next lengths enter as merged tails.
         self.W = W = rests(self.l1)  # W[L, u, s] = l1[u, s+L-u], the last u points of p[s:s+L]
         l1, sup, cls, fl, fk = self.l1, self.sup, self.cl, self.floors[:, None], self.fk[:, None]
+        t0, rm = self.t0, np.full((nc, n), _NEG)
         P, blk = 2 * nc + 2, [1, 1]  # length L at j = blk[0] + L - blk[1]
         G = np.full((2 * nc, P, K - 1, n + 1), _NEG)
         np.divide(l1[1:P], fl[:, None], out=G[:, 1 : min(P, n + 1), 0, :n])
@@ -309,10 +320,14 @@ class _Segment(RunTables):
             if cl:  # a first run p[s:s+t], then k - 1 sets: from G, or one merged run if t > nc
                 b, T = best[:cl, :, s], min(L, nc)
                 (tn[:cl, 1 : T + 1, None, s] + V[:cl, :T, j, :-1, s]).max(axis=1, out=b[:, 1:])
-                if L - 1 > T:
-                    B = self.pow2[:cl, T + 1 : L, None] * W[L, 1 : L - T, s][::-1]
-                    B += tn[:cl, T + 1 : L, s]
+                t1 = min(L, t0)  # B(t) rounds to tn[c, t, s] from t0 on: their running max rm
+                if t1 - 1 > T:
+                    B = self.pow2[:cl, T + 1 : t1, None] * W[L, L - t1 + 1 : L - T, s][::-1]
+                    B += tn[:cl, T + 1 : t1, s]
                     np.maximum(b[:, 1], B.max(axis=1), out=b[:, 1])
+                if L > t0:
+                    np.maximum(rm[:, s], tn[:, L - 1, s], out=rm[:, s])
+                    np.maximum(b[:, 1], rm[:cl, s], out=b[:, 1])
                 np.maximum(b, G[:cl, j - 1, :, 1 : cnt + 1], out=G[:cl, j, :, s])  # or skip p[s]
             ends[:, 1:, n - L] = G[:, j, :, cnt - 1]
             np.maximum(sup[L, s], (G[0, j, :, s] / fk).max(axis=0), out=values[L, s])

@@ -22,7 +22,19 @@ n <= 70, piecewise-constant roots and every pattern of test_c04's 1,224
 vectors (its 0/1 vectors are the ones(r), r <= 10).  `levels` (the length and
 last value of `iterate_levels`) is recorded for random roots of n <= 24 and
 for ones(n) only, which keeps the test that reads the corpus short.
+
+With the argument `large` it writes x2_segment_large_corpus.json: 40 roots of
+64 to 300 points (U(0.1, 3), e**U(-30, 30), a head of 1e-200 * U(0.1, 3)
+before U(0.1, 3), constant, four constant runs), each with float.hex of the
+segment norm, of `norm_ell_m0` for ell in LARGE_ELLS and m0 in LARGE_M0S and of
+`triple_norm` for m in LARGE_MS, and the sha256 of the canonical witness JSON,
+for a bit-for-bit comparison.  It was frozen from 1695844, the last commit
+whose fill evaluated every merged-rest candidate:
+
+    mkdir ref && git archive 1695844 | tar -x -C ref
+    PYTHONPATH=ref/src python3 tests/data/make_x2_segment_corpus.py large
 """
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -110,7 +122,56 @@ def witness_entry(x):
             "x1": canonical_json(witness_to_json(x1))}
 
 
+LARGE_ELLS, LARGE_M0S, LARGE_MS = (1, 2, 3, 5), (2, 4, 16), (2, 3, 8)
+
+
+def large_roots():
+    """(kind, pattern) of 40 roots of 64 to 300 points, eight of each kind."""
+    rng = np.random.default_rng(22)
+    sizes = [64, 300, 97, 150, 200, 128, 251, 80]
+
+    def head(n):
+        h = int(rng.integers(1, 17))  # longer than nc + 1 points in some roots
+        return np.concatenate([1e-200 * rng.uniform(0.1, 3.0, size=h),
+                               rng.uniform(0.1, 3.0, size=n - h)])
+
+    def runs(n):
+        cuts = np.sort(rng.choice(np.arange(1, n), size=3, replace=False))
+        return np.repeat(rng.uniform(0.1, 3.0, size=4), np.diff([0, *cuts, n]))
+
+    kinds = {
+        "uniform": lambda n: rng.uniform(0.1, 3.0, size=n),
+        "e30": lambda n: np.exp(rng.uniform(-30.0, 30.0, size=n)),
+        "tiny-head": head,
+        "constant": lambda n: np.full(n, rng.uniform(0.1, 3.0)),
+        "four-runs": runs,
+    }
+    return [(kind, tuple(make(n).tolist())) for kind, make in kinds.items() for n in sizes]
+
+
+def large_entry(kind, p):
+    engine = FamilyEngine(SegmentDP())
+    x = FiniteVector.from_dense(list(p))
+    value, w = engine.norm(x, with_witness=True)
+    return {
+        "kind": kind,
+        "pattern": [v.hex() for v in p],
+        "norm": value.hex(),
+        "ell_m0": {str(m0): [engine.norm_ell_m0(x, ell, m0).hex() for ell in LARGE_ELLS]
+                   for m0 in LARGE_M0S},
+        "triple": [engine.triple_norm(x, m).hex() for m in LARGE_MS],
+        "witness_sha256": hashlib.sha256(canonical_json(witness_to_json(w)).encode()).hexdigest(),
+    }
+
+
 def main() -> int:
+    if sys.argv[1:] == ["large"]:
+        entries = [large_entry(kind, p) for kind, p in large_roots()]
+        text = json.dumps({"ells": LARGE_ELLS, "m0s": LARGE_M0S, "ms": LARGE_MS,
+                           "entries": entries}, separators=(",", ":"))
+        (HERE / "x2_segment_large_corpus.json").write_text(text + "\n")
+        print(f"{len(entries)} roots", file=sys.stderr)
+        return 0
     if sys.argv[1:] == ["witnesses"]:
         entries = [witness_entry(x) for x in witness_vectors()]
         text = json.dumps({"entries": entries}, separators=(",", ":"))

@@ -255,6 +255,36 @@ def test_construct_lp_average(capsys, tmp_path):
     assert avg == 0.5 * FiniteVector.ones(2)
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "segment"])
+def test_construct_lp_average_p_inf(capsys, tmp_path, mode):
+    # strict JSON has no inf: the report names it, and a finite p stays a number
+    files = [tmp_path / "b1.json", tmp_path / "b2.json"]
+    for i, f in enumerate(files, start=1):
+        save_vector(FiniteVector.basis(i), str(f))
+    for p, shown in (("inf", "inf"), ("2", 2.0)):
+        code, out = run_cli(capsys, "construct", "lp-average", "--p", p, "--mode", mode,
+                            "--blocks", *files, "--out-dir", tmp_path / p)
+        assert code == 0 and out["status"] == "ok" and out["p"] == shown
+        assert load_vector(str(tmp_path / p / "average.json")) == (
+            FiniteVector.ones(2) if p == "inf" else 2 ** -0.5 * FiniteVector.ones(2))
+
+
+@pytest.mark.parametrize(
+    "args, usage",
+    [(["construct", "localized", "--faithful"], "usage: seqnorm construct localized"),
+     (["construct", "lp-average", "--budget", "3"], "usage: seqnorm construct lp-average"),
+     (["norm", "x2", "v.json", "--bogus"], "usage: seqnorm norm"),
+     (["verify", "gmax", "--seed", "1", "--faithful"], "usage: seqnorm verify")],
+)
+def test_unknown_flag_shows_the_chosen_usage(capsys, args, usage):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith(usage) and "Traceback" not in captured.err
+    assert "unrecognized arguments" in captured.err
+
+
 def test_construct_lp_average_beyond_six_blocks(capsys, tmp_path):
     # past 6 blocks the ratios are read on the unit vectors, the all-ones vector
     # and 64 normals, so the certified constant is the l1/l_inf sandwich

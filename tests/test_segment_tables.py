@@ -1,6 +1,8 @@
 """Segment mode on interval tables: values frozen from the pattern-memo
 search it replaced, witnesses frozen from the tables that stored their
-splits, the strided views of the fill, and the state an engine keeps."""
+splits, large roots frozen from the fill that evaluated every merged rest, the
+strided views of the fill, and the state an engine keeps."""
+import hashlib
 import json
 import math
 import sys
@@ -25,6 +27,7 @@ from seqnorm.witness import validate_witness, witness_to_json
 
 CORPUS = Path(__file__).parent / "data" / "x2_segment_corpus.json"
 WITNESSES = Path(__file__).parent / "data" / "x2_witness_corpus.json"
+LARGE = Path(__file__).parent / "data" / "x2_segment_large_corpus.json"
 C04_SEED = 20240817 + 1  # test_acceptance.SEED + 1
 
 
@@ -110,6 +113,54 @@ def test_witnesses_match_frozen_corpus():
                               ("x1", QSumEngine(QSumConfig.small()))):
             w = engine.norm(x, with_witness=True)[1]
             assert canonical_json(witness_to_json(w)) == e[space]
+
+
+def large_roots():
+    """(kind, pattern) of the large-root corpus: 40 roots of 64 to 300 points."""
+    data = json.loads(LARGE.read_text())
+    return data, [(e["kind"], tuple(map(float.fromhex, e["pattern"]))) for e in data["entries"]]
+
+
+def test_large_root_corpus():
+    # written by tests/data/make_x2_segment_corpus.py large from a checkout whose fill
+    # evaluated every merged-rest candidate: values and witnesses equal bit for bit
+    data, roots = large_roots()
+    assert len(roots) == 40 and {len(p) for _, p in roots} <= set(range(64, 301))
+    for e, (_, p) in zip(data["entries"], roots):
+        engine, x = FamilyEngine(SegmentDP()), FiniteVector.from_dense(p)
+        value, w = engine.norm(x, with_witness=True)
+        validate_witness(w, x)
+        assert value.hex() == e["norm"]
+        assert hashlib.sha256(canonical_json(witness_to_json(w)).encode()).hexdigest() \
+            == e["witness_sha256"]
+        for m0 in data["m0s"]:
+            got = [engine.norm_ell_m0(x, ell, m0).hex() for ell in data["ells"]]
+            assert got == e["ell_m0"][str(m0)]
+        assert [engine.triple_norm(x, m).hex() for m in data["ms"]] == e["triple"]
+
+
+def test_merged_rests_round_away_past_t0():
+    # the lemma behind the fill's cut (family_engine docstring): from t0 on, a first run
+    # of t points and one merged rest sum to the run's tn, for every state it serves
+    engaged = 0
+    for _, p in large_roots()[1]:
+        if len(p) < 100:
+            continue
+        T = _Segment(p)
+        T.fill()
+        n, t0, nc = len(p), T.t0, T.nc
+        lo = T.sup[nc + 1, : n - nc - 1] / T.floors[:nc, None]  # t0 as a max over c and s
+        k, eW = np.frexp(np.spacing(lo))[1] - 1, math.frexp(2 * T.l1[n, 0])[1]
+        assert t0 == max(nc + 1, int((eW - np.arange(nc)[:, None] - k + 2).max()))
+        for L in range(t0 + 1, n + 1):
+            t, s = np.arange(t0, L), slice(0, n - L + 1)
+            tn = T.tn[:, t, s]
+            assert np.array_equal(T.pow2[:, t, None] * T.W[L, L - t, s] + tn, tn)
+        engaged += t0 < n - 1
+    assert engaged >= 20  # the tiny heads longer than nc + 1 points keep t0 > n
+    rng = np.random.default_rng(59)
+    for n in (100, 160, 250, 400, 600):  # a fallback to t0 = n fails here
+        assert _Segment(tuple(rng.uniform(0.1, 3.0, size=n).tolist())).t0 <= 80
 
 
 def test_strided_views_inside_base(monkeypatch):
