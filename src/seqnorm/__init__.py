@@ -3,11 +3,11 @@ sequence-space norms on finitely supported vectors.
 
 Space "x2" is governed by admissible families of (scale, index set) pairs
 with a cardinality budget; space "x1" mixes partition seminorms over a
-configurable scale sequence through a square sum.  Both engines compute
-exact values with optimal witnesses; the rest of the package builds the
-special vectors those norms are known for (sup-norm chains, l_p averages,
-scale-localized vectors, the matrix grid) and numerically verifies their
-quantitative inequalities.
+configurable scale sequence through a square sum.  The engines compute
+exact values with optimal witnesses (segment-mode "x2" a certified lower
+bound); the rest of the package builds the special vectors those norms are
+known for (sup-norm chains, l_p averages, scale-localized vectors, the matrix
+grid) and numerically verifies their quantitative inequalities.
 """
 from .admissible import AdmissibleFamily, FamilyValidationError
 from .blocks import (

@@ -129,15 +129,16 @@ def lp_basis(p: float, n: int) -> BasisEvaluator:
 def engine_basis(engine, blocks: BlockBasis) -> BasisEvaluator:
     """Coefficient norm a -> ||sum a_i b_i|| under one of the engines.
 
-    Closed form: on two singleton blocks of coefficient +-1 the norm is
-    exactly the max of the absolute coefficients, whose ball is the square.
+    Closed form: on two singleton blocks of coefficient +-1 whose sum has norm 1
+    (in ``x2``, not in ``x1``) the ball is the square, as the norm is 1-unconditional:
+    max |a_i| <= ||a|| <= max |a_i| * ||b_1 + b_2||.
     """
+    def norm(a):
+        return engine.norm(blocks.combine(a))
     square = len(blocks) == 2 and all(
         v.support_size == 1 and abs(v.coefficients[0]) == 1.0 for v in blocks.vectors
-    )
-    return BasisEvaluator(
-        len(blocks), lambda a: engine.norm(blocks.combine(a)), tuple(product((-1.0, 1.0), repeat=2)) if square else None
-    )
+    ) and norm((1.0, 1.0)) == 1.0
+    return BasisEvaluator(len(blocks), norm, tuple(product((-1.0, 1.0), repeat=2)) if square else None)
 
 
 @lru_cache(maxsize=32)

@@ -32,7 +32,7 @@ from .inequalities import Report, bound, premise
 
 
 #: The largest support budget a construction accepts.  Its vectors go to the
-#: segment engine, whose O(n^2 log n) tables take about 279 MB at 1,000 points.
+#: segment engine, whose O(n^2 log n) tables take about 264 MB at 1,000 points.
 MAX_BUDGET = 1000
 
 
@@ -147,13 +147,10 @@ UNIT_RUN_LENGTHS = (1, 2, 3, 4)
 
 
 def feasible_average_sizes(p: float) -> int:
-    """Largest k whose l_p^k average over normalized blocks is certified
-    constant <= 2 by the l1/l_inf sandwich: k <= 2**min(p, p/(p-1))."""
-    if p == 1:
-        return 2
-    if p == math.inf:
-        return 2
-    return int(2.0 ** min(p, p / (p - 1.0)))
+    """Largest k whose l_p^k average over normalized blocks has the certified constant
+    k**max(1/p, 1 - 1/p) <= 2 of `assemble_lp_average`'s l1/l_inf sandwich:
+    int(2 ** (1 / max(1/p, 1 - 1/p))), which is 2 at p = 1 and at p = inf."""
+    return int(2 ** (1 / max(1 / p, 1 - 1 / p)))
 
 
 def build_unit_blocks(count: int, lengths, start: int = 1, gap_rng=None) -> BlockBasis:

@@ -191,10 +191,7 @@ class _Pieces:
         return hit
 
     def _at(self, pos: Sequence[int] | None) -> CoefficientPattern:
-        # positions are increasing, so len(pos) == len(q) means the root
-        if pos is None or len(pos) == len(self.q):
-            return self.q
-        return tuple(map(self.q.__getitem__, pos))
+        return self.q if pos is None else tuple(map(self.q.__getitem__, pos))
 
     def value(self, pos: Sequence[int] | None = None) -> float:
         return self.norm_of(self._at(pos))
@@ -280,14 +277,15 @@ class _Segment(RunTables):
         self.cl = [0, 0, 0] + [min(self.nc, (L - 1).bit_length()) for L in range(3, n + 1)]
         lo = float(self.sup[min(self.nc + 1, n), : max(0, n - self.nc - 1)].min(initial=1.0)) / 2
         self.t0 = max(self.nc + 1, math.frexp(self.l1[n, 0])[1] + 4 - math.frexp(math.ulp(lo))[1])
+        # the floor rule: tn = max_{m >= fl} C_m / m = C_fl / fl, which is l1 / fl once fl >= L;
+        # the fill writes tn and the states of right end n in place, so a refill on the
+        # root's own norms (`residual`) writes the same bits under readers of a kept root
+        self.tn = self.l1 / self.floors[: self.nc, None, None]
+        self.ends = np.full((2 * self.nc, self.K, n + self.nc + 1), _NEG)
         self._end = (-1, 0, None)  # the last `ending`: right end, first start, states
 
-    def outer(self, C, values, keep):
-        nc, n, K = self.nc, len(self.p), self.K
-        # the floor rule: tn = max_{m >= fl} C_m / m = C_fl / fl, which is l1 / fl once fl >= L
-        tn = self.l1 / self.floors[:nc, None, None]
-        if keep:
-            self.tn = tn
+    def outer(self, C, values):
+        nc, n, K, tn = self.nc, len(self.p), self.K, self.tn
         if n <= 2:  # nothing is searched: the family value is one merged run, l1 / 2 / f(1)
             return lambda L, cnt: np.maximum(self.sup[L, :cnt], self.l1[L, :cnt] / 2,
                                              out=values[L, :cnt])
@@ -302,10 +300,9 @@ class _Segment(RunTables):
         np.divide(l1[1:P], fl[:, None], out=G[:, 1 : min(P, n + 1), 0, :n])
         V = _diagonal(G, (1, -1, 0, 1), (nc, nc, *G.shape[1:]))
         best = tn[:, 1, None].repeat(K - 1, 1)  # best[c, k-1, s]: the states taking a first run
-        ends = np.full((2 * nc, K, n + nc + 1), _NEG)  # the states of right end n: `ending`
+        ends = self.ends  # the states of right end n: `ending`
         ends[:, 0, : n + 1], ends[:, 1:, n - 1] = 0.0, G[:, 1, :, n - 1]
-        if keep:
-            self._end = (n, 0, ends)
+        self._end = (n, 0, ends)
 
         def step(L, cnt):
             cl, j, s = cls[L], blk[0] + L - blk[1], slice(0, cnt)
@@ -313,22 +310,22 @@ class _Segment(RunTables):
                 G[:, :nc, :, : cnt + nc] = G[:, P - nc :, :, : cnt + nc]
                 m, blk[:], j = min(P - nc, cnt), (nc, L), nc
                 np.divide(l1[L : L + m], fl[:, None], out=G[:, nc : nc + m, 0, :n])
-            if cl:  # row c of C is C_{2**c}, and fl(0) = fl(1) = 2
-                np.divide(C[1:cl, L, s], fl[1:cl], out=tn[1:cl, L, s])
-                tn[0, L, s] = tn[1, L, s]
+            # row c of C is C_{2**c}, and fl(0) = fl(1) = 2; at L = 2, cl = 0: empty rows
+            np.divide(C[1:cl, L, s], fl[1:cl], out=tn[1:cl, L, s])
+            tn[0, L, s] = tn[1, L, s]
             np.maximum(best[:, 0, s], tn[:, L, s], out=best[:, 0, s])  # max_{t <= L} tn[c, t, s]
-            if cl:  # a first run p[s:s+t], then k - 1 sets: from G, or one merged run if t > nc
-                b, T = best[:cl, :, s], min(L, nc)
-                (tn[:cl, 1 : T + 1, None, s] + V[:cl, :T, j, :-1, s]).max(axis=1, out=b[:, 1:])
-                t1 = min(L, t0)  # B(t) rounds to tn[c, t, s] from t0 on: their running max rm
-                if t1 - 1 > T:
-                    B = self.pow2[:cl, T + 1 : t1, None] * W[L, L - t1 + 1 : L - T, s][::-1]
-                    B += tn[:cl, T + 1 : t1, s]
-                    np.maximum(b[:, 1], B.max(axis=1), out=b[:, 1])
-                if L > t0:
-                    np.maximum(rm[:, s], tn[:, L - 1, s], out=rm[:, s])
-                    np.maximum(b[:, 1], rm[:cl, s], out=b[:, 1])
-                np.maximum(b, G[:cl, j - 1, :, 1 : cnt + 1], out=G[:cl, j, :, s])  # or skip p[s]
+            # a first run p[s:s+t], then k - 1 sets: from G, or one merged run if t > nc
+            b, T = best[:cl, :, s], min(L, nc)
+            (tn[:cl, 1 : T + 1, None, s] + V[:cl, :T, j, :-1, s]).max(axis=1, out=b[:, 1:])
+            t1 = min(L, t0)  # B(t) rounds to tn[c, t, s] from t0 on: their running max rm
+            if t1 - 1 > T:
+                B = self.pow2[:cl, T + 1 : t1, None] * W[L, L - t1 + 1 : L - T, s][::-1]
+                B += tn[:cl, T + 1 : t1, s]
+                np.maximum(b[:, 1], B.max(axis=1), out=b[:, 1])
+            if L > t0:
+                np.maximum(rm[:, s], tn[:, L - 1, s], out=rm[:, s])
+                np.maximum(b[:, 1], rm[:cl, s], out=b[:, 1])
+            np.maximum(b, G[:cl, j - 1, :, 1 : cnt + 1], out=G[:cl, j, :, s])  # or skip p[s]
             ends[:, 1:, n - L] = G[:, j, :, cnt - 1]
             np.maximum(sup[L, s], (G[0, j, :, s] / fk).max(axis=0), out=values[L, s])
         return step

@@ -168,7 +168,7 @@ class _Tables(RunTables):
         self.tails = [engine.cfg.tail(c + 1) for c in range(len(self.scales) + 1)]
         super().__init__(p, self.nks)
 
-    def outer(self, C, values, keep):
+    def outer(self, C, values):
         def step(L, cnt):  # the square sum over the scales that split length L
             l1, sup = self.l1[L, :cnt], self.sup[L, :cnt]
             c = bisect_left(self.nks, L)
@@ -186,14 +186,11 @@ class QSumEngine(Engine):
     # -- public ----------------------------------------------------------
 
     def norm(self, x: FiniteVector, with_witness: bool = False):
-        p = x.pattern()
-        if not p:
-            return (0.0, SupWitness(0.0, None)) if with_witness else 0.0
-        T = self._root(p)
+        T = self._root(x.pattern())
         value = unscale(T.value(), T.exp)
         if not with_witness:
             return value
-        return value, self._witness(T, x.indices, 0, len(p))
+        return value, self._witness(T, x.indices, 0, x.support_size)
 
     def norm_k(self, x: FiniteVector, k: int) -> float:
         """The k-partition seminorm (1/f(k)) * best partition sum, any k >= 1."""
@@ -206,13 +203,10 @@ class QSumEngine(Engine):
         """Scale profile: ||x||_{n_k} for k <= K, plus the l2 mass beyond K."""
         if K < 1:
             raise ValueError("need K >= 1")
-        p = x.pattern()
-        if not p:
-            return [0.0] * K, 0.0
-        T = self._root(p)
+        T = self._root(x.pattern())
         head = [unscale(T.best(None, self.cfg.n_at(k)) / self.cfg.f_nk(k), T.exp)
                 for k in range(1, K + 1)]
-        l1 = T.l1[len(p), 0]
+        l1 = T.l1[len(T.p), 0]
         ssq = sum((T.best(None, nk) / f_nk) ** 2 for nk, f_nk in T.scales[K:])
         ssq += l1 * l1 * self.cfg.tail(max(K, len(T.scales)) + 1)
         return head, unscale(math.sqrt(ssq), T.exp)
@@ -244,6 +238,8 @@ class QSumEngine(Engine):
 
     def _witness(self, T: _Tables, idx: tuple[int, ...], s: int, L: int) -> Witness:
         """Certificate for the norm of the run p[s:s+L], with the splits `runs` re-derives."""
+        if not L:
+            return SupWitness(0.0, None)
         run = T.p[s : s + L]
         if T.N[L, s] <= T.sup[L, s]:
             return SupWitness(max(run), idx[s + run.index(max(run))])

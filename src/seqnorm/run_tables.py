@@ -157,21 +157,21 @@ class RunTables:
         self.ms = ms
         return row
 
-    def outer(self, C: np.ndarray, values: np.ndarray, keep: bool):
-        """The hook: a function of (L, cnt) setting values[L, :cnt] from C[:, L, :cnt];
-        only with `keep` may it store what a witness needs."""
+    def outer(self, C: np.ndarray, values: np.ndarray):
+        """The hook: a function of (L, cnt) setting values[L, :cnt] from C[:, L, :cnt]."""
         raise NotImplementedError
 
     def fill(self, piece: np.ndarray | None = None) -> np.ndarray:
         """Fill C[i] = C_{ms[i]} by increasing length; return the run values: the
         norms, kept with C, or with `piece` (then C[0]) one application of the
         fixed-point map to those piece values."""
-        C = self.l1[None].repeat(len(self.ms), 0)
+        ms = self.ms  # `table` puts a count another thread adds meanwhile in a new list
+        C = self.l1[None].repeat(len(ms), 0)
         if piece is None:
             self.C, self.N, values = C, C[0], C[0]
         else:
             C[0], values = piece, self.sup.copy()
-        self._grow(C, np.argsort(self.ms)[1:], self.outer(C, values, piece is None))
+        self._grow(C, np.argsort(ms)[1:], self.outer(C, values))
         return values
 
     def table(self, m: int) -> np.ndarray:

@@ -123,9 +123,9 @@ def _evaluate(w: Witness, coef: dict[int, float], within: tuple[IndexSet, ...]) 
 
 
 def validate_witness(w: Witness, x: FiniteVector) -> None:
-    """Check structural soundness and that re-evaluation reproduces the value to EQ_TOL."""
+    """Check structural soundness and that re-evaluation reproduces a finite value to EQ_TOL."""
     got = evaluate_witness(w, x)
-    if abs(got - w.value) > EQ_TOL * max(1.0, abs(w.value)):
+    if not (math.isfinite(w.value) and abs(got - w.value) <= EQ_TOL * max(1.0, abs(w.value))):
         raise ValueError(f"witness re-evaluates to {got}, claims {w.value}")
 
 
@@ -158,32 +158,39 @@ def witness_to_json(w: Witness) -> dict:
     raise TypeError(f"not a witness: {w!r}")
 
 
+def _finite(v) -> float:
+    """A witness number read from JSON: finite, as NaN or an infinity certifies nothing."""
+    if not math.isfinite(v := json_number(v)):
+        raise ValueError(f"{v} is not a finite number")
+    return v
+
+
 def witness_from_json(obj: dict) -> Witness:
-    """The witness of a JSON tree: JSON integers for indices and scales, numbers for values."""
+    """The witness of a JSON tree: JSON integers for indices and scales, finite values."""
     rule = obj.get("rule") if isinstance(obj, dict) else None
     if rule == "sup":
         index = obj.get("index")
-        return SupWitness(json_number(obj["value"]), None if index is None else json_int(index))
+        return SupWitness(_finite(obj["value"]), None if index is None else json_int(index))
     if rule == "partition":
         return PartitionWitness(
-            value=json_number(obj["value"]),
+            value=_finite(obj["value"]),
             m=json_int(obj["m"]),
-            divisor=json_number(obj.get("divisor", obj["m"])),
+            divisor=_finite(obj.get("divisor", obj["m"])),
             pieces=tuple(
                 (IndexSet.from_json(e), witness_from_json(c)) for e, c in obj["pieces"]
             ),
         )
     if rule == "family":
         return FamilyWitness(
-            value=json_number(obj["value"]),
+            value=_finite(obj["value"]),
             pairs=tuple((json_int(m), IndexSet.from_json(e)) for m, e in obj["pairs"]),
             children=tuple(witness_from_json(c) for c in obj["children"]),
         )
     if rule == "l2sum":
         return QuadraticWitness(
-            value=json_number(obj["value"]),
+            value=_finite(obj["value"]),
             head=tuple((json_int(k), witness_from_json(c)) for k, c in obj["head"]),
             tail_start=json_int(obj["tail_start"]),
-            tail_l2=json_number(obj["tail_l2"]),
+            tail_l2=_finite(obj["tail_l2"]),
         )
     raise ValueError(f"unknown witness rule {rule!r}")

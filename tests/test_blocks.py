@@ -126,6 +126,18 @@ def test_equivalence_examples(ex_engine):
     assert est.lower == 1.0
 
 
+def test_x1_singleton_pair_is_not_the_square(small_engine, seg_engine):
+    # ||e1 + e3|| is 1.0655 in x1 small, so its unit ball is not the square and
+    # the distance to l_inf^2 is that norm; in x2 the two-point norm is the max
+    pair = BlockBasis((FiniteVector.basis(1), FiniteVector.basis(3)))
+    est = equivalence_constant(engine_basis(small_engine, pair), lp_basis(math.inf, 2))
+    assert not est.exact and est.ratio_ba == 1.0
+    assert est.lower == est.ratio_ab == pytest.approx(1.0655, abs=1e-4)
+    assert est.lower == small_engine.norm(FiniteVector.sum(pair.vectors))
+    est = equivalence_constant(engine_basis(seg_engine, pair), lp_basis(math.inf, 2))
+    assert est.exact and est.lower == 1.0
+
+
 def test_equivalence_symmetry_and_lower_bound(ex_engine, rng):
     a = lp_basis(1, 3)
     b = lp_basis(2, 3)

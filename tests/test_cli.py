@@ -143,13 +143,28 @@ L2SUM = {"rule": "l2sum", "value": 1.0, "head": [[15, PARTITION]], "tail_start":
     {**LEAF, "index": 2.5},
     {**LEAF, "index": True},
     {**PARTITION, "pieces": [[[1, 2], []]]},
+    {**LEAF, "value": math.nan},  # NaN and Infinity, which Python's json reads back
+    {**PARTITION, "divisor": math.inf},
+    {**L2SUM, "tail_l2": math.inf},
 ], ids=["float-m", "float-pair-scale", "float-head-scale", "string-tail-start",
-        "string-value", "float-index", "bool-index", "list-child"])
+        "string-value", "float-index", "bool-index", "list-child", "nan-value",
+        "infinite-divisor", "infinite-tail"])
 def test_witness_file_needs_integers_and_numbers(tmp_path, tree):
     p = tmp_path / "w.json"
     p.write_text(json.dumps(tree))
     with pytest.raises(InputError, match=f"{p}: not a witness file"):
         load_witness(str(p))
+
+
+@pytest.mark.parametrize("space", ["x1", "x2"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_norm_of_non_finite_coefficient_exits_2(capsys, tmp_path, space, bad):
+    p = tmp_path / "v.json"
+    p.write_text(json.dumps({"coords": [[1, 1.0], [2, bad]]}))
+    assert main(["norm", space, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1 and "coefficient at 2 is not finite" in captured.err
 
 
 def test_norm_x1_extreme_magnitudes(capsys, tmp_path):

@@ -488,6 +488,19 @@ def test_witness_rejects_forged_family_child(forge):
         evaluate_witness(forged, x)
 
 
+@pytest.mark.parametrize("claim", [
+    lambda v: float("inf"), lambda v: float("nan"), lambda v: v * (1 + 1e-9),
+], ids=["inf", "nan", "above-tolerance"])
+def test_witness_rejects_a_claim_it_does_not_reproduce(claim):
+    # the segment witness of a 40-point vector, its value replaced by a claim
+    # that its re-evaluation does not match
+    x = FiniteVector.from_dense(np.random.default_rng(0).uniform(0.1, 3.0, 40))
+    w = FamilyEngine(SegmentDP()).norm(x, with_witness=True)[1]
+    validate_witness(w, x)
+    with pytest.raises(ValueError, match="re-evaluates"):
+        validate_witness(replace(w, value=claim(w.value)), x)
+
+
 def test_witness_families_are_admissible(ex_engine, rng):
     for _ in range(20):
         x = random_test_vector(rng, 9)

@@ -295,6 +295,16 @@ def test_witness_rejects_forged_head(forge):
         evaluate_witness(forge(w), x)
 
 
+def test_witness_rejects_infinite_tail():
+    # an infinite tail re-evaluates to an infinite value: it certifies nothing
+    x = FiniteVector.from_dense(np.random.default_rng(0).uniform(0.1, 3.0, 40))
+    w = QSumEngine(QSumConfig.small()).norm(x, with_witness=True)[1]
+    forged = replace(w, tail_l2=math.inf, value=math.inf)
+    assert evaluate_witness(forged, x) == math.inf
+    with pytest.raises(ValueError, match="re-evaluates"):
+        validate_witness(forged, x)
+
+
 @pytest.mark.parametrize("config", [
     QSumConfig.small(), QSumConfig.paper_faithful(),
     QSumConfig.custom([3, 5]), QSumConfig.custom([3, 5], "geometric"),

@@ -412,6 +412,32 @@ def test_run_sums_accumulate_in_sequence():
                 assert T.l1[L, s] == total and T.sup[L, s] == max(z[s : s + L])
 
 
+def test_residual_while_threads_add_counts():
+    # residuals refill a shared root while other threads add counts to its
+    # tables and read the states of its right end: every answer as on a fresh engine
+    x = FiniteVector.from_dense(np.random.default_rng(41).uniform(0.1, 3.0, 40).tolist())
+    jobs = [("w", 0)] * 2 + [("r", 0)] * 6 + [("e", m) for m in (3, 5, 7, 9)]
+    np.random.default_rng(1).shuffle(jobs)
+
+    def run(engine, job):
+        kind, m = job
+        if kind == "w":
+            return canonical_json(witness_to_json(engine.norm(x, with_witness=True)[1]))
+        return engine.fixed_point_residual(x) if kind == "r" else engine.norm_ell_m0(x, 3, m)
+
+    fresh = [run(FamilyEngine(SegmentDP()), j) for j in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside operations
+    try:
+        for _ in range(30):
+            shared = FamilyEngine(SegmentDP())
+            shared.norm(x)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                assert list(pool.map(lambda j: run(shared, j), jobs, timeout=60)) == fresh
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_counts_added_while_threads_read():
     # one engine per space shared by four threads on one root: counts are
     # added to the tables, and witnesses replace the kept states of a right
