@@ -3,7 +3,9 @@
 An l_p^n average is n^(-1/p) times a sum of n normalized blocks; its
 constant compares two `BasisEvaluator`s (`lp_basis`, `engine_basis`) by
 `equivalence_constant`: exact on known unit-ball vertices, otherwise a lower
-bound read on one fixed sample set per length.
+bound read on one fixed sample set per length.  Both norms are
+1-unconditional, so every point is taken in the positive orthant: a sign
+change moves neither norm.
 
 The matrix basis here is the natural basis e_{i,j} of the space of bounded
 operators on l_inf^n (e_{i,j} sends the k-th unit vector to the j-th when
@@ -95,11 +97,11 @@ class AssembledAverage:
 
 @dataclass(frozen=True)
 class BasisEvaluator:
-    """A coefficient norm on R^length.
+    """A 1-unconditional coefficient norm on R^length: `norm` reads only |a_i|.
 
     `extreme_points`, when known, is a finite set certified to contain the
-    extreme points of the unit ball of `norm`; ratio suprema evaluated there
-    are exact.
+    extreme points of the unit ball of `norm` up to sign; ratio suprema
+    evaluated there are exact, as a sign change moves neither norm.
     """
 
     length: int
@@ -116,11 +118,9 @@ def _lp(coeffs: Sequence[float], p: float) -> float:
 def lp_basis(p: float, n: int) -> BasisEvaluator:
     """The unit vector basis of l_p^n (ball vertices known for p = 1, inf)."""
     if p == math.inf:
-        ext = tuple(product((-1.0, 1.0), repeat=n))
+        ext = ((1.0,) * n,)
     elif p == 1:
-        ext = tuple(
-            tuple(s if j == i else 0.0 for j in range(n)) for i in range(n) for s in (-1.0, 1.0)
-        )
+        ext = tuple(tuple(float(j == i) for j in range(n)) for i in range(n))
     else:
         ext = None
     return BasisEvaluator(n, lambda a: _lp(a, p), ext)
@@ -138,14 +138,14 @@ def engine_basis(engine, blocks: BlockBasis) -> BasisEvaluator:
     square = len(blocks) == 2 and all(
         v.support_size == 1 and abs(v.coefficients[0]) == 1.0 for v in blocks.vectors
     ) and norm((1.0, 1.0)) == 1.0
-    return BasisEvaluator(len(blocks), norm, tuple(product((-1.0, 1.0), repeat=2)) if square else None)
+    return BasisEvaluator(len(blocks), norm, ((1.0, 1.0),) if square else None)
 
 
 @lru_cache(maxsize=32)
 def _samples(n: int) -> tuple[tuple[float, ...], ...]:
-    """Structured sign/indicator patterns plus 64 seed-0 normal directions."""
+    """Nonzero 0/1 indicator patterns plus 64 seed-0 normal directions."""
     if n <= 6:
-        samples = [t for t in product((-1.0, 0.0, 1.0), repeat=n) if any(t)]
+        samples = [t for t in product((0.0, 1.0), repeat=n) if any(t)]
     else:
         samples = [tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n)]
         samples.append((1.0,) * n)
@@ -165,22 +165,20 @@ class EquivalenceEstimate:
 def equivalence_constant(A: BasisEvaluator, B: BasisEvaluator) -> EquivalenceEstimate:
     """d(A, B) = sup N_A/N_B * sup N_B/N_A, from samples or certified extremes.
 
-    With extreme points on both sides each ratio supremum is exact (a norm is
-    convex, so its sup over the other ball is attained at ball vertices, and
-    ratios are scale invariant); otherwise it is read on `_samples(length)`
-    and the result is a certified lower bound for the true constant.
+    With extreme points on both sides both ratios are read on the two vertex
+    lists together, and each supremum is exact: a norm is convex, so its sup
+    over the other ball is attained at that ball's vertices (ratios are scale
+    invariant), and the remaining vertices can only read lower.  Otherwise
+    both are read on `_samples(length)` and the result is a certified lower
+    bound for the true constant.
     """
     if A.length != B.length:
         raise ValueError(f"length mismatch: {A.length} != {B.length}")
     exact = A.extreme_points is not None and B.extreme_points is not None
-    # (N_A(t), N_B(t)) once per point
-    if exact:
-        on_b = [(A.norm(t), B.norm(t)) for t in B.extreme_points]  # sup of N_A over the B-ball
-        on_a = [(A.norm(t), B.norm(t)) for t in A.extreme_points]
-    else:
-        on_b = on_a = [(A.norm(t), B.norm(t)) for t in _samples(A.length)]
-    ratio_ab = max(a / b for a, b in on_b if b > 0)
-    ratio_ba = max(b / a for a, b in on_a if a > 0)
+    points = A.extreme_points + B.extreme_points if exact else _samples(A.length)
+    values = [(A.norm(t), B.norm(t)) for t in points]  # (N_A(t), N_B(t)) once per point
+    ratio_ab = max(a / b for a, b in values if b > 0)
+    ratio_ba = max(b / a for a, b in values if a > 0)
     return EquivalenceEstimate(
         lower=ratio_ab * ratio_ba, exact=exact, ratio_ab=ratio_ab, ratio_ba=ratio_ba
     )

@@ -134,11 +134,7 @@ def cmd_seminorm(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
-    suite = SUITES[args.suite]
-    kwargs = {}
-    if args.suite in ("rapidavg", "chainstacks"):
-        kwargs["relaxed"] = args.relaxed
-    report = suite(count=args.count, seed=args.seed, **kwargs)
+    report = SUITES[args.suite](count=args.count, seed=args.seed)
     out = {"command": "verify", "suite": args.suite, "seed": args.seed}
     out.update(report.to_json())
     _emit(out, args, t0)
@@ -256,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--count", type=_int_at_least(1), default=50,
                    help="instances (gmax: scan resolution)")
-    p.add_argument("--relaxed", action="store_true",
-                   help="waive largeness premises, report all margins")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify, parser=p)
 

@@ -55,7 +55,9 @@ import numpy as np
 
 from .admissible import AdmissibleFamily
 from .core import CoefficientPattern, FiniteVector, IndexSet, f, min_m_for_budget
-from .run_tables import Engine, IterationCapError, RunTables, iterate, rests, scale_exp, unscale
+from .run_tables import (
+    MAX_ENGINES, Engine, IterationCapError, RunTables, iterate, rests, scale_exp, unscale,
+)
 from .witness import FamilyWitness, PartitionWitness, SupWitness, Witness
 
 _NEG = float("-inf")
@@ -491,7 +493,7 @@ class FamilyEngine(Engine):
         return FamilyWitness(unscale(S.value(pos), S.exp), tuple(pairs), tuple(children))
 
 
-_engine = lru_cache(maxsize=None)(FamilyEngine)  # one shared engine per mode
+_engine = lru_cache(maxsize=MAX_ENGINES)(FamilyEngine)  # one shared engine per mode
 
 
 def get_engine(mode: SearchMode | None = None) -> FamilyEngine:

@@ -6,15 +6,16 @@ valid input and are asserted at tolerance -1e-9.  The conditional ones (the
 rapid-averages and chain-stack bounds) come with largeness premises that are
 astronomically infeasible at desk scale; those verifiers evaluate every
 premise, report the required magnitudes, and only assert conclusions whose
-premises actually hold.  In relaxed mode the premises are waived (and logged)
-and the margins are reported as diagnostics.
+premises actually hold.  In relaxed mode (logged in a note) every conclusion
+is reported unasserted, as a diagnostic margin, even where its premises hold;
+the premises are still evaluated, and nothing is waived.
 
 Every verifier returns a `Report` of `Check` records, the one result shape
 the suites and the constructions share.  A premise is an unasserted check
 named "premise <name>" whose status reads met or UNMET.  `_rapid_premises`
 writes the premises of a rapidly increasing run of averages (a chain stack
 is one), and `Report.verdict` is the one rule for the conclusions: UNMET when
-a premise fails, asserted only when all hold and none is waived.  The rule
+a premise fails, asserted only when all hold outside relaxed mode.  The rule
 that decides a failure lives in `Check.ok`, with one exception: `DropCheck`,
 whose strict inequality is evaluated literally, with no tolerance.
 """
@@ -118,7 +119,7 @@ class Report:
 
     def verdict(self, relaxed: bool = False) -> tuple[str, bool]:
         """(status, asserted) of a conclusion resting on the premises so far:
-        UNMET when one fails, asserted only when all hold and none is waived."""
+        UNMET when one fails, asserted only when all hold and `relaxed` is off."""
         holds = self.premises_hold
         return ("met" if holds else "UNMET"), holds and not relaxed
 
@@ -325,8 +326,8 @@ def verify_rapid_averages(
     * larger ell:                  ||y||_ell <= 2 eps + max_i ||y_i||_ell
     * in particular ||y|| <= 2 eps + max_i ||y_i||.
 
-    Conclusions follow `Report.verdict`; in relaxed mode the premises are
-    recorded as waived and all margins are still reported.
+    Conclusions follow `Report.verdict`; relaxed mode reports them all
+    unasserted, with their margins.
     """
     p = _common_p(averages)
     report = Report()
@@ -335,7 +336,7 @@ def verify_rapid_averages(
     threshold = _rapid_premises(report, averages, eps, p)
     status, asserted = report.verdict(relaxed)
     if relaxed:
-        report.notes.append("relaxed mode: premises waived, margins diagnostic")
+        report.notes.append("relaxed mode: conclusions unasserted, margins diagnostic")
 
     y = FiniteVector.sum([avg.vector for avg in averages])
     norm_y = engine.norm(y)
@@ -393,7 +394,7 @@ def verify_chain_stacks(
     status, asserted = report.verdict(relaxed)
     asserted = asserted and (m > 1 or delta < eps / 2.0)
     if relaxed:
-        report.notes.append("relaxed mode: premises waived, margins diagnostic")
+        report.notes.append("relaxed mode: conclusions unasserted, margins diagnostic")
     if m == 1:
         report.notes.append(
             f"single-stack base case: asserted only when delta < eps/2 "

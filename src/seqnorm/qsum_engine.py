@@ -43,7 +43,7 @@ import numpy as np
 
 from .blocks import BlockBasis, check_normalized
 from .core import CoefficientPattern, FiniteVector, IndexSet, f
-from .run_tables import Engine, RunTables, unscale
+from .run_tables import MAX_ENGINES, Engine, RunTables, unscale
 from .witness import PartitionWitness, QuadraticWitness, SupWitness, Witness
 
 
@@ -257,7 +257,7 @@ class QSumEngine(Engine):
 
 # -- module-level functional surface --------------------------------------
 
-_engine = lru_cache(maxsize=None)(QSumEngine)  # one shared engine per config
+_engine = lru_cache(maxsize=MAX_ENGINES)(QSumEngine)  # one shared engine per config
 
 
 def get_qsum_engine(config: QSumConfig | None = None) -> QSumEngine:

@@ -79,6 +79,8 @@ from .core import EQ_TOL
 
 SPLIT_BYTES = 512 * 1024  # split candidates in one temporary up to this size, else in blocks of it:
 # a share of a core's L2 cache (256 KiB and 1 MiB measured about the same)
+MAX_ENGINES = 8  # engines kept per module by `get_engine` / `get_qsum_engine`, least recent out:
+# each holds a norm memo or its last root's tables, and the suites and the CLI use two at most
 
 
 class IterationCapError(RuntimeError):

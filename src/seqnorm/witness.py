@@ -77,7 +77,8 @@ def evaluate_witness(w: Witness, x: FiniteVector) -> float:
     child per pair, each a partition whose m and divisor are its pair's scale,
     and square sums whose head scales n increase, end before the tail and
     are each 2**k - 1, with a partition child of m = n and divisor f(n).
-    A malformed tree raises ValueError.
+    A tree holds one space: `family` nodes (x2) or `l2sum` nodes (x1), never
+    both.  A malformed tree raises ValueError.
 
     Each child is evaluated against x restricted to its set, read by index
     lookups into x: a sup index counts only if every enclosing set holds it.
@@ -86,7 +87,13 @@ def evaluate_witness(w: Witness, x: FiniteVector) -> float:
     return _evaluate(w, dict(zip(x.indices, x.coefficients)), ())
 
 
-def _evaluate(w: Witness, coef: dict[int, float], within: tuple[IndexSet, ...]) -> float:
+def _evaluate(w: Witness, coef: dict[int, float], within: tuple[IndexSet, ...],
+              space: str | None = None) -> float:
+    """`space` is the rule of the first `family` or `l2sum` node above w, if any."""
+    if isinstance(w, (FamilyWitness, QuadraticWitness)):
+        if space not in (None, w.rule):
+            raise ValueError(f"{w.rule} node under a {space} node: a tree holds one space")
+        space = w.rule
     if isinstance(w, SupWitness):
         if w.index is None or not all(w.index in E for E in within):
             return 0.0
@@ -97,7 +104,8 @@ def _evaluate(w: Witness, coef: dict[int, float], within: tuple[IndexSet, ...]) 
             raise ValueError(f"partition has {len(nonempty)} pieces, allows {w.m}")
         if not all(a.precedes(b) for a, b in zip(nonempty, nonempty[1:])):
             raise ValueError("partition pieces are not in increasing order")
-        return sum(_evaluate(child, coef, (*within, E)) / w.divisor for E, child in w.pieces)
+        return sum(_evaluate(child, coef, (*within, E), space) / w.divisor
+                   for E, child in w.pieces)
     if isinstance(w, FamilyWitness):
         AdmissibleFamily(w.pairs).validate()
         if len(w.children) != len(w.pairs):
@@ -107,7 +115,7 @@ def _evaluate(w: Witness, coef: dict[int, float], within: tuple[IndexSet, ...]) 
                 raise ValueError(f"family child of scale {m} is not a partition divided by {m}")
         div = f(len(w.pairs))
         return sum(
-            _evaluate(child, coef, (*within, E)) / div
+            _evaluate(child, coef, (*within, E), space) / div
             for (_, E), child in zip(w.pairs, w.children)
         )
     if isinstance(w, QuadraticWitness):
@@ -118,7 +126,8 @@ def _evaluate(w: Witness, coef: dict[int, float], within: tuple[IndexSet, ...]) 
             if not (n > 0 and n & (n + 1) == 0 and isinstance(child, PartitionWitness)
                     and child.m == n and child.divisor == f(n)):
                 raise ValueError(f"head child of scale {n} is not a partition divided by f({n})")
-        return math.hypot(*(_evaluate(child, coef, within) for _, child in w.head), w.tail_l2)
+        return math.hypot(*(_evaluate(child, coef, within, space) for _, child in w.head),
+                          w.tail_l2)
     raise TypeError(f"not a witness: {w!r}")
 
 

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from seqnorm.blocks import (
     BlockBasisError,
     EmbeddedBasis,
     UnconditionalityError,
+    _samples,
     assemble_lp_average,
     embed_unconditional,
     engine_basis,
@@ -147,6 +149,50 @@ def test_equivalence_symmetry_and_lower_bound(ex_engine, rng):
     assert d_ab.lower >= 1.0
     with pytest.raises(ValueError):
         equivalence_constant(lp_basis(1, 2), lp_basis(1, 3))
+
+
+def _signed_estimate(A, B):
+    """(lower, exact, ratio_ab, ratio_ba) with every sign copy of each point read:
+    the signed vertex lists when both are known, else the signed samples."""
+    def signed(points):
+        return [tuple(s * c for s, c in zip(signs, t))
+                for t in points for signs in product((-1.0, 1.0), repeat=len(t))]
+
+    exact = A.extreme_points is not None and B.extreme_points is not None
+    on_b = signed(B.extreme_points if exact else _samples(A.length))  # sup of N_A on the B-ball
+    on_a = signed(A.extreme_points) if exact else on_b
+    ratio_ab = max(A.norm(t) / B.norm(t) for t in on_b if B.norm(t) > 0)
+    ratio_ba = max(B.norm(t) / A.norm(t) for t in on_a if A.norm(t) > 0)
+    return ratio_ab * ratio_ba, exact, ratio_ab, ratio_ba
+
+
+def test_points_in_the_positive_orthant_give_the_signed_estimates(
+        ex_engine, seg_engine, small_engine):
+    # both norms are 1-unconditional: the 0/1 points read the same doubles as
+    # a full sign enumeration of the samples, or of the ball vertices
+    for n in range(1, 7):
+        indicators = {t for t in product((0.0, 1.0), repeat=n) if any(t)}
+        assert set(_samples(n)[: 2**n - 1]) == indicators
+        assert lp_basis(math.inf, n).extreme_points == ((1.0,) * n,)
+        assert set(lp_basis(1, n).extreme_points) == {t for t in indicators if sum(t) == 1}
+    square = engine_basis(ex_engine, BlockBasis((FiniteVector.basis(1), FiniteVector.basis(2))))
+    assert square.extreme_points == ((1.0, 1.0),)
+    evaluators = [square]
+    rng = np.random.default_rng(3)
+    for engine in (ex_engine, seg_engine, small_engine):
+        for n in range(1, 4):
+            blocks, start = [], 1
+            for _ in range(n):
+                v = FiniteVector.from_dense(rng.uniform(0.1, 3.0, int(rng.integers(1, 3))),
+                                            start=start + int(rng.integers(0, 2)))
+                blocks.append((1.0 / engine.norm(v)) * v)
+                start = v.indices[-1] + 1
+            evaluators.append(engine_basis(engine, BlockBasis(tuple(blocks))))
+    for ev in evaluators:
+        for p in (1, 1.5, math.inf):
+            est = equivalence_constant(ev, lp_basis(p, ev.length))
+            assert (est.lower, est.exact, est.ratio_ab, est.ratio_ba) == _signed_estimate(
+                ev, lp_basis(p, ev.length))
 
 
 # ----------------------------------------------------------------------

@@ -99,19 +99,35 @@ def test_exit_codes(capsys, tmp_path, vec_file):
     assert code == 0
 
 
-@pytest.mark.parametrize("coords", [
-    [[1.5, 2.0], [3, 1.0]],
-    [["2", 1.0]],
-    [[True, 1.0]],
-    [[float("inf"), 1.0]],
-    [[1, "2.0"]],
-], ids=["float-index", "string-index", "bool-index", "infinite-index", "string-coefficient"])
-def test_vector_file_needs_integer_indices_and_numbers(capsys, tmp_path, coords):
+@pytest.mark.parametrize("obj", [
+    {"coords": [[1.5, 2.0], [3, 1.0]]},
+    {"coords": [["2", 1.0]]},
+    {"coords": [[True, 1.0]]},
+    {"coords": [[float("inf"), 1.0]]},
+    {"coords": [[1, "2.0"]]},
+    [],
+], ids=["float-index", "string-index", "bool-index", "infinite-index", "string-coefficient",
+        "not-an-object"])
+def test_vector_file_needs_integer_indices_and_numbers(capsys, tmp_path, obj):
     p = tmp_path / "v.json"
-    p.write_text(json.dumps({"coords": coords}))
+    p.write_text(json.dumps(obj))
     assert main(["norm", "x2", str(p)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"{p}: not a vector file" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("obj", [
+    {"preset": {"custom": {"f_of_nk": []}}},
+    {"preset": 3},
+], ids=["no-exponents", "unparseable-preset"])
+def test_config_file_needs_a_preset_with_exponents(capsys, tmp_path, vec_file, obj):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(obj))
+    assert main(["norm", "x1", str(vec_file), "--config", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{p}: not a config file" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("pairs", [
@@ -289,7 +305,8 @@ def test_construct_lp_average_p_inf(capsys, tmp_path, mode):
     [(["construct", "localized", "--faithful"], "usage: seqnorm construct localized"),
      (["construct", "lp-average", "--budget", "3"], "usage: seqnorm construct lp-average"),
      (["norm", "x2", "v.json", "--bogus"], "usage: seqnorm norm"),
-     (["verify", "gmax", "--seed", "1", "--faithful"], "usage: seqnorm verify")],
+     (["verify", "gmax", "--seed", "1", "--faithful"], "usage: seqnorm verify"),
+     (["verify", "rapidavg", "--seed", "1", "--relaxed"], "usage: seqnorm verify")],
 )
 def test_unknown_flag_shows_the_chosen_usage(capsys, args, usage):
     with pytest.raises(SystemExit) as exc:

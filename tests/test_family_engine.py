@@ -19,16 +19,17 @@ from hypothesis import strategies as st
 from conftest import random_test_vector
 from oracles import BruteFamilyNorm, evaluate_witness_restrict
 import seqnorm
-from seqnorm import QSumConfig, family_engine, norm_ell, norm_x1, norm_x2
+from seqnorm import QSumConfig, family_engine, norm_ell, norm_x1, norm_x2, qsum_engine
 from seqnorm.admissible import AdmissibleFamily, FamilyValidationError
 from seqnorm.core import EQ_TOL, FiniteVector, IndexSet, f
 from seqnorm.family_engine import (
     Exhaustive, FamilyEngine, SegmentDP, SupportLimitError, _Pieces, get_engine,
 )
-from seqnorm.qsum_engine import QSumEngine
+from seqnorm.qsum_engine import QSumEngine, get_qsum_engine
+from seqnorm.run_tables import MAX_ENGINES
 from seqnorm.witness import (
-    FamilyWitness, PartitionWitness, SupWitness, evaluate_witness, validate_witness,
-    witness_to_json,
+    FamilyWitness, PartitionWitness, QuadraticWitness, SupWitness, evaluate_witness,
+    validate_witness, witness_to_json,
 )
 
 E1 = FiniteVector.basis(1)
@@ -488,6 +489,36 @@ def test_witness_rejects_forged_family_child(forge):
         evaluate_witness(forged, x)
 
 
+def test_witness_rejects_a_piece_from_the_other_space():
+    # the segment witness of a 40-point vector (3.528), the first 14-point piece of a
+    # family child replaced by that piece's x1 witness: it would validate at 5.3788
+    x = FiniteVector.from_dense(np.random.default_rng(0).uniform(0.1, 3.0, 40))
+    w = FamilyEngine(SegmentDP()).norm(x, with_witness=True)[1]
+    validate_witness(w, x)
+    j, child = next((j, c) for j, c in enumerate(w.children) if len(c.pieces[0][0].elems) == 14)
+    E = child.pieces[0][0]
+    x1_piece = QSumEngine(QSumConfig.custom((2, 3))).norm(x.restrict(E), with_witness=True)[1]
+    assert isinstance(x1_piece, QuadraticWitness)
+    forged_child = replace(child, pieces=((E, x1_piece), *child.pieces[1:]))
+    forged = replace(w, children=(*w.children[:j], forged_child, *w.children[j + 1:]))
+    assert evaluate_witness_restrict(forged, x) == pytest.approx(5.3788, abs=1e-4)
+    with pytest.raises(ValueError, match="one space"):
+        evaluate_witness(forged, x)
+
+
+def test_witness_rejects_a_family_inside_an_l2sum():
+    # a family node in a head partition piece of a hand-built l2sum tree
+    x = FiniteVector.ones(2)
+    E = IndexSet.of([1, 2])
+    leaves = tuple((IndexSet.of([i]), SupWitness(1.0, i)) for i in (1, 2))
+    family = FamilyWitness(1.0, ((2, E),), (PartitionWitness(1.0, 2, 2.0, leaves),))
+    assert evaluate_witness(family, x) == 1.0
+    head = PartitionWitness(0.5, 3, 2.0, ((E, family),))
+    tree = QuadraticWitness(0.5, ((3, head),), 2, 0.0)
+    with pytest.raises(ValueError, match="one space"):
+        evaluate_witness(tree, x)
+
+
 @pytest.mark.parametrize("claim", [
     lambda v: float("inf"), lambda v: float("nan"), lambda v: v * (1 + 1e-9),
 ], ids=["inf", "nan", "above-tolerance"])
@@ -636,6 +667,17 @@ def test_exhaustive_norm_memo_is_bounded(monkeypatch):
         got.append(engine.norm(x))
         sizes.append(len(engine._norms))
     assert max(sizes) <= 500 and got == want
+
+
+def test_shared_engines_are_bounded():
+    # each engine keeps a norm memo or its last root's tables, so the shared
+    # engines of many limits or configs must not all stay cached
+    for k in range(1, 21):
+        assert get_engine(Exhaustive(k)).norm(E1) == 1.0
+        assert get_qsum_engine(QSumConfig.custom((2, 2 + k))).norm(E1) == 1.0
+    assert family_engine._engine.cache_info().currsize <= MAX_ENGINES
+    assert qsum_engine._engine.cache_info().currsize <= MAX_ENGINES
+    assert get_engine(Exhaustive(20)) is get_engine(Exhaustive(20))
 
 
 def test_exhaustive_frozen_corpus():

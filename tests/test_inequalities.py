@@ -175,6 +175,22 @@ def test_chain_stacks_single_stack_base_case(ex_engine):
     assert all(b.rhs == pytest.approx(1.5, abs=1e-12) for b in weak)
 
 
+def test_relaxed_unasserts_conclusions_whose_premises_hold(ex_engine):
+    # one stack at eps = 500, delta = 100 meets every premise: its bounds are
+    # asserted, and relaxed mode reports the same items unasserted
+    avg = build_average(1.0, 2, ex_engine, start=1)
+    plain, relaxed = (
+        verify_chain_stacks([[avg]], eps=500, delta=100, ells=[1, 2], engine=ex_engine,
+                            relaxed=flag)
+        for flag in (False, True))
+    assert plain.premises_hold and relaxed.premises_hold and plain.ok and relaxed.ok
+    bounds = [b for b in plain.items if not b.instance.startswith("premise ")]
+    assert bounds and all(b.asserted and b.premise_status == "met" for b in bounds)
+    assert not any(b.asserted for b in relaxed.items)
+    assert [dataclasses.replace(b, asserted=False) for b in plain.items] == relaxed.items
+    assert any("relaxed" in n for n in relaxed.notes)
+
+
 def test_chain_stacks_two_stacks_formula_branches(ex_engine):
     stacks = []
     start = 1
