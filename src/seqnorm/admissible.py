@@ -9,6 +9,7 @@ at the boundary are classified correctly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable
 
 from .core import IndexSet, f_exceeds, json_int
@@ -47,21 +48,16 @@ class AdmissibleFamily:
                     f"pairs {pa} and {pa + 1}: sets are not successively ordered "
                     f"(max {Ea.max} >= min {Eb.min})"
                 )
-        budget = 0
-        for pos, (m, E) in enumerate(self.pairs, start=1):
-            if pos > 1 and not f_exceeds(m, budget):
+        sums = self.cumulative_cardinalities()
+        for pos, ((m, _), budget) in enumerate(zip(self.pairs[1:], sums), start=2):
+            if not f_exceeds(m, budget):
                 raise FamilyValidationError(
                     f"pair {pos}: f({m}) <= cumulative cardinality {budget}"
                 )
-            budget += E.cardinality
 
     def cumulative_cardinalities(self) -> tuple[int, ...]:
-        out = []
-        total = 0
-        for _, E in self.pairs:
-            total += E.cardinality
-            out.append(total)
-        return tuple(out)
+        """|E_1| + ... + |E_j| for j = 1, ..., l."""
+        return tuple(accumulate(E.cardinality for _, E in self.pairs))
 
     def to_json(self) -> dict:
         return {"pairs": [[m, E.to_json()] for m, E in self.pairs]}

@@ -23,7 +23,8 @@ closed under halving, in O(n^3 log n) additions and O(n^2 log n) memory: the
 family states live in a window of lengths during the fill, and those of one
 right end are derived again for a witness.  A merged-rest candidate (a first run of t >
 nc points, then one merged run) B(t) = tn[c, t, s] + 2**-(c+t) l1(rest) is tn[c, t, s]
-from t = t0 on, so the fill keeps a running max of tn there.  Proof: C_m >= sup in
+from t = t0 on, so the fill takes the running max of tn over t < L in its place, as every
+first-run candidate for t < t0 is at least tn[c, t, s].  Proof: C_m >= sup in
 floating point (pieces are, with N = max(sup, .) and in `levels` and `residual`, and
 candidates sum nonnegatives), so tn[c, t, s] >= lo[c, s] = fl(sup[nc+1, s] / fl(c)) for
 t > nc; a rest l1, in any order, is below 2 l1[n, 0] <= 2**eW; so from t0 = max(nc + 1,
@@ -287,7 +288,7 @@ class _Segment(RunTables):
         self._end = (-1, 0, None)  # the last `ending`: right end, first start, states
 
     def outer(self, C, values):
-        nc, n, K, tn = self.nc, len(self.p), self.K, self.tn
+        nc, n, K, tn, t0 = self.nc, len(self.p), self.K, self.tn, self.t0
         if n <= 2:  # nothing is searched: the family value is one merged run, l1 / 2 / f(1)
             return lambda L, cnt: np.maximum(self.sup[L, :cnt], self.l1[L, :cnt] / 2,
                                              out=values[L, :cnt])
@@ -296,7 +297,6 @@ class _Segment(RunTables):
         # last nc lengths, at its start, and the next lengths enter as merged tails.
         self.W = W = rests(self.l1)  # W[L, u, s] = l1[u, s+L-u], the last u points of p[s:s+L]
         l1, sup, cls, fl, fk = self.l1, self.sup, self.cl, self.floors[:, None], self.fk[:, None]
-        t0, rm = self.t0, np.full((nc, n), _NEG)
         P, blk = 2 * nc + 2, [1, 1]  # length L at j = blk[0] + L - blk[1]
         G = np.full((2 * nc, P, K - 1, n + 1), _NEG)
         np.divide(l1[1:P], fl[:, None], out=G[:, 1 : min(P, n + 1), 0, :n])
@@ -315,18 +315,17 @@ class _Segment(RunTables):
             # row c of C is C_{2**c}, and fl(0) = fl(1) = 2; at L = 2, cl = 0: empty rows
             np.divide(C[1:cl, L, s], fl[1:cl], out=tn[1:cl, L, s])
             tn[0, L, s] = tn[1, L, s]
-            np.maximum(best[:, 0, s], tn[:, L, s], out=best[:, 0, s])  # max_{t <= L} tn[c, t, s]
             # a first run p[s:s+t], then k - 1 sets: from G, or one merged run if t > nc
             b, T = best[:cl, :, s], min(L, nc)
             (tn[:cl, 1 : T + 1, None, s] + V[:cl, :T, j, :-1, s]).max(axis=1, out=b[:, 1:])
-            t1 = min(L, t0)  # B(t) rounds to tn[c, t, s] from t0 on: their running max rm
+            t1 = min(L, t0)  # B(t) rounds to tn[c, t, s] from t0 on
             if t1 - 1 > T:
                 B = self.pow2[:cl, T + 1 : t1, None] * W[L, L - t1 + 1 : L - T, s][::-1]
                 B += tn[:cl, T + 1 : t1, s]
                 np.maximum(b[:, 1], B.max(axis=1), out=b[:, 1])
-            if L > t0:
-                np.maximum(rm[:, s], tn[:, L - 1, s], out=rm[:, s])
-                np.maximum(b[:, 1], rm[:cl, s], out=b[:, 1])
+            if L > t0:  # b[:, 1] is at least tn[c, t, s] for t < t0: take max_{t < L} tn
+                np.maximum(b[:, 1], b[:, 0], out=b[:, 1])
+            np.maximum(best[:, 0, s], tn[:, L, s], out=best[:, 0, s])  # max_{t <= L} tn[c, t, s]
             np.maximum(b, G[:cl, j - 1, :, 1 : cnt + 1], out=G[:cl, j, :, s])  # or skip p[s]
             ends[:, 1:, n - L] = G[:, j, :, cnt - 1]
             np.maximum(sup[L, s], (G[0, j, :, s] / fk).max(axis=0), out=values[L, s])

@@ -91,6 +91,12 @@ def bound(
     return Check(name, status, lhs, rhs, rhs - lhs, asserted, tol, note)
 
 
+def equal(name: str, lhs: float, rhs: float, tol: float = INEQ_TOL, status: str = "met",
+          note: str = "") -> Check:
+    """The equality lhs = rhs, with margin -|lhs - rhs|."""
+    return Check(name, status, lhs, rhs, -abs(lhs - rhs), True, tol, note)
+
+
 def premise(name: str, lhs: float, rhs: float, holds: bool, note: str = "") -> Check:
     """A premise of a conditional bound: reported as met/UNMET, never asserted."""
     return Check(
@@ -189,15 +195,10 @@ def verify_average_bounds(
 
 
 def peak_index(fam: AdmissibleFamily, k0: int, p: float) -> int:
-    """Largest j <= l with |E_1| + ... + |E_{j-1}| <= k0^(1/2p)."""
+    """Largest j <= l with |E_1| + ... + |E_{j-1}| <= k0^(1/2p), 1 for an empty family.
+    The sums never decrease, so j is 1 plus how many of the first l - 1 are at most the cap."""
     cap = k0 ** (1.0 / (2.0 * p))
-    j0 = 1
-    total = 0
-    for j in range(1, fam.length + 1):
-        if total <= cap:
-            j0 = j
-        total += fam.pairs[j - 1][1].cardinality
-    return j0
+    return 1 + sum(total <= cap for total in fam.cumulative_cardinalities()[:-1])
 
 
 def verify_offpeak_sum(

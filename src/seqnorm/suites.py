@@ -21,9 +21,9 @@ from .constructions import build_average, equal_split_check, feasible_average_si
 from .core import EQ_TOL, FiniteVector, IndexSet, INEQ_TOL, min_m_for_budget
 from .family_engine import MAX_EXHAUSTIVE_SUPPORT, Exhaustive, FamilyEngine, SegmentDP, get_engine
 from .inequalities import (
-    Check,
     Report,
     bound,
+    equal,
     verify_average_bounds,
     verify_chain_stacks,
     verify_offpeak_sum,
@@ -100,7 +100,7 @@ def suite_fixedpoint(count: int, seed: int) -> Report:
                                    ("x1", get_qsum_engine(QSumConfig.small()), 30)):
         for t in range(count):
             res = engine.fixed_point_residual(random_vector(rng, support))
-            report.items.append(Check(f"{space}[{t}]", "met", res, 0.0, -res))
+            report.items.append(equal(f"{space}[{t}]", res, 0.0))
     return report
 
 
@@ -117,14 +117,14 @@ def suite_unconditional(count: int, seed: int) -> Report:
             y = x.flip_signs(random_signs(rng, x.support_size)).spread(random_sigma(rng, x))
             status = "met" if x.pattern() == y.pattern() else "KEY MISMATCH"
             a, b = engine.norm(x), engine.norm(y)
-            report.items.append(Check(f"{space}[{t}]", status, a, b, -abs(a - b), tol=0.0,
-                                      note=note))
+            report.items.append(equal(f"{space}[{t}]", a, b, 0.0, status, note))
     return report
 
 
 def _suite_engine(max_support: int) -> FamilyEngine:
-    """Exhaustive wherever feasible, segment beyond (a certified lower bound
-    for the left sides of the inequality suites; noted in the report)."""
+    """Exhaustive up to MAX_EXHAUSTIVE_SUPPORT points, segment beyond: there the
+    left sides of the inequality suites are certified lower bounds, and the
+    report does not name the engine."""
     if max_support <= MAX_EXHAUSTIVE_SUPPORT:
         return get_engine(Exhaustive())
     return get_engine(SegmentDP())
@@ -272,7 +272,7 @@ def suite_matrix(count: int, seed: int) -> Report:
         a = rng.integers(-9, 10, size=(n, n)).astype(float)
         lhs = matrix_basis_norm(a)
         rhs = operator_norm_oracle(a)
-        report.items.append(Check(f"[{t}] n={n}", "met", lhs, rhs, -abs(lhs - rhs), tol=0.0))
+        report.items.append(equal(f"[{t}] n={n}", lhs, rhs, 0.0))
     return report
 
 
@@ -314,16 +314,7 @@ def suite_embed(count: int, seed: int) -> Report:
         b = rng.normal(size=a.shape[0])
         lhs = emb.combination_norm(b)
         rhs = emb.reference_norm(b)
-        report.items.append(
-            Check(
-                f"[{t}] {a.shape[0]}x{a.shape[1]}",
-                "met",
-                lhs,
-                rhs,
-                -abs(lhs - rhs),
-                tol=EQ_TOL,
-            )
-        )
+        report.items.append(equal(f"[{t}] {a.shape[0]}x{a.shape[1]}", lhs, rhs, EQ_TOL))
     return report
 
 

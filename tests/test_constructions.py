@@ -1,5 +1,8 @@
+import importlib.util
+import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -253,3 +256,39 @@ def test_equal_split_grid():
     for ell in (2, 3, 4):
         for m in range(ell, 21, 3):
             assert equal_split_check(ell, float(m), resolution=2000) <= 1e-9
+
+
+# ----------------------------------------------------------------------
+# frozen construct outputs
+# ----------------------------------------------------------------------
+
+DATA = Path(__file__).parent / "data"
+_spec = importlib.util.spec_from_file_location("make_construct_reports",
+                                               DATA / "make_construct_reports.py")
+make_construct_reports = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_construct_reports)
+CONSTRUCT_REPORTS = json.loads((DATA / "construct_reports.json").read_text())["entries"]
+
+
+def same_bits(got, want) -> bool:
+    """Equal JSON trees: keys, strings, ints and bools exactly, floats to the bit."""
+    if isinstance(want, dict):
+        return (isinstance(got, dict) and got.keys() == want.keys()
+                and all(same_bits(got[k], want[k]) for k in want))
+    if isinstance(want, list):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(same_bits(g, w) for g, w in zip(got, want)))
+    if isinstance(want, float):
+        return isinstance(got, float) and got.hex() == want.hex()
+    return type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("what", ["chain", "localized", "grid"])
+def test_construct_reports_match_frozen(what):
+    # written by tests/data/make_construct_reports.py: exit code, report and
+    # artifact hashes of every construct call it lists
+    entries = [e for e in CONSTRUCT_REPORTS if e["args"][0] == what]
+    assert [e["args"] for e in entries] == [
+        a for a in make_construct_reports.cases() if a[0] == what]
+    for e in entries:
+        assert same_bits(make_construct_reports.run(e["args"]), e), e["args"]

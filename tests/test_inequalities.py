@@ -1,12 +1,13 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from seqnorm.admissible import AdmissibleFamily
 from seqnorm.blocks import AssembledAverage, BlockBasis, assemble_lp_average
 from seqnorm.constructions import build_average
-from seqnorm.core import FiniteVector, IndexSet, f
+from seqnorm.core import FiniteVector, IndexSet, f, min_m_for_budget
 from seqnorm.inequalities import (
     AverageConstantError,
     dilution_constant,
@@ -74,6 +75,29 @@ def test_offpeak_degenerate_tail(ex_engine, half_pair):
     margin = rep.items[0].margin
     assert rep.items[0].lhs == 0.0  # only the peak set exists
     assert margin > 0
+
+
+def test_peak_index_is_the_literal_scan():
+    # the largest j <= l whose sets before it hold at most k0^(1/2p) points; 1 if l = 0
+    def scan(fam, k0, p):
+        cap = k0 ** (1.0 / (2.0 * p))
+        return max((j for j in range(1, fam.length + 1)
+                    if sum(E.cardinality for _, E in fam.pairs[: j - 1]) <= cap), default=1)
+
+    rng = np.random.default_rng(11)
+    families = [AdmissibleFamily(())]
+    for _ in range(200):
+        pairs, consumed = [], 0
+        for _ in range(int(rng.integers(1, 7))):
+            size = int(rng.integers(1, 40))
+            start = consumed + 1 + int(rng.integers(0, 3))
+            pairs.append((min_m_for_budget(consumed), IndexSet.interval(start, start + size - 1)))
+            consumed = start + size - 1
+        families.append(AdmissibleFamily.of(pairs))
+    for fam in families:
+        for k0 in (1, 2, 9, 100, 10**6):
+            for p in (1.0, 2.0, 3.5):
+                assert peak_index(fam, k0, p) == scan(fam, k0, p), (fam, k0, p)
 
 
 def test_stack_seminorm_example(ex_engine, half_pair):
