@@ -71,7 +71,7 @@ def _mode(args) -> object:
 def _emit(report: dict, args, t0: float) -> None:
     report["timings"] = {"wall_s": round(time.monotonic() - t0, 6)}
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text + "\n")
     else:
         print(text)
@@ -176,7 +176,7 @@ def cmd_construct(args) -> int:
                                  L1_prime=args.l1_prime, m0=args.m0, budget=args.budget)
         try:
             res = build_localized_vector(params, get_engine(SegmentDP()))
-        except (BudgetExceededError, ValueError) as exc:
+        except BudgetExceededError as exc:
             report.update(status="infeasible", detail=str(exc))
         else:
             save_vector(res.x, str(out("localized_vector.json")))

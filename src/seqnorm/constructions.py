@@ -536,9 +536,9 @@ def equal_split_check(
     maximized at the equal split a_i = m/ell.
 
     The scanned points are 1 + w (m - ell) for w on the unit simplex: for
-    ell = 2, `resolution` evenly spaced points of the edge; for ell >= 3,
-    `resolution` seeded Dirichlet(1, ..., 1) samples, the vertices e_i and
-    the cyclic edge midpoints (e_i + e_{i+1})/2.
+    ell = 2, `resolution` evenly spaced points of the edge and its two ends;
+    for ell >= 3, `resolution` seeded Dirichlet(1, ..., 1) samples, the
+    vertices e_i and the cyclic edge midpoints (e_i + e_{i+1})/2.
 
     Returns max(scanned) - ell*(m/ell)/f(m/ell), which should be <= 0 up to
     rounding; a positive margin would be a counterexample and is returned,
@@ -553,10 +553,8 @@ def equal_split_check(
         return (a / np.log2(1.0 + a)).sum(axis=-1)
 
     center = ell * (m / ell) / f(m / ell)
-    if m == ell:
-        return g(np.full((1, ell), 1.0)).max() - center
     if ell == 2:
-        a1 = np.linspace(1.0, m - 1.0, resolution)
+        a1 = np.append(np.linspace(1.0, m - 1.0, resolution), (1.0, m - 1.0))
         pts = np.stack([a1, m - a1], axis=-1)
     else:
         eye = np.eye(ell)

@@ -460,9 +460,7 @@ class FamilyEngine(Engine):
         fam.validate()
         e, total = scale_exp(x.pattern()), 0.0
         for m, E in fam.pairs:
-            piece = x.restrict(E)
-            if piece.support_size:
-                total += math.ldexp(self.triple_norm(piece, m), -e)
+            total += math.ldexp(self.triple_norm(x.restrict(E), m), -e)
         return unscale(total / f(fam.length), e)
 
     def _build(self, p: CoefficientPattern) -> _Pieces | _Segment:

@@ -222,11 +222,8 @@ def verify_offpeak_sum(
     j0 = peak_index(fam, k0, p)
     lhs = 0.0
     for j, (m, E) in enumerate(fam.pairs, start=1):
-        if j == j0:
-            continue
-        piece = x.restrict(E)
-        if piece.support_size:
-            lhs += engine.triple_norm(piece, m)
+        if j != j0:
+            lhs += engine.triple_norm(x.restrict(E), m)
     rhs = 6.0 * n * fam.length * k0 ** (-1.0 / (2.0 * p))
     note = f"peak index j0 = {j0}, k0 = {k0}"
     return Report([bound("offpeak_sum_bound", lhs, rhs, note=note)])
@@ -244,7 +241,7 @@ def verify_stack_seminorm(
             raise ValueError("stack bound is about l_1 averages")
         _require_constant(avg, 2.0)
     x, n, k0 = _combination(averages, coeffs)
-    lhs = engine.norm_ell(x, ell) if x.support_size else 0.0
+    lhs = engine.norm_ell(x, ell)
     rhs = (engine.norm(x) + 6.0 * ell * n * k0 ** -0.5) / f(ell)
     return Report([bound("stack_seminorm_bound", lhs, rhs)])
 
@@ -408,12 +405,6 @@ def verify_chain_stacks(
         rhs = (1.0 + eps) * max(1.0, m / (f(ell) * f(m / min(ell, m))))
         report.items.append(bound(f"level_bound[ell={ell}]", lhs, rhs, asserted, status))
         report.items.append(
-            bound(
-                f"level_bound_weak[ell={ell}]",
-                lhs,
-                (1.0 + eps) * m / f(m) if m > 1 else 1.0 + eps,
-                asserted,
-                status,
-            )
+            bound(f"level_bound_weak[ell={ell}]", lhs, (1.0 + eps) * m / f(m), asserted, status)
         )
     return report

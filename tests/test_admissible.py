@@ -2,6 +2,7 @@ import pytest
 
 from seqnorm.admissible import AdmissibleFamily, FamilyValidationError
 from seqnorm.core import IndexSet
+from seqnorm.io import InputError, load_family
 
 
 def fam(*pairs):
@@ -63,3 +64,22 @@ def test_huge_interval_family_rejected_without_building_two_to_the_budget():
     with pytest.raises(FamilyValidationError, match="pair 2"):
         AdmissibleFamily.of([(2, IndexSet.interval(1, 2**70)),
                              (4, IndexSet.interval(2**70 + 1, 2**70 + 3))])
+
+
+def _load_family_text(tmp_path, text):
+    path = tmp_path / "family.json"
+    path.write_text(text)
+    return load_family(str(path))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda tmp_path: AdmissibleFamily(()).validate(), FamilyValidationError),
+        (lambda tmp_path: _load_family_text(tmp_path, "[]"), InputError),
+    ],
+    ids=["no-pairs", "family-json-list"],
+)
+def test_input_checks_raise(tmp_path, call, error):
+    with pytest.raises(error):
+        call(tmp_path)

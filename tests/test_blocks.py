@@ -231,3 +231,24 @@ def test_average_norm_in_certified_range(ex_engine, rng):
         v = ex_engine.norm(avg.vector)
         assert 1.0 / avg.constant - 1e-12 <= v <= avg.constant + 1e-12
         assert avg.sampled_lower <= avg.constant + 1e-12
+
+
+def test_empty_matrix_norms_are_zero():
+    assert matrix_basis_norm([]) == 0.0
+    assert operator_norm_oracle([]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: BlockBasis((FiniteVector.basis(1), FiniteVector.basis(2))).combine([1.0]),
+         "one coefficient per block"),
+        (lambda: matrix_basis_norm([1.0, 2.0]), "need a 2d coefficient array"),
+        (lambda: operator_norm_oracle([1.0, 2.0]), "need a 2d coefficient array"),
+        (lambda: embed_unconditional([1.0, 2.0]), "need an m x n coordinate array"),
+    ],
+    ids=["combine-wrong-length", "matrix-norm-1d", "oracle-1d", "embed-1d"],
+)
+def test_input_checks_raise(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

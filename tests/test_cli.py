@@ -5,6 +5,7 @@ import math
 import pytest
 
 from seqnorm.blocks import _samples
+from seqnorm import cli
 from seqnorm.cli import _emit, main
 from seqnorm.core import FiniteVector
 from seqnorm.qsum_engine import QSumConfig, get_qsum_engine
@@ -317,6 +318,18 @@ def test_unknown_flag_shows_the_chosen_usage(capsys, args, usage):
     assert "unrecognized arguments" in captured.err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [(["verify", "gmax", "--seed", "1", "--count", "two"], "not an integer: 'two'")],
+)
+def test_option_type_checks_exit_2(capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+
+
 def test_construct_lp_average_beyond_six_blocks(capsys, tmp_path):
     # past 6 blocks the ratios are read on the unit vectors, the all-ones vector
     # and 64 normals, so the certified constant is the l1/l_inf sandwich
@@ -450,6 +463,17 @@ def test_construct_over_budget_status(capsys, tmp_path, args, status):
     code, out = run_cli(capsys, "construct", *args, "--out-dir", tmp_path / "art")
     assert code == 0 and out["status"] == status
     assert not (tmp_path / "art").exists()
+
+
+def test_construct_localized_reports_a_failing_build_as_an_error(capsys, monkeypatch, tmp_path):
+    # only a budget overrun is an infeasible build; any other ValueError is an error
+    def broken(params, engine):
+        raise ValueError("broken build")
+
+    monkeypatch.setattr(cli, "build_localized_vector", broken)
+    assert main(["construct", "localized", "--out-dir", str(tmp_path / "art")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: broken build\n"
 
 
 @pytest.mark.parametrize(

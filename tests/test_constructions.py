@@ -10,9 +10,11 @@ from seqnorm.constructions import (
     BudgetExceededError,
     GridParams,
     LocalizedParams,
+    build_average,
     build_chain,
     build_localized_vector,
     build_matrix_grid,
+    build_unit_blocks,
     equal_split_check,
     faithful_localization_scales,
     grid_requirements,
@@ -256,6 +258,32 @@ def test_equal_split_grid():
     for ell in (2, 3, 4):
         for m in range(ell, 21, 3):
             assert equal_split_check(ell, float(m), resolution=2000) <= 1e-9
+
+
+@pytest.mark.parametrize("resolution", [0, 1, 50])
+@pytest.mark.parametrize("ell", [2, 3, 4, 5])
+def test_equal_split_at_m_equal_ell_is_exactly_zero(ell, resolution):
+    # the simplex is the one point (1, ..., 1), whose value ell is the centre's
+    assert equal_split_check(ell, float(ell), resolution=resolution) == 0.0
+
+
+def test_equal_split_pair_scans_the_edge_ends():
+    # with no evenly spaced points, ell = 2 still scans (1, 3) and (3, 1)
+    assert equal_split_check(2, 4.0, resolution=0) == 1 / f(1) + 3 / f(3) - 4 / f(2)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda engine: plan_chain(0), "need ell >= 1"),
+        (lambda engine: build_unit_blocks(1, [5]), "not a certified unit run"),
+        (lambda engine: build_average(1.0, 3, engine), "need k <= 2"),
+    ],
+    ids=["chain-of-zero", "run-length-5", "l1-average-of-3"],
+)
+def test_input_checks_raise(ex_engine, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(ex_engine)
 
 
 # ----------------------------------------------------------------------

@@ -221,3 +221,22 @@ def test_index_set_flavours_stay_distinct():
 def test_index_set_constructor_rejects(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: IndexSet.from_json(3), "cannot parse index set"),
+        (lambda: IndexSet.empty().min, "no min"),
+        (lambda: IndexSet.empty().max, "no max"),
+        (lambda: FiniteVector.basis(1).spread({1: 0}), "not a positive integer"),
+        (lambda: FiniteVector.ones(2).flip_signs([1]), "one sign per support point"),
+        (lambda: FiniteVector.ones(2).flip_signs([1, 2]), "must be [+]-1"),
+        (lambda: f_exceeds(3, -1), "budget must be nonnegative"),
+    ],
+    ids=["index-set-json", "empty-min", "empty-max", "spread-to-zero",
+         "flip-wrong-length", "flip-non-sign", "negative-budget"],
+)
+def test_input_checks_raise(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -23,7 +23,7 @@ from seqnorm import QSumConfig, family_engine, norm_ell, norm_x1, norm_x2, qsum_
 from seqnorm.admissible import AdmissibleFamily, FamilyValidationError
 from seqnorm.core import EQ_TOL, FiniteVector, IndexSet, f
 from seqnorm.family_engine import (
-    Exhaustive, FamilyEngine, SegmentDP, SupportLimitError, _Pieces, get_engine,
+    Exhaustive, FamilyEngine, SearchMode, SegmentDP, SupportLimitError, _Pieces, get_engine,
 )
 from seqnorm.qsum_engine import QSumEngine, get_qsum_engine
 from seqnorm.run_tables import MAX_ENGINES
@@ -157,6 +157,41 @@ def test_evaluate_family_is_lower_bound(ex_engine, rng):
             pairs.append((max(2, 1 << cut), IndexSet.of(idx[cut:])))
         fam = AdmissibleFamily.of(pairs)
         assert ex_engine.evaluate_family(x, fam) <= ex_engine.norm(x) + 1e-12
+
+
+@pytest.mark.parametrize("mode", [Exhaustive(), SegmentDP()], ids=["exhaustive", "segment"])
+def test_evaluate_family_values_empty_pieces_at_zero(mode):
+    engine = FamilyEngine(mode)
+    x = FiniteVector.from_dense([1.0, 0.5, 0.0, 0.0, 2.0, 0.25, 0.0, 1.5])
+    assert engine.triple_norm(FiniteVector.zero(), 2) == 0.0
+    assert engine.norm_ell(FiniteVector.zero(), 3) == 0.0
+    # {3, 4} and {9, 10} miss the support of x: their pieces are empty
+    fam = AdmissibleFamily.of([(2, IndexSet.of([1, 2])), (4, IndexSet.of([3, 4])),
+                               (16, IndexSet.of([5, 6, 8])), (256, IndexSet.of([9, 10]))])
+    pieces = [(m, x.restrict(E)) for m, E in fam.pairs]
+    expected = sum(engine.triple_norm(v, m) for m, v in pieces if v.support_size) / f(4)
+    assert engine.evaluate_family(x, fam) == expected
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: SearchMode("dp"), "unknown search mode"),
+        (lambda: get_engine().norm_ell_m0(E12, 0, 2), "need ell >= 1"),
+        (lambda: get_engine().norm_ell_m0(E12, 1, 1), "need m0 >= 2"),
+    ],
+    ids=["unknown-mode", "level-0", "first-scale-1"],
+)
+def test_input_checks_raise(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("call", [evaluate_witness, lambda w, x: witness_to_json(w)],
+                         ids=["evaluate", "to-json"])
+def test_non_witness_is_refused(call):
+    with pytest.raises(TypeError, match="not a witness"):
+        call(E12, E12)
 
 
 def test_support_limit(ex_engine):

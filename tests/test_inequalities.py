@@ -8,6 +8,7 @@ from seqnorm.admissible import AdmissibleFamily
 from seqnorm.blocks import AssembledAverage, BlockBasis, assemble_lp_average
 from seqnorm.constructions import build_average
 from seqnorm.core import FiniteVector, IndexSet, f, min_m_for_budget
+from seqnorm.family_engine import Exhaustive, FamilyEngine, SegmentDP
 from seqnorm.inequalities import (
     AverageConstantError,
     dilution_constant,
@@ -254,4 +255,36 @@ def test_empty_run_rejected(ex_engine, half_pair, call):
     # an empty run of averages is named as such, not met by an IndexError or
     # by a message about something else
     with pytest.raises(ValueError, match="run of averages is empty"):
+        call(half_pair, ex_engine)
+
+
+@pytest.mark.parametrize("mode", [Exhaustive(), SegmentDP()], ids=["exhaustive", "segment"])
+def test_empty_parts_have_left_side_zero(mode):
+    engine = FamilyEngine(mode)
+    first, second = build_average(1.0, 2, engine), build_average(1.0, 2, engine, start=3)
+    # {1, 2} holds more than 2**(1/2) points, so it is the peak set, and the
+    # zero coefficient leaves the only off-peak set {3, 4} empty
+    fam = AdmissibleFamily.of([(2, IndexSet.of([1, 2])), (4, IndexSet.of([3, 4]))])
+    assert peak_index(fam, 2, 1.0) == 1
+    assert verify_offpeak_sum([first, second], [1.0, 0.0], fam, engine).items[0].lhs == 0.0
+    for ell in (1, 2, 3):
+        rep = verify_stack_seminorm([first, second], [0.0, 0.0], ell, engine)
+        assert rep.items[0].lhs == 0.0 and rep.ok
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda a, eng: dilution_constant(0.5), "need p >= 1"),
+        (lambda a, eng: verify_offpeak_sum([a, build_average(2.0, 2, eng, start=3)], [1.0, 1.0],
+                                           AdmissibleFamily.of([(2, IndexSet.of([1]))]), eng),
+         "share one p"),
+        (lambda a, eng: verify_stack_seminorm([a], [1.5], 1, eng), "coefficients must lie"),
+        (lambda a, eng: verify_stack_seminorm([build_average(2.0, 2, eng)], [1.0], 1, eng),
+         "about l_1 averages"),
+    ],
+    ids=["dilution-below-1", "mixed-p", "coefficient-1.5", "stack-p2"],
+)
+def test_input_checks_raise(ex_engine, half_pair, call, match):
+    with pytest.raises(ValueError, match=match):
         call(half_pair, ex_engine)

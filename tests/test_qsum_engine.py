@@ -373,3 +373,18 @@ def test_block_sum_lower_bound_errors(small_engine):
     bad = [FiniteVector.basis(i, 2.0) for i in range(1, 16)]  # not normalized
     with pytest.raises(ValueError, match="not normalized"):
         small_engine.block_sum_lower_bound(bad)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda engine: engine.cfg.f_exponent(0), "scales are indexed from 1"),
+        (lambda engine: engine.norm_k(FiniteVector.ones(2), 0), "need k >= 1"),
+        (lambda engine: engine.profile(FiniteVector.ones(2), 0), "need K >= 1"),
+        (lambda engine: engine.best_partition_sum(FiniteVector.ones(2), 0), "need m >= 1"),
+    ],
+    ids=["exponent-0", "norm-k-0", "profile-0", "partition-sum-0"],
+)
+def test_input_checks_raise(small_engine, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(small_engine)
