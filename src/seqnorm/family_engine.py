@@ -39,7 +39,11 @@ sets in one order, so values are bit-equal; every supremum is memoised by
 coefficient pattern, sound because the norm is 1-unconditional and
 1-subsymmetric (both under test): norms in one dict the engine shares across
 roots, partition sums and family search states in the root's own, so only the
-last root's are kept.  One walker over root positions, which both modes answer
+last root's are kept.  An exhaustive norm without a witness reads that dict
+before it builds a root.  Beyond its last root and norm memo, an engine of
+either mode keeps its last `MAX_ANSWERS` seminorm answers (`triple_norm`'s
+C_m sum, `norm_ell_m0`'s root row) by scaled pattern and question, least
+recently used out.  One walker over root positions, which both modes answer
 with the sets, scales and pieces attaining each maximum, builds the witnesses.
 Both modes scale a root by the power of two of `run_tables.scale_exp`, and
 `FamilyEngine` is a `run_tables.Engine`, the frame it shares with ``x1``.
@@ -47,6 +51,8 @@ Both modes scale a root by the power of two of `run_tables.scale_exp`, and
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, zip_longest
@@ -71,6 +77,10 @@ MAX_EXHAUSTIVE_SUPPORT = 12
 # The most norms exhaustive mode keeps by pattern (about 13 MB); an insert past it clears them.
 # After its warm-up, a seed-1 `suites-warm` benchmark run of 6,000 operations peaks at 30,842.
 MAX_NORMS = 1 << 17
+# The most seminorm answers an engine keeps, least recently used out.  On seed-1 `suites-warm`
+# instances 600-2,399, run once after the warm-up, 256 answers 1,603 of 3,298 calls, and no
+# bound more than 1,775; each key holds its scaled pattern, n floats for an n-point root.
+MAX_ANSWERS = 256
 
 
 class SupportLimitError(ValueError):
@@ -95,6 +105,12 @@ def SegmentDP() -> SearchMode:
     return SearchMode("segment", 0)
 
 
+def _scaled(p: CoefficientPattern) -> tuple[CoefficientPattern, int]:
+    """(q, e): p * 2**-e, exactly as both modes scale a root, and e = `scale_exp(p)`."""
+    e = scale_exp(p)
+    return tuple(math.ldexp(v, -e) for v in p), e
+
+
 def _ratio(l1, fl: int):
     """l1 / fl, zero (of l1's shape) for a floor past `_FLOOR_BITS_CAP` bits."""
     return l1 / fl if fl.bit_length() <= _FLOOR_BITS_CAP else 0.0 * l1
@@ -112,8 +128,8 @@ class _Pieces:
     reaches it, and max is exact, so values do not depend on the search order."""
 
     def __init__(self, p: CoefficientPattern, norms: dict):
-        self.p, self.exp = p, scale_exp(p)
-        self.q = tuple(math.ldexp(v, -self.exp) for v in p)
+        self.p = p
+        self.q, self.exp = _scaled(p)
         self._norm = norms
         self._split: dict[tuple, tuple[float, int]] = {}  # `split`: (best, first-run width)
         self._family: dict[tuple, list | tuple[list, list]] = {}  # `family` and `cover` states
@@ -416,18 +432,28 @@ class _Segment(RunTables):
 
 
 class FamilyEngine(Engine):
-    """Evaluator for the family norm and its seminorms, on the last root's
-    object only: a `_Pieces` on the engine's norm memo, or a `_Segment`.
-    Every memo entry is a function of its key alone and an operation holds its
-    root object, so an instance shared across threads stays correct but may
-    repeat a search."""
+    """Evaluator for the family norm and its seminorms.  Searches run on the
+    last root's object only: a `_Pieces` on the engine's norm memo, or a
+    `_Segment`.  Beyond it the engine keeps the exhaustive norm memo (at most
+    `MAX_NORMS` entries) and the answers of `triple_norm` and `norm_ell_m0`
+    (at most `MAX_ANSWERS`, least recently used out, each a float or a short
+    tuple: no root's tables).  Every kept entry is a function of its key alone
+    and an operation holds its root object, so an instance shared across threads
+    stays correct but may repeat a search."""
 
     def __init__(self, mode: SearchMode):
         self.mode = mode
-        self._norms: dict = {}  # exhaustive: norms by pattern, shared across roots
+        self._norms: dict = {}  # exhaustive: norms by scaled pattern, shared across roots
+        self._answers: OrderedDict = OrderedDict()  # `_answer`: (q, question, arg) -> answer
 
     def norm(self, x: FiniteVector, with_witness: bool = False):
-        S = self._root(x.pattern())
+        p = x.pattern()
+        if not with_witness and self.mode.kind == "exhaustive" and len(p) <= self.mode.max_support:
+            q, e = _scaled(p)  # `_Pieces.norm_of` without its search
+            hit = max(q, default=0.0) if len(q) <= 2 else self._norms.get(q)
+            if hit is not None:
+                return unscale(hit, e)
+        S = self._root(p)
         value = unscale(S.value(), S.exp)
         if not with_witness:
             return value
@@ -436,8 +462,8 @@ class FamilyEngine(Engine):
     def triple_norm(self, x: FiniteVector, m: int) -> float:
         if m < 2:
             raise ValueError("the triple norm is defined for m >= 2")
-        S = self._root(x.pattern())
-        return unscale(_ratio(S.best(None, m), m), S.exp)
+        c, e = self._answer(x.pattern(), "triple", m, lambda S: float(S.best(None, m)))
+        return unscale(_ratio(c, m), e)
 
     def norm_ell(self, x: FiniteVector, ell: int) -> float:
         """Best family value at exactly `ell` pairs (trailing empty sets allowed)."""
@@ -449,19 +475,39 @@ class FamilyEngine(Engine):
             raise ValueError("need ell >= 1")
         if m0 < 2:
             raise ValueError("need m0 >= 2")
-        S = self._root(x.pattern())
+        best, e = self._answer(x.pattern(), "ell", m0, lambda S: tuple(map(float, S.root_best(m0))))
         # best[0] = 0 is the empty family: the max is over at most ell sets
-        return unscale(max(S.root_best(m0)[: ell + 1]) / f(ell), S.exp)
+        return unscale(max(best[: ell + 1]) / f(ell), e)
 
     def evaluate_family(self, x: FiniteVector, fam: AdmissibleFamily) -> float:
         """Value of one explicit family: a certified lower bound for the norm.
-        Each set is valued by `triple_norm`, so it becomes the last root; the
-        sum is taken in units of 2**scale_exp(x), as every other operation is."""
+        Each set is valued by `triple_norm`, so it is a kept answer or becomes the
+        last root; the sum is taken in units of 2**scale_exp(x), as every other
+        operation is."""
         fam.validate()
         e, total = scale_exp(x.pattern()), 0.0
         for m, E in fam.pairs:
             total += math.ldexp(self.triple_norm(x.restrict(E), m), -e)
         return unscale(total / f(fam.length), e)
+
+    def _answer(self, p: CoefficientPattern, question: str, arg: int, ask) -> tuple:
+        """(ask(root of p), e): the scaled answer, kept by (p * 2**-e, question, arg),
+        and the exponent e that unscales it.  Both modes compute from the scaled
+        pattern alone, so a kept answer is bit-equal to a fresh one, also for p's
+        power-of-two multiples.  Each cache step is one atomic `OrderedDict` call,
+        so threads that race repeat a search at worst."""
+        q, e = _scaled(p)
+        key, answers = (q, question, arg), self._answers
+        hit = answers.get(key)
+        if hit is None:
+            hit = answers[key] = ask(self._root(p))
+            while len(answers) > MAX_ANSWERS:
+                with suppress(KeyError):  # emptied by other threads meanwhile
+                    answers.popitem(last=False)
+        else:
+            with suppress(KeyError):  # evicted by another thread meanwhile
+                answers.move_to_end(key)
+        return hit, e
 
     def _build(self, p: CoefficientPattern) -> _Pieces | _Segment:
         """A new root object of pattern p for this engine's mode, not filled."""

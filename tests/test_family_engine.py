@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import combinations
@@ -26,7 +27,7 @@ from seqnorm.family_engine import (
     Exhaustive, FamilyEngine, SearchMode, SegmentDP, SupportLimitError, _Pieces, get_engine,
 )
 from seqnorm.qsum_engine import QSumEngine, get_qsum_engine
-from seqnorm.run_tables import MAX_ENGINES
+from seqnorm.run_tables import MAX_ENGINES, unscale
 from seqnorm.witness import (
     FamilyWitness, PartitionWitness, QuadraticWitness, SupWitness, evaluate_witness,
     validate_witness, witness_to_json,
@@ -783,6 +784,192 @@ def test_exhaustive_engine_shared_across_threads():
                 assert list(pool.map(lambda x: run(shared, x), xs, timeout=120)) == fresh
     finally:
         sys.setswitchinterval(interval)
+
+
+# the kept seminorm answers (`FamilyEngine._answer`) and the norm memo read first
+ANSWER_QUESTIONS = ([("triple_norm", m) for m in (2, 3, 5, 8)]
+                    + [("norm_ell", ell) for ell in (1, 2, 3, 4)]
+                    + [("norm_ell_m0", ell, m0) for m0 in (2, 4, 8) for ell in (1, 2, 3, 4)])
+
+
+def answer_key(x, question):
+    """The cache key of a question: norm_ell asks norm_ell_m0 at m0 = 2."""
+    name, *args = question
+    kind = ("triple", args[0]) if name == "triple_norm" else ("ell", args[1] if args[1:] else 2)
+    return family_engine._scaled(x.pattern())[0], *kind
+
+
+def answer_roots(mode):
+    """Seeded roots, one pattern beside its power-of-two multiples, 1-2-point
+    patterns and coefficients near 1e-310."""
+    rng = np.random.default_rng(71)
+    size = 7 if mode.kind == "exhaustive" else 12
+    roots = [random_test_vector(rng, size) for _ in range(8)]
+    x = FiniteVector.from_dense(rng.uniform(0.1, 3.0, size=5).tolist())
+    roots += [x, 2.0**-40 * x, 8.0 * x, 2.0**60 * x]
+    roots += [FiniteVector.from_dense(rng.uniform(0.1, 3.0, size=n).tolist()) for n in (1, 2, 2)]
+    roots += [FiniteVector.from_dense([1e-310, 2.5e-310, 3e-312][:n]) for n in (1, 2, 3)]
+    return roots
+
+
+@pytest.mark.parametrize("mode", [Exhaustive(), SegmentDP()], ids=["exhaustive", "segment"])
+def test_kept_answers_are_bit_equal_to_fresh_ones(monkeypatch, mode):
+    # each question on a fresh engine, then on one engine whose cache keeps 4 answers:
+    # asked twice in a row (a miss, then a hit), then an earlier question of the root
+    # again, in two passes, so the second pass asks again after eviction; hits,
+    # misses and the order of the kept keys follow a model LRU of 4 keys
+    roots = answer_roots(mode)
+    fresh = {(i, q): getattr(FamilyEngine(mode), q[0])(x, *q[1:])
+             for i, x in enumerate(roots) for q in ANSWER_QUESTIONS}
+    roots_asked = [0]
+
+    def counted(self, p, root=FamilyEngine._root):
+        roots_asked[0] += 1
+        return root(self, p)
+    monkeypatch.setattr(FamilyEngine, "_root", counted)
+    monkeypatch.setattr(family_engine, "MAX_ANSWERS", 4)
+    engine, model, hits = FamilyEngine(mode), OrderedDict(), []
+    for order in (range(len(roots)), reversed(range(len(roots)))):
+        for i in order:
+            for j, q in enumerate(ANSWER_QUESTIONS):
+                for q in (q, q, ANSWER_QUESTIONS[j // 2]):
+                    key, before = answer_key(roots[i], q), roots_asked[0]
+                    got = getattr(engine, q[0])(roots[i], *q[1:])
+                    assert float.hex(got) == float.hex(fresh[i, q])
+                    hits.append(roots_asked[0] == before)
+                    assert hits[-1] == (key in model)
+                    model[key] = None
+                    model.move_to_end(key)
+                    if len(model) > 4:
+                        model.popitem(last=False)
+                    assert list(engine._answers) == list(model)
+    assert 0 < hits.count(False) < len(hits) / 2
+    # a power-of-two multiple takes its pattern's kept answer: one root for three
+    engine._answers.clear()
+    before = roots_asked[0]
+    for i in (8, 9, 11):  # x, 2**-40 x, 2**60 x
+        assert float.hex(engine.norm_ell(roots[i], 3)) == float.hex(fresh[i, ("norm_ell", 3)])
+    assert roots_asked[0] == before + 1
+
+
+def test_answers_and_state_stay_bounded():
+    # 1,000 distinct roots of norm_ell and triple_norm calls on one exhaustive engine:
+    # at most MAX_ANSWERS answers, and all the engine keeps, norm memo included, stays
+    # under 600 KB (read 354 KB: 2,039 norms, the last root's states, 104 KB of answers)
+    rng = np.random.default_rng(13)
+    roots = [FiniteVector.from_dense(p)
+             for p in dict.fromkeys(random_test_vector(rng, 5).pattern() for _ in range(1100))]
+    roots = roots[:1000]
+    assert len(roots) == 1000
+    tracemalloc.start()
+    try:
+        FamilyEngine(Exhaustive()).norm_ell(roots[0], 2)  # one-time allocations outside the engine
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        engine = FamilyEngine(Exhaustive())
+        for x in roots:
+            engine.norm_ell(x, 2)
+            engine.triple_norm(x, 3)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(engine._answers) == family_engine.MAX_ANSWERS
+    assert held < 600_000
+    # a replaced segment root is freed with its family states, which its kept row
+    # was read from; the row still answers, with no new root
+    engine = FamilyEngine(SegmentDP())
+    x, y = roots[-1], roots[-2]
+    want = engine.norm_ell(x, 3)
+    refs = [weakref.ref(engine._last), weakref.ref(engine._last._end[2])]  # states of end n
+    engine.triple_norm(y, 2)
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    last = engine._last
+    assert engine.norm_ell(x, 3) == want and engine._last is last
+
+
+@pytest.mark.parametrize("mode", [Exhaustive(), SegmentDP()], ids=["exhaustive", "segment"])
+def test_answer_cache_shared_across_threads(monkeypatch, mode):
+    # four threads ask interleaved, repeated questions of one engine whose cache keeps
+    # 3 answers, so their inserts evict keys the others are about to read
+    roots = answer_roots(mode)[:10]
+    asks = [(i, q) for i in range(len(roots)) for q in ANSWER_QUESTIONS[::3]] * 2
+    want = {(i, q): getattr(FamilyEngine(mode), q[0])(roots[i], *q[1:]) for i, q in asks}
+    monkeypatch.setattr(family_engine, "MAX_ANSWERS", 3)
+    shared = FamilyEngine(mode)
+
+    def run(seed):
+        order = list(asks)
+        np.random.default_rng(seed).shuffle(order)
+        return [(i, q, getattr(shared, q[0])(roots[i], *q[1:])) for i, q in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside cache steps
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = [f.result(timeout=120) for f in [pool.submit(run, s) for s in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert [float.hex(v) for _, _, v in got] == [float.hex(want[i, q]) for i, q, _ in got]
+    assert len(shared._answers) <= 3
+
+
+def test_answer_cache_tolerates_keys_gone_meanwhile(monkeypatch):
+    # what another thread can do between two cache steps: evict the key just read,
+    # or empty the cache before this insert evicts
+    class EvictedAfterRead(OrderedDict):
+        def get(self, key, default=None):
+            hit = super().get(key, default)
+            self.pop(key, None)
+            return hit
+
+    class EmptiedBeforeEviction(OrderedDict):
+        def popitem(self, last=True):
+            self.clear()
+            return super().popitem(last)
+
+    x = FiniteVector.from_dense([1.0, 0.4, 0.7])
+    want = [FamilyEngine(Exhaustive()).norm_ell(x, 2), FamilyEngine(Exhaustive()).triple_norm(x, 2)]
+    monkeypatch.setattr(family_engine, "MAX_ANSWERS", 1)
+    for cache in (EvictedAfterRead, EmptiedBeforeEviction):
+        engine = FamilyEngine(Exhaustive())
+        engine._answers = cache()
+        got = [engine.norm_ell(x, 2), engine.norm_ell(x, 2), engine.triple_norm(x, 2)]
+        assert got == [want[0], want[0], want[1]]
+
+
+def test_exhaustive_norm_reads_the_memo_before_building_a_root():
+    # a pattern the norm memo holds (or one of 1-2 points) is answered without a root:
+    # the engine's last root stays, and the value is the root's bit for bit
+    def root_value(p):
+        R = _Pieces(p, {})
+        return unscale(R.value(), R.exp)
+
+    rng = np.random.default_rng(17)
+    engine = FamilyEngine(Exhaustive())
+    tiny = FiniteVector.from_dense([1e-310, 2.5e-310, 3e-312, 7e-311])
+    checked = 0
+    for x in [tiny] + [random_test_vector(rng, 9) for _ in range(30)]:
+        engine.norm(x)
+        # the root itself, its power-of-two multiples, and those restrictions the search
+        # valued on the root's scale (one with the root's largest coefficient)
+        parts = [x.restrict(IndexSet.of(E)) for k in range(1, x.support_size)
+                 for E in combinations(x.indices, k)]
+        kept = [x, 2.0**-70 * x, 4.0 * x] + [
+            y for y in parts if family_engine._scaled(y.pattern())[0] in engine._norms]
+        for y in kept:
+            p, last = y.pattern(), engine._last
+            assert float.hex(engine.norm(y)) == float.hex(root_value(p))
+            assert engine._last is last
+            checked += 1
+    assert checked > 300
+    for p in [(0.3,), (2.0, 0.7), (1e-310, 3e-312)]:  # the closed form builds no root either
+        engine = FamilyEngine(Exhaustive())
+        assert engine.norm(FiniteVector.from_dense(p)) == root_value(p) and engine._last is None
+    with pytest.raises(SupportLimitError):  # the limit still holds below 3 points
+        FamilyEngine(Exhaustive(max_support=1)).norm(E12)
 
 
 def test_dropped_engine_freed_without_gc(rng):
