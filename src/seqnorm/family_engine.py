@@ -32,20 +32,21 @@ eW - c - k + 2), 2**k = spacing(lo), the product rounds to at most spacing(lo) /
 bit spare for a subnormal one rounding up), under half the spacing of tn; c + k is least
 at c = 0 (fl(0) = 2) and the least lo (`_Segment.t0`).  It gives a certified lower
 bound, exact on constant patterns but not in general (frozen counterexample in
-the tests).  ``exhaustive`` mode takes arbitrary subsets, up to
-``max_support`` points (default `MAX_EXHAUSTIVE_SUPPORT`), on one `_Pieces` per
-root: a family covers its points or leaves one out, and every search sums its
-sets in one order, so values are bit-equal; every supremum is memoised by
-coefficient pattern, sound because the norm is 1-unconditional and
-1-subsymmetric (both under test): norms in one dict the engine shares across
-roots, partition sums and family search states in the root's own, so only the
-last root's are kept.  An exhaustive norm without a witness reads that dict
-before it builds a root.  Beyond its last root and norm memo, an engine of
-either mode keeps its last `MAX_ANSWERS` seminorm answers (`triple_norm`'s
-C_m sum, `norm_ell_m0`'s root row) by scaled pattern and question, least
-recently used out.  One walker over root positions, which both modes answer
-with the sets, scales and pieces attaining each maximum, builds the witnesses.
-Both modes scale a root by the power of two of `run_tables.scale_exp`, and
+the tests).  ``exhaustive`` mode takes arbitrary subsets, up to ``max_support``
+points (default `MAX_EXHAUSTIVE_SUPPORT`), on one `_Pieces` per root: a family
+covers its points or leaves one out, and every search sums its sets in one order,
+so values are bit-equal.  A sub-pattern is one integer, its counts of points kept
+per maximal run of equal coefficients in mixed radix (a bitmask if no neighbours
+are equal), so first points, rests and drops are integer arithmetic.  Every
+supremum is a function of the pattern (the norm is 1-unconditional and
+1-subsymmetric, both under test): norms are memoised by pattern in one dict the
+engine shares across roots and reads before it builds a root, and by index, with
+partition sums and family search states, in the root's own, so only the last
+root's are kept.  An engine of either mode also keeps its last `MAX_ANSWERS`
+seminorm answers (`triple_norm`'s C_m sum, `norm_ell_m0`'s root row) by scaled
+pattern and question, least recently used out.  One walker over root positions,
+which both modes answer with the sets, scales and pieces attaining each maximum,
+builds the witnesses.  Both modes scale a root by `run_tables.scale_exp`, and
 `FamilyEngine` is a `run_tables.Engine`, the frame it shares with ``x1``.
 """
 from __future__ import annotations
@@ -55,7 +56,7 @@ from collections import OrderedDict
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, zip_longest
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -70,9 +71,9 @@ from .witness import FamilyWitness, PartitionWitness, SupWitness, Witness
 _NEG = float("-inf")
 # Floors beyond this many bits overflow floats; the contribution is zero.
 _FLOOR_BITS_CAP = 1020
-# The default support limit of exhaustive mode: a cold 12 / 14-point norm takes about 0.2 / 1 s
-# on a 2-vCPU Xeon (BENCH_16.json), but the limit decides which suite instances run
-# exhaustively, and the frozen suite reports and benchmark references were taken at 12.
+# The default support limit of exhaustive mode: a cold U(0.1, 3) 12 / 14-point norm takes about
+# 0.13 / 0.6 s on a 2-vCPU Xeon (BENCH_29.json), but the limit decides which suite instances
+# run exhaustively, and the frozen suite reports and benchmark references were taken at 12.
 MAX_EXHAUSTIVE_SUPPORT = 12
 # The most norms exhaustive mode keeps by pattern (about 13 MB); an insert past it clears them.
 # After its warm-up, a seed-1 `suites-warm` benchmark run of 6,000 operations peaks at 30,842.
@@ -111,161 +112,199 @@ def _scaled(p: CoefficientPattern) -> tuple[CoefficientPattern, int]:
     return tuple(math.ldexp(v, -e) for v in p), e
 
 
-def _ratio(l1, fl: int):
-    """l1 / fl, zero (of l1's shape) for a floor past `_FLOOR_BITS_CAP` bits."""
-    return l1 / fl if fl.bit_length() <= _FLOOR_BITS_CAP else 0.0 * l1
+def _div(fl: int) -> float:
+    """The floor fl as a divisor: inf past `_FLOOR_BITS_CAP` bits, so l1 / fl is zero."""
+    return float(fl) if fl.bit_length() <= _FLOOR_BITS_CAP else math.inf
 
 
 class _Pieces:
     """Exhaustive mode's answers on one root p, by positions of q = p * 2**-exp
-    (`scale_exp`): the sups of the fixed-point equation, memoised by pattern:
-    norms in the engine's dict (`norms`, shared across roots), partition sums
-    and family search states in this root's.  Helper pieces in `residual` and
-    `levels` take given piece values as their norm memo.  A family's sets are
-    the runs of the points U it covers, and the budget counts set points only:
-    a family of p covers p (`cover`) or lies in p without a point (`family`).
-    Each candidate is the float sum tn(E_1) + (tn(E_2) + ...) however a search
-    reaches it, and max is exact, so values do not depend on the search order."""
+    (`scale_exp`), on the sub-patterns of q: index I = sum d_i w_i keeps d_i points
+    of q's i-th maximal run of equal coefficients, w_i the product of (length + 1)
+    over the runs before it, so the root is size - 1.  `norms` is the engine's norm
+    memo by pattern (`levels` gives its step's piece values instead).  A family
+    covers I (`cover`) or lies in I without a point (`family`); its sets are the
+    runs of the points it covers, and its budget counts those points.  Each
+    candidate is the float sum tn(E_1) + (tn(E_2) + ...) however a search reaches
+    it, and max is exact, so values do not depend on the search order."""
 
     def __init__(self, p: CoefficientPattern, norms: dict):
-        self.p = p
+        self.p, self._norm = p, norms
         self.q, self.exp = _scaled(p)
-        self._norm = norms
-        self._split: dict[tuple, tuple[float, int]] = {}  # `split`: (best, first-run width)
-        self._family: dict[tuple, list | tuple[list, list]] = {}  # `family` and `cover` states
+        # (value, weight, length + 1) of each maximal run of q; by index, sum(pattern) and len
+        self._runs, self._l1, self._r = [], [0], [0]
+        for v, run in groupby(self.q):
+            m, a, b = len(list(run)) + 1, self._l1, self._r
+            self._runs.append((v, len(a), m))
+            for _ in range(1, m):  # the indices with one more point of the run, v added last
+                a, b = [s + v for s in a], [k + 1 for k in b]
+                self._l1, self._r = self._l1 + a, self._r + b
+        self.size, self.K = len(self._l1), len(p) + 1
+        self._w = [w for _, w, m in self._runs for _ in range(1, m)]  # by position
+        self._div = [_div(min_m_for_budget(c)) for c in range(self.K)]  # the floor after c points
+        self._nv: list = [None] * self.size  # norms by index
+        self._split: dict[int, tuple[float, int]] = {}  # J * K + m: (best, first-run width)
+        self._cover: dict[int, tuple[list, list]] = {}  # I * K + c: `cover` at the floor rule
+        self._family: dict[int, dict[int, list]] = {}  # first floor: {I: `family`}
 
     def fill(self) -> None:
         """Nothing to fill ahead: the searches fill their memos as they are asked."""
 
-    def norm_of(self, p: CoefficientPattern) -> float:
-        if len(p) <= 2:
-            # Closed form: the best family value (a+b)/2 is at most max(a, b).
-            return max(p, default=0.0)
-        hit = self._norm.get(p)
-        if hit is None:
-            hit = self.rhs(p)
-            if len(self._norm) >= MAX_NORMS:
-                self._norm.clear()
-            self._norm[p] = hit
-        return hit
+    def pattern(self, I: int) -> CoefficientPattern:
+        return tuple(v for v, w, m in self._runs for _ in range(I // w % m))
 
-    def rhs(self, p: CoefficientPattern) -> float:
-        """Right-hand side of the fixed-point equation at p."""
-        best = self.family(p, 2)
+    def index(self, pos: Sequence[int] | None) -> int:
+        return self.size - 1 if pos is None else sum(map(self._w.__getitem__, pos))
+
+    def norm_of(self, I: int) -> float:
+        v = self._nv[I]
+        if v is None:
+            p = self.pattern(I)
+            # closed form below 3 points: the best family value (a+b)/2 is at most max(a, b)
+            v = max(p, default=0.0) if len(p) <= 2 else self._norm.get(p)
+            if v is None:
+                v = self.rhs(I, p)
+                if len(self._norm) >= MAX_NORMS:
+                    self._norm.clear()
+                self._norm[p] = v
+            self._nv[I] = v
+        return v
+
+    def rhs(self, I: int, p: CoefficientPattern) -> float:
+        """Right-hand side of the fixed-point equation at sub-pattern I, of pattern p."""
+        best = self.family(I, 2)
         return max(max(p), max(best[k] / f(k) for k in range(1, len(best))))
 
-    def split(self, p: CoefficientPattern, m: int) -> tuple[float, int]:
-        """Best sum of piece values over partitions of p into at most m runs,
+    def split(self, J: int, m: int) -> tuple[float, int]:
+        """Best sum of piece values over partitions of J into at most m runs,
         and the width of the first run of a partition attaining it."""
-        n = len(p)
-        if m >= n:
-            return sum(p), 1
+        r, l1 = self._r[J], self._l1
+        if m >= r:
+            return l1[J], 1
         if m == 1:
-            return self.norm_of(p), n
-        hit = self._split.get((p, m))
+            return self.norm_of(J), r
+        hit = self._split.get(J * self.K + m)  # 1 < m < r <= K - 1: one key per state
         if hit is None:
-            hit = _NEG, 0
-            for t in range(1, n):
-                cand = self.norm_of(p[:t]) + self.split(p[t:], m - 1)[0]
-                if cand > hit[0]:
-                    hit = cand, t
-            self._split[p, m] = hit
+            hit, P, t, nv, memo, K = (_NEG, 0), 0, 0, self._nv, self._split, self.K
+            for _, w, mw in self._runs:
+                for _ in range(J // w % mw):
+                    P, t = P + w, t + 1
+                    if t < r:  # the rest: one piece per point, one piece, or split
+                        S = J - P
+                        rest = (l1[S] if m > r - t else self.norm_of(S) if m == 2
+                                else (memo.get(S * K + m - 1) or self.split(S, m - 1))[0])
+                        cand = (nv[P] if nv[P] is not None else self.norm_of(P)) + rest
+                        if cand > hit[0]:
+                            hit = cand, t
+            self._split[J * self.K + m] = hit
         return hit
 
-    def cover(self, p: CoefficientPattern, c: int, first_floor: int) -> tuple[list, list]:
-        """(best, arg) of the families covering p, c points consumed before it:
-        best[k] is the largest sum of tn(set, floor) over k runs partitioning p,
+    def cover(self, I: int, c: int, first_floor: int) -> tuple[list, list]:
+        """(best, arg) of the families covering I, c points consumed before it:
+        best[k] is the largest sum of tn(set, floor) over k runs partitioning I,
         arg[k] the first run's length in one attaining it.  `first_floor` raises
-        the first set's floor (the m0-constrained seminorm) and then turns the
-        merged-tail leaf off for it, as later floors may drop back below it."""
+        the first set's floor (the m0-constrained seminorm; such a state is asked
+        once, by its `family` state, so not kept) and turns its merged-tail leaf
+        off, as later floors may drop back below it."""
         ff = first_floor if c == 0 else 2
-        fl, r = max(ff, min_m_for_budget(c)), len(p)
+        if ff == 2 and (hit := self._cover.get(I * self.K + c)) is not None:
+            return hit
+        r, l1, div, fl = self._r[I], self._l1, self._div, max(ff, min_m_for_budget(c))
         if r == 0:
             return [0.0], [0]
         if fl >= r and ff <= 2:
-            return [_NEG, _ratio(sum(p), fl)], [0, r]
-        hit = self._family.get((p, c, ff))
-        if hit is None:
-            best, arg = [_NEG], [0]
-            for t in range(1, r + 1):
-                tnv = _ratio(self.split(p[:t], fl)[0], fl)  # tn at scales >= fl: the floor rule
-                for k, v in enumerate(self.cover(p[t:], c + t, ff)[0], 1):
-                    if k == len(best):
-                        best, arg = best + [_NEG], arg + [0]
-                    if tnv + v > best[k]:
-                        best[k], arg[k] = tnv + v, t
-            hit = self._family[p, c, ff] = best, arg
-        return hit
+            return [_NEG, l1[I] / _div(fl)], [0, r]
+        k2, P, t, dv, K = min(3, r + 1), 0, 0, _div(fl), self.K  # k <= 2 sets: alone, or a rest
+        best, arg = [_NEG] * k2, [0] * k2
+        for _, w, m in self._runs:
+            for _ in range(I // w % m):
+                P, t = P + w, t + 1
+                tnv = (l1[P] if fl >= t else (self._split.get(P * K + fl) or self.split(P, fl))[0])
+                tnv /= dv  # tn at scales >= fl, the floor rule
+                S, c2 = I - P, c + t  # the rest: empty, one merged tail, or searched
+                if t == r or div[c2] >= r - t:  # one set, or two with a merged tail
+                    k, v = (1, tnv) if t == r else (2, tnv + l1[S] / div[c2])
+                    if v > best[k]:
+                        best[k], arg[k] = v, t
+                else:
+                    tail = (self._cover.get(S * K + c2) or self.cover(S, c2, 2))[0]  # [0] = -inf
+                    best += [_NEG] * (len(tail) + 1 - len(best))
+                    arg += [0] * (len(best) - len(arg))
+                    for k in range(1, len(tail)):
+                        if tnv + tail[k] > best[k + 1]:
+                            best[k + 1], arg[k + 1] = tnv + tail[k], t
+        if ff == 2:
+            self._cover[I * self.K + c] = best, arg
+        return best, arg
 
-    def family(self, p: CoefficientPattern, first_floor: int) -> list:
+    def family(self, I: int, first_floor: int) -> list:
         """best[k]: the largest sum of tn(set, floor) over families of exactly k
-        sets in p: those covering p, and those of p without one point."""
-        hit = self._family.get((p, first_floor))
+        sets in I: those covering I, and those of I without one point."""
+        memo = self._family.setdefault(first_floor, {})
+        hit = memo.get(I)
         if hit is None:
-            hit = self.cover(p, 0, first_floor)[0]
-            for i in range(len(p)):
-                rest = self.family(p[:i] + p[i + 1 :], first_floor)
-                hit = [max(a, b) for a, b in zip_longest(hit, rest, fillvalue=_NEG)]
-            self._family[p, first_floor] = hit
+            hit = self.cover(I, 0, first_floor)[0]
+            for _, w, m in self._runs:
+                if I // w % m:  # without one point of this run
+                    rest = memo.get(I - w) or self.family(I - w, first_floor)
+                    hit = [*map(max, hit, rest), *(hit[len(rest) :] or rest[len(hit) :])]
+            memo[I] = hit
         return hit
-
-    def _at(self, pos: Sequence[int] | None) -> CoefficientPattern:
-        return self.q if pos is None else tuple(map(self.q.__getitem__, pos))
 
     def value(self, pos: Sequence[int] | None = None) -> float:
-        return self.norm_of(self._at(pos))
+        return self.norm_of(self.index(pos))
 
     def best(self, pos: Sequence[int] | None, m: int) -> float:
-        return self.split(self._at(pos), m)[0]
+        return self.split(self.index(pos), m)[0]
 
     def root_best(self, m0: int) -> list:
-        return self.family(self.q, m0)
+        return self.family(self.size - 1, m0)
 
     def sets(self, pos: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
         """(positions, scale) of the sets of a family attaining the norm at pos, empty
         if the sup norm attains it.  Ties: drop the first point i whose p without i
         attains best[k] until the families covering p do; then walk cover's `arg`."""
-        p, pos = self._at(pos), tuple(pos)
-        if self.norm_of(p) <= max(p):
+        pos, I = tuple(pos), self.index(pos)
+        if self.norm_of(I) <= max(map(self.q.__getitem__, pos)):
             return []
-        best = self.family(p, 2)
+        best = self.family(I, 2)
         k = max(range(1, len(best)), key=lambda k: best[k] / f(k))
         want = best[k : k + 1]  # a slice, as a shorter list does not reach k sets
-        while self.cover(p, 0, 2)[0][k : k + 1] != want:
-            i = next(i for i in range(len(p))
-                     if self.family(p[:i] + p[i + 1 :], 2)[k : k + 1] == want)
-            p, pos = p[:i] + p[i + 1 :], pos[:i] + pos[i + 1 :]
+        while self.cover(I, 0, 2)[0][k : k + 1] != want:
+            i = next(i for i, j in enumerate(pos)
+                     if self.family(I - self._w[j], 2)[k : k + 1] == want)
+            I, pos = I - self._w[pos[i]], pos[:i] + pos[i + 1 :]
         out, a, c = [], 0, 0
         for left in range(k, 0, -1):
-            t = self.cover(p[a:], c, 2)[1][left]
+            t = self.cover(self.index(pos[a:]), c, 2)[1][left]
             out.append((pos[a : a + t], min_m_for_budget(c)))
             a, c = a + t, c + t
         return out
 
     def parts(self, pos: Sequence[int], m: int) -> list[Sequence[int]]:
         """The pieces of a partition of pos into at most m runs attaining `best`."""
-        p, out, a = self._at(pos), [], 0
-        while a < len(p):
-            t = self.split(p[a:], m - len(out))[1]
+        out, a = [], 0
+        while a < len(pos):
+            t = self.split(self.index(pos[a:]), m - len(out))[1]
             out.append(pos[a : a + t])
             a += t
         return out
 
     def residual(self) -> float:
         """`FamilyEngine.fixed_point_residual` at the root."""
-        return unscale(abs(self.value() - _Pieces(self.p, self._norm).rhs(self.q)), self.exp)
+        fresh = _Pieces(self.p, self._norm)
+        return unscale(abs(self.value() - fresh.rhs(self.size - 1, self.q)), self.exp)
 
     def levels(self) -> list[float]:
-        """`RunTables.levels` on every restriction of the root, the sup norm of
+        """`RunTables.levels` on every sub-pattern of the root, the sup norm of
         each as its first level."""
-        q = self.q
-        closure = list({z for k in range(1, len(q) + 1) for z in combinations(q, k)})
+        closure = [self.pattern(I) for I in range(1, self.size)]
 
         def step(values):
             pieces = _Pieces(self.p, dict(zip(closure, values.tolist())))
-            return np.array([pieces.rhs(z) for z in closure])
-        return iterate(np.array([max(z) for z in closure]), step, closure.index(q), max(q),
-                       10 * len(q), self.exp)
+            return np.array([pieces.rhs(I, z) for I, z in enumerate(closure, 1)])
+        return iterate(np.array([max(z) for z in closure]), step, len(closure) - 1, max(self.q),
+                       10 * len(self.q), self.exp)
 
 
 def _diagonal(a: np.ndarray, step: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
@@ -404,7 +443,7 @@ class _Segment(RunTables):
             return S[0, :, 0]
         a, e = np.triu_indices(n + 1, 1)  # every first run, of t = e - a points
         t = e - a
-        head = _ratio(self.table(m0)[t, a], m0)
+        head = self.table(m0)[t, a] / _div(m0)
         r, b = t <= nc, (t > nc) & (e < n)  # rests in S, or one merged run
         rest = (head[r, None] + S[t[r], 1:-1, e[r]]).max(axis=0)  # k >= 2
         merged = head[b] + self.pow2[0, t[b]] * self.l1[n - e[b], e[b]]
@@ -463,7 +502,7 @@ class FamilyEngine(Engine):
         if m < 2:
             raise ValueError("the triple norm is defined for m >= 2")
         c, e = self._answer(x.pattern(), "triple", m, lambda S: float(S.best(None, m)))
-        return unscale(_ratio(c, m), e)
+        return unscale(c / _div(m), e)
 
     def norm_ell(self, x: FiniteVector, ell: int) -> float:
         """Best family value at exactly `ell` pairs (trailing empty sets allowed)."""
@@ -531,7 +570,7 @@ class FamilyEngine(Engine):
             pieces = tuple((IndexSet(tuple(x.indices[i] for i in P)), self._node(x, S, P))
                            for P in S.parts(E, m))
             pairs.append((m, IndexSet(tuple(x.indices[i] for i in E))))
-            value = unscale(_ratio(S.best(E, m), m), S.exp)
+            value = unscale(S.best(E, m) / _div(m), S.exp)
             children.append(PartitionWitness(value, m, float(m), pieces))
         return FamilyWitness(unscale(S.value(pos), S.exp), tuple(pairs), tuple(children))
 

@@ -30,7 +30,7 @@ from seqnorm.qsum_engine import QSumEngine, get_qsum_engine
 from seqnorm.run_tables import MAX_ENGINES, unscale
 from seqnorm.witness import (
     FamilyWitness, PartitionWitness, QuadraticWitness, SupWitness, evaluate_witness,
-    validate_witness, witness_to_json,
+    validate_witness, witness_from_json, witness_to_json,
 )
 
 E1 = FiniteVector.basis(1)
@@ -652,11 +652,16 @@ def test_search_states_kept_for_last_root_only(rng, mode):
         fresh = FamilyEngine(mode)
         fresh.norm(x)
         if mode.kind == "exhaustive":
-            assert 0 < len(shared._last._family) <= len(fresh._last._family)
+            assert 0 < search_states(shared._last) <= search_states(fresh._last)
         else:  # the states of the root's right end, kept from its own fill
             n = x.support_size
             assert shared._last.p == x.pattern() and shared._last._end[0] == n
             assert np.array_equal(shared._last.ending(n, n), fresh._last.ending(n, n))
+
+
+def search_states(root):
+    """The family search states an exhaustive root keeps: `cover` and `family`."""
+    return len(root._cover) + sum(map(len, root._family.values()))
 
 
 def test_exhaustive_state_bounded_by_one_root():
@@ -678,7 +683,8 @@ def test_exhaustive_state_bounded_by_one_root():
         assert [k for k, v in vars(engine).items() if v and isinstance(v, (dict, tuple))] == ["_norms"]
         assert root.p == roots[-1].pattern() and root._split
         subpatterns = {z for k in range(1, len(root.q) + 1) for z in combinations(root.q, k)}
-        assert {p for p, _ in root._split} <= subpatterns
+        # keys J * K + m: sub-pattern J of the root, at most m runs
+        assert {root.pattern(key // root.K) for key in root._split} <= subpatterns
         engine._norms.clear()
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - base
@@ -744,6 +750,84 @@ def test_exhaustive_frozen_corpus():
         if "levels" in e:
             levels = engine.iterate_levels(x)
             assert [len(levels), levels[-1]] == [e["levels"][0], float.fromhex(e["levels"][1])]
+
+
+_spec = importlib.util.spec_from_file_location(
+    "make_x2_exhaustive_witnesses", EXHAUSTIVE_CORPUS.parent / "make_x2_exhaustive_witnesses.py")
+make_x2_exhaustive_witnesses = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_x2_exhaustive_witnesses)
+
+
+def test_exhaustive_witnesses_match_frozen():
+    # written by tests/data/make_x2_exhaustive_witnesses.py from a checkout whose search
+    # memoised its states by float pattern: the same witnesses and values, bit for bit
+    path = EXHAUSTIVE_CORPUS.parent / "x2_exhaustive_witnesses.json"
+    frozen, engine, entries = json.loads(path.read_text()), FamilyEngine(Exhaustive()), []
+    for x, e in zip(make_x2_exhaustive_witnesses.roots(), frozen["entries"], strict=True):
+        entries.append(make_x2_exhaustive_witnesses.entry(engine, x))
+        assert entries[-1] == e, e["coords"]
+        w = witness_from_json(json.loads(e["witness"]))
+        validate_witness(w, x)
+        assert w.value == float.fromhex(e["norm"])
+    assert make_x2_exhaustive_witnesses.text(entries) == path.read_text()
+
+
+def test_witness_after_norm_walks_the_same_memo(monkeypatch):
+    # a witness on the root a norm just searched reads that root's states: it adds
+    # none, and makes a few calls where the search made thousands
+    calls = [0]
+    for name in ("family", "cover"):
+        def counted(self, *args, search=getattr(_Pieces, name)):
+            calls[0] += 1
+            return search(self, *args)
+        monkeypatch.setattr(_Pieces, name, counted)
+    rng = np.random.default_rng(29)
+    for x in [FiniteVector.from_dense(rng.uniform(0.1, 3.0, 10).tolist()),
+              FiniteVector.from_dense([1.0, 1.5, 1.0, 1.5, 1.0, 1.0, 1.5, 1.0, 1.5])]:
+        engine = FamilyEngine(Exhaustive())
+        value = engine.norm(x)
+        root, searched, calls[0] = engine._last, calls[0], 0
+        states = search_states(root), len(root._split)
+        got, w = engine.norm(x, with_witness=True)
+        validate_witness(w, x)
+        assert engine._last is root and got == w.value == value
+        assert (search_states(root), len(root._split)) == states
+        assert 0 < calls[0] <= 40 and searched > 500
+
+
+def test_partition_sums_past_the_length_are_sums():
+    # one `split` key J * K + m per state: a count of at least the points of a sub-pattern
+    # (a witness asks floors up to 2**c) reads its sum, never another state's entry
+    R = _Pieces(tuple(np.random.default_rng(3).uniform(0.1, 3.0, 7).tolist()), {})
+    R.value()
+    R.root_best(3)
+    for k in range(1, 8):
+        for pos in combinations(range(7), k):
+            want = sum(R.q[i] for i in pos)
+            assert [R.best(pos, m) for m in range(k, 40)] == [want] * (40 - k)
+
+
+@pytest.mark.parametrize("mode", [Exhaustive(), SegmentDP()], ids=["exhaustive", "segment"])
+def test_engine_operations_leave_no_reference_cycles(mode):
+    # the per-root states are plain attributes of the root object, so reference
+    # counting alone frees every root an engine replaces, and the engine itself
+    rng = np.random.default_rng(31)
+    xs = [FiniteVector.from_dense(rng.uniform(0.1, 3.0, int(rng.integers(3, 10))).tolist())
+          for _ in range(60)]
+    gc.collect()
+    gc.disable()
+    try:
+        engine = FamilyEngine(mode)
+        for x in xs:
+            _, w = engine.norm(x, with_witness=True)
+            validate_witness(w, x)
+            engine.norm_ell_m0(x, 2, 3)
+            engine.triple_norm(x, 3)
+            engine.fixed_point_residual(x)
+        del engine
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_exhaustive_search_calls_bounded(monkeypatch):
