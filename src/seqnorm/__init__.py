@@ -49,7 +49,6 @@ from .core import (
 from .family_engine import (
     Exhaustive,
     FamilyEngine,
-    IterationCapError,
     SearchMode,
     SegmentDP,
     SupportLimitError,
@@ -72,6 +71,7 @@ from .qsum_engine import (
     get_qsum_engine,
     norm_x1,
 )
+from .run_tables import IterationCapError
 from .witness import (
     FamilyWitness,
     PartitionWitness,

@@ -1,11 +1,11 @@
 """Command-line surface: norms, seminorms, verification suites, constructions.
 
 Exit codes: 0 all asserted checks pass, 1 an asserted check failed (or a
-certificate failed self-evaluation), 2 usage or input error, or an arithmetic
-error such as a result beyond the double range.  Reports are strict JSON,
-never Infinity or NaN, on stdout (or --out); all randomness is seeded and the
-seed is echoed, so identical inputs produce byte-identical reports apart from
-the "timings" field.
+certificate failed self-evaluation), 2 usage or input error, a path that
+cannot be read or written, or an arithmetic error such as a result beyond the
+double range.  Reports are strict JSON, never Infinity or NaN, on stdout (or
+--out); all randomness is seeded and the seed is echoed, so identical inputs
+produce byte-identical reports apart from the "timings" field.
 """
 from __future__ import annotations
 
@@ -295,7 +295,7 @@ def main(argv=None) -> int:
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:  # OSError: an output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,7 @@ right end are derived again for a witness.  A merged-rest candidate (a first run
 nc points, then one merged run) B(t) = tn[c, t, s] + 2**-(c+t) l1(rest) is tn[c, t, s]
 from t = t0 on, so the fill takes the running max of tn over t < L in its place, as every
 first-run candidate for t < t0 is at least tn[c, t, s].  Proof: C_m >= sup in
-floating point (pieces are, with N = max(sup, .) and in `levels` and `residual`, and
+floating point (pieces are, with N = max(sup, .) and on given piece values, and
 candidates sum nonnegatives), so tn[c, t, s] >= lo[c, s] = fl(sup[nc+1, s] / fl(c)) for
 t > nc; a rest l1, in any order, is below 2 l1[n, 0] <= 2**eW; so from t0 = max(nc + 1,
 eW - c - k + 2), 2**k = spacing(lo), the product rounds to at most spacing(lo) / 4 (a
@@ -51,6 +51,7 @@ builds the witnesses.  Both modes scale a root by `run_tables.scale_exp`, and
 """
 from __future__ import annotations
 
+import copy
 import math
 from collections import OrderedDict
 from contextlib import suppress
@@ -64,7 +65,7 @@ import numpy as np
 from .admissible import AdmissibleFamily
 from .core import CoefficientPattern, FiniteVector, IndexSet, f, min_m_for_budget
 from .run_tables import (
-    MAX_ENGINES, Engine, IterationCapError, RunTables, iterate, rests, scale_exp, unscale,
+    MAX_ENGINES, Engine, RunTables, rests, scale_exp, unscale,
 )
 from .witness import FamilyWitness, PartitionWitness, SupWitness, Witness
 
@@ -121,9 +122,9 @@ class _Pieces:
     """Exhaustive mode's answers on one root p, by positions of q = p * 2**-exp
     (`scale_exp`), on the sub-patterns of q: index I = sum d_i w_i keeps d_i points
     of q's i-th maximal run of equal coefficients, w_i the product of (length + 1)
-    over the runs before it, so the root is size - 1.  `norms` is the engine's norm
-    memo by pattern (`levels` gives its step's piece values instead).  A family
-    covers I (`cover`) or lies in I without a point (`family`); its sets are the
+    over the runs before it, so the root `key` is size - 1.  `norms` is the engine's
+    norm memo by pattern; `fill(piece)` reads given piece values by index instead.
+    A family covers I (`cover`) or lies in I without a point (`family`); its sets are the
     runs of the points it covers, and its budget counts those points.  Each
     candidate is the float sum tn(E_1) + (tn(E_2) + ...) however a search reaches
     it, and max is exact, so values do not depend on the search order."""
@@ -140,6 +141,7 @@ class _Pieces:
                 a, b = [s + v for s in a], [k + 1 for k in b]
                 self._l1, self._r = self._l1 + a, self._r + b
         self.size, self.K = len(self._l1), len(p) + 1
+        self.key = self.size - 1
         self._w = [w for _, w, m in self._runs for _ in range(1, m)]  # by position
         self._div = [_div(min_m_for_budget(c)) for c in range(self.K)]  # the floor after c points
         self._nv: list = [None] * self.size  # norms by index
@@ -147,14 +149,28 @@ class _Pieces:
         self._cover: dict[int, tuple[list, list]] = {}  # I * K + c: `cover` at the floor rule
         self._family: dict[int, dict[int, list]] = {}  # first floor: {I: `family`}
 
-    def fill(self) -> None:
-        """Nothing to fill ahead: the searches fill their memos as they are asked."""
+    def fill(self, piece: np.ndarray | None = None) -> np.ndarray | None:
+        """Nothing to fill ahead: the searches fill their memos as they are asked.  With
+        `piece`, values by index, the map at every index, on a copy with empty memos."""
+        if piece is not None:
+            F = copy.copy(self)
+            F._nv, F._split, F._cover, F._family = piece.tolist(), {}, {}, {}
+            return np.array([0.0, *(F.rhs(I, F.pattern(I)) for I in range(1, self.size))])
+
+    @property
+    def sup(self) -> np.ndarray:
+        return np.array([max(self.pattern(I), default=0.0) for I in range(self.size)])
+
+    def remap(self, fresh: _Pieces) -> float:
+        """`RunTables.remap`: fresh reads these norms by index, then the engine's memo."""
+        fresh._nv = self._nv.copy()
+        return fresh.rhs(self.key, self.q)
 
     def pattern(self, I: int) -> CoefficientPattern:
         return tuple(v for v, w, m in self._runs for _ in range(I // w % m))
 
     def index(self, pos: Sequence[int] | None) -> int:
-        return self.size - 1 if pos is None else sum(map(self._w.__getitem__, pos))
+        return self.key if pos is None else sum(map(self._w.__getitem__, pos))
 
     def norm_of(self, I: int) -> float:
         v = self._nv[I]
@@ -258,7 +274,7 @@ class _Pieces:
         return self.split(self.index(pos), m)[0]
 
     def root_best(self, m0: int) -> list:
-        return self.family(self.size - 1, m0)
+        return self.family(self.key, m0)
 
     def sets(self, pos: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
         """(positions, scale) of the sets of a family attaining the norm at pos, empty
@@ -290,22 +306,6 @@ class _Pieces:
             a += t
         return out
 
-    def residual(self) -> float:
-        """`FamilyEngine.fixed_point_residual` at the root."""
-        fresh = _Pieces(self.p, self._norm)
-        return unscale(abs(self.value() - fresh.rhs(self.size - 1, self.q)), self.exp)
-
-    def levels(self) -> list[float]:
-        """`RunTables.levels` on every sub-pattern of the root, the sup norm of
-        each as its first level."""
-        closure = [self.pattern(I) for I in range(1, self.size)]
-
-        def step(values):
-            pieces = _Pieces(self.p, dict(zip(closure, values.tolist())))
-            return np.array([pieces.rhs(I, z) for I, z in enumerate(closure, 1)])
-        return iterate(np.array([max(z) for z in closure]), step, len(closure) - 1, max(self.q),
-                       10 * len(self.q), self.exp)
-
 
 def _diagonal(a: np.ndarray, step: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
     """The view v[c, t-1, *i] = a[(c, *i) + t * step], t = 1, 2, ..., which numpy checks
@@ -335,9 +335,7 @@ class _Segment(RunTables):
         self.cl = [0, 0, 0] + [min(self.nc, (L - 1).bit_length()) for L in range(3, n + 1)]
         lo = float(self.sup[min(self.nc + 1, n), : max(0, n - self.nc - 1)].min(initial=1.0)) / 2
         self.t0 = max(self.nc + 1, math.frexp(self.l1[n, 0])[1] + 4 - math.frexp(math.ulp(lo))[1])
-        # the floor rule: tn = max_{m >= fl} C_m / m = C_fl / fl, which is l1 / fl once fl >= L;
-        # the fill writes tn and the states of right end n in place, so a refill on the
-        # root's own norms (`residual`) writes the same bits under readers of a kept root
+        # the floor rule: tn = max_{m >= fl} C_m / m = C_fl / fl, which is l1 / fl once fl >= L
         self.tn = self.l1 / self.floors[: self.nc, None, None]
         self.ends = np.full((2 * self.nc, self.K, n + self.nc + 1), _NEG)
         self._end = (-1, 0, None)  # the last `ending`: right end, first start, states
@@ -471,8 +469,8 @@ class _Segment(RunTables):
 
 
 class FamilyEngine(Engine):
-    """Evaluator for the family norm and its seminorms.  Searches run on the
-    last root's object only: a `_Pieces` on the engine's norm memo, or a
+    """Evaluator for the family norm and its seminorms.  It keeps one root
+    object, the last: a `_Pieces` on the engine's norm memo, or a
     `_Segment`.  Beyond it the engine keeps the exhaustive norm memo (at most
     `MAX_NORMS` entries) and the answers of `triple_norm` and `norm_ell_m0`
     (at most `MAX_ANSWERS`, least recently used out, each a float or a short

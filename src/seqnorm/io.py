@@ -38,8 +38,8 @@ def _load(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise InputError(f"no such file: {path}") from exc
+    except OSError as exc:  # missing, a directory, unreadable
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
 

@@ -147,8 +147,8 @@ class QSumConfig:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "QSumConfig":
-        preset = obj.get("preset")
+    def from_json(obj) -> "QSumConfig":
+        preset = obj.get("preset") if isinstance(obj, dict) else None
         if preset == "small":
             return QSumConfig.small()
         if preset == "paper":

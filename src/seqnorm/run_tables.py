@@ -24,8 +24,8 @@ Let m < m' and take a partition attaining C_{m'}, of r <= m' runs.  If r <= m,
 C_m >= C_{m'}.  Otherwise its m largest runs sum to at least (m/r) C_{m'};
 join every other run to the nearest of them on its left (before the first, to
 the first): m runs, each worth at least the one it holds, so C_m >= (m/m')
-C_{m'}.  The norms qualify (1-unconditional), and so do every level of
-`levels`, the values `residual` maps and ``x2``'s segment lower bound (by
+C_{m'}.  The norms qualify (1-unconditional), and so do every level of the
+iteration, the norms the residual maps and ``x2``'s segment lower bound (by
 induction on length: a partition or family of a run is one of every run
 containing it).  So a run's triple norm at floor fl, max_{m >= fl} C_m / m, is
 C_fl / fl (l1 / fl once fl >= L).  Rows are the counts asked for and 1, closed
@@ -45,7 +45,9 @@ as the first argmax of the same candidates (`_splits`).
 One scaling rule for both engines: a root object holds q = p * 2**-e, with
 `scale_exp` e putting max(q) in [0.5, 1), and `unscale` maps values back:
 exact, free of overflow, homogeneous over the double range.  `Engine` is the
-frame of both engines: last root, partition sums, residual, levels (`iterate`).
+frame of both engines: the last root, partition sums, and the residual and the
+level iteration, written once on the root protocol (`fill(piece)`, `sup`, `key`,
+`remap`).  A root the engine keeps is written only by its own first fill.
 
 Family states of ``x2``: after c consumed points the next scale is at least
 fl(c) = max(2, 2**c).  F[c, L, s, k] is the best sum of tn(E_i, fl(c_i)) over
@@ -100,19 +102,6 @@ def unscale(v: float, exp: int) -> float:
         raise OverflowError(f"value {float(v)} * 2**{exp} exceeds the double range") from None
 
 
-def iterate(values: np.ndarray, step, root, top: float, cap: int, exp: int) -> list[float]:
-    """Level values at values[root]: values -> max(values, step(values)) until
-    nothing moves by EQ_TOL * top, at most cap times, unscaled."""
-    levels = [unscale(values[root], exp)]
-    for _ in range(cap):
-        new_values = np.maximum(values, step(values))
-        delta, values = (new_values - values).max(), new_values
-        levels.append(unscale(values[root], exp))
-        if delta < EQ_TOL * top:
-            return levels
-    raise IterationCapError(f"no stabilization within {cap} levels; last value {levels[-1]}")
-
-
 def rests(a: np.ndarray) -> np.ndarray:
     """The view r[..., L, u, s] = a[..., u, s+L-u] of a[..., L, s], the last u points of
     the run p[s:s+L]: strides >= 0 and a's last element, so numpy finds it inside a."""
@@ -135,7 +124,7 @@ class RunTables:
 
     def __init__(self, p, ms):
         n = max(len(p), 1)  # an empty root gets one row and column of zeros, so N[0, 0] = 0
-        self.p, self.exp = p, scale_exp(p)
+        self.p, self.exp, self.key = p, scale_exp(p), (len(p), 0)
         self.ms, self._lock = [], threading.Lock()
         self.row = self._index([1, *ms])
         z = np.zeros(2 * n - 1)
@@ -165,8 +154,8 @@ class RunTables:
 
     def fill(self, piece: np.ndarray | None = None) -> np.ndarray:
         """Fill C[i] = C_{ms[i]} by increasing length; return the run values: the
-        norms, kept with C, or with `piece` (then C[0]) one application of the
-        fixed-point map to those piece values."""
+        norms, kept with C, or with `piece` (then C[0]), values by run like `sup`,
+        one application of the fixed-point map to those piece values."""
         ms = self.ms  # `table` puts a count another thread adds meanwhile in a new list
         C = self.l1[None].repeat(len(ms), 0)
         if piece is None:
@@ -228,7 +217,7 @@ class RunTables:
 
     def value(self, pos=None) -> float:
         """The norm of the run at the root positions pos (default: the root), scaled."""
-        return self.N[len(self.p), 0] if pos is None else self.N[len(pos), pos[0]]
+        return self.N[self.key] if pos is None else self.N[len(pos), pos[0]]
 
     def best(self, pos, m: int) -> float:
         """C_m of the run at the root positions pos (None: the root), scaled."""
@@ -245,24 +234,20 @@ class RunTables:
         t = int(self._splits(self.C, R, self.up[i], self.down[i], L, s).argmax()) + 1
         return self.runs((m + 1) // 2, s, t, R) + self.runs(m // 2, s + t, L - t, R)
 
-    def residual(self) -> float:
-        """|N - fixed-point map of N| at the root, the map re-evaluated once
-        with the filled norms as piece values."""
-        n, e = len(self.p), self.exp
-        return abs(unscale(self.N[n, 0], e) - unscale(self.fill(piece=self.N)[n, 0], e))
-
-    def levels(self) -> list[float]:
-        """`iterate` at the root, every run starting at its sup norm."""
-        n = len(self.p)
-        return iterate(self.sup, lambda v: self.fill(piece=v), (n, 0), self.sup[n, 0], 10 * n,
-                       self.exp)
+    def remap(self, fresh: RunTables) -> float:
+        """The fixed-point map at the root, taken once on `fresh`, a new root object of
+        the same pattern, with these norms as piece values; scaled."""
+        return fresh.fill(piece=self.N)[self.key]
 
 
 class Engine:
     """The frame of both engines.  A subclass supplies `_build(p)`, a new root
-    object of pattern p (`p`, `exp`, `fill`, `value`, `best`, `residual`,
-    `levels`); the last one is kept.  An operation holds its root object, so an
-    engine shared across threads stays correct but may repeat a fill."""
+    object of pattern p; the last one is kept.  A root object maps given piece
+    values, laid out as its `sup`, once through the fixed-point map (`fill(piece)`);
+    `key` is the root's entry and `remap(fresh)` takes the map there only, on a new
+    object, with the root's norms as pieces.  `_root` fills a root (`fill()`) before
+    it keeps it, and nothing writes its arrays after that.  An operation holds its
+    root object, so an engine shared across threads stays correct but may repeat a fill."""
 
     _last = None
 
@@ -291,10 +276,26 @@ class Engine:
         not reproduce its own values.  Convergence of the construction is what
         `iterate_levels` checks."""
         p = x.pattern()
-        return self._root(p).residual() if p else 0.0
+        if not p:
+            return 0.0
+        T = self._root(p)
+        return abs(unscale(T.value(), T.exp) - unscale(T.remap(self._build(p)), T.exp))
 
     def iterate_levels(self, x) -> list[float]:
-        """Level values of the inductive norm construction up to stabilization
-        (`iterate`), on a root object that is not kept."""
+        """Level values of the inductive norm construction at the root, on a root
+        object that is not kept: pieces start at their sup norms, then values ->
+        max(values, map(values)) until nothing moves by EQ_TOL * max|x|, at most
+        10 |supp x| times."""
         p = x.pattern()
-        return self._build(p).levels() if p else [0.0]
+        if not p:
+            return [0.0]
+        T, cap = self._build(p), 10 * len(p)
+        values = T.sup
+        top, levels = values[T.key], [unscale(values[T.key], T.exp)]
+        for _ in range(cap):
+            new_values = np.maximum(values, T.fill(piece=values))
+            delta, values = (new_values - values).max(), new_values
+            levels.append(unscale(values[T.key], T.exp))
+            if delta < EQ_TOL * top:
+                return levels
+        raise IterationCapError(f"no stabilization within {cap} levels; last value {levels[-1]}")

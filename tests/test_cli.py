@@ -121,13 +121,31 @@ def test_vector_file_needs_integer_indices_and_numbers(capsys, tmp_path, obj):
 @pytest.mark.parametrize("obj", [
     {"preset": {"custom": {"f_of_nk": []}}},
     {"preset": 3},
-], ids=["no-exponents", "unparseable-preset"])
+    [],
+    "small",
+], ids=["no-exponents", "unparseable-preset", "list", "string"])
 def test_config_file_needs_a_preset_with_exponents(capsys, tmp_path, vec_file, obj):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(obj))
     assert main(["norm", "x1", str(vec_file), "--config", str(p)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"{p}: not a config file" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("args, bad", [
+    (["norm", "x2", "{dir}"], "dir"),
+    (["norm", "x1", "{vec}", "--config", "{dir}"], "dir"),
+    (["construct", "lp-average", "--blocks", "{dir}", "--out-dir", "{dir}/avg"], "dir"),
+    (["norm", "x2", "{vec}", "--witness", "{dir}"], "dir"),
+    (["norm", "x2", "{vec}", "--out", "{dir}"], "dir"),
+    (["construct", "chain", "--out-dir", "{vec}"], "vec"),
+], ids=["vector", "config", "block", "witness", "out", "out-dir"])
+def test_unreadable_or_unwritable_path_exits_2(capsys, tmp_path, vec_file, args, bad):
+    paths = {"dir": str(tmp_path), "vec": str(vec_file)}
+    assert main([a.format(**paths) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and paths[bad] in captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 

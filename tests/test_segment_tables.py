@@ -468,3 +468,26 @@ def test_counts_added_while_threads_read():
                 assert list(pool.map(lambda j: run(shared, j), jobs, timeout=60)) == fresh
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n", [3, 9, 40])
+@pytest.mark.parametrize("space", ["x2", "x1"])
+def test_published_root_is_read_only_after_its_fill(space, n):
+    # a kept root's arrays are written by its own fill only: the residual, the levels,
+    # a witness and counts asked later all run with every array of the root read-only
+    x = FiniteVector.from_dense(np.random.default_rng(n).uniform(0.1, 3.0, n).tolist())
+    engine = FamilyEngine(SegmentDP()) if space == "x2" else QSumEngine(QSumConfig.small())
+    engine.norm(x)
+    T = engine._last
+    for v in vars(T).values():
+        for a in v if isinstance(v, tuple) else (v,):  # `_end` holds the states of right end n
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+    engine.fixed_point_residual(x)
+    engine.iterate_levels(x)
+    validate_witness(engine.norm(x, with_witness=True)[1], x)
+    if space == "x2":
+        engine.triple_norm(x, 7), engine.norm_ell_m0(x, 2, 5)
+    else:
+        engine.norm_k(x, 7)
+    assert engine._last is T
