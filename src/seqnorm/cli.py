@@ -77,8 +77,7 @@ def _emit(report: dict, args, t0: float) -> None:
         print(text)
 
 
-def cmd_norm(args) -> int:
-    t0 = time.monotonic()
+def cmd_norm(args) -> tuple[dict, int]:
     x = load_vector(args.vector)
     report = {
         "command": "norm",
@@ -100,12 +99,10 @@ def cmd_norm(args) -> int:
         report["witness_file"] = args.witness
     else:
         report["witness_rule"] = witness.rule
-    _emit(report, args, t0)
-    return 0
+    return report, 0
 
 
-def cmd_seminorm(args) -> int:
-    t0 = time.monotonic()
+def cmd_seminorm(args) -> tuple[dict, int]:
     x = load_vector(args.vector)
     report = {"command": "seminorm", "kind": args.kind, "space": args.space}
     if args.space == "x1":
@@ -128,21 +125,15 @@ def cmd_seminorm(args) -> int:
         else:
             report["l"], report["m0"] = args.l, args.m0
             report["value"] = engine.norm_ell_m0(x, args.l, args.m0)
-    _emit(report, args, t0)
-    return 0
+    return report, 0
 
 
-def cmd_verify(args) -> int:
-    t0 = time.monotonic()
+def cmd_verify(args) -> tuple[dict, int]:
     report = SUITES[args.suite](count=args.count, seed=args.seed)
-    out = {"command": "verify", "suite": args.suite, "seed": args.seed}
-    out.update(report.to_json())
-    _emit(out, args, t0)
-    return 0 if report.ok else 1
+    return {"command": "verify", **report.to_json()}, 0 if report.ok else 1
 
 
-def cmd_construct(args) -> int:
-    t0 = time.monotonic()
+def cmd_construct(args) -> tuple[dict, int]:
     outdir = Path(args.out_dir)
 
     def out(name: str) -> Path:
@@ -210,8 +201,7 @@ def cmd_construct(args) -> int:
         save_vector(avg.vector, str(out("average.json")))
         report.update(status="ok", p=args.p if args.p < math.inf else "inf", n=avg.n,
                       constant=avg.constant, sampled_lower=avg.sampled_lower, exact=avg.exact)
-    _emit(report, args, t0)
-    return code
+    return report, code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,11 +283,14 @@ def main(argv=None) -> int:
     args, extra = build_parser().parse_known_args(argv)
     if extra:  # reported with the usage of the subcommand or target chosen
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    t0 = time.monotonic()
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        _emit(report, args, t0)
     except (ValueError, ArithmeticError, OSError) as exc:  # OSError: an output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -6,6 +6,10 @@ Family files:   {"pairs": [[m, E], ...]} with E either [lo, hi] (a closed
 Config files:   {"preset": "small" | "paper" | {"custom": {...}}}.
 Witness files:  the JSON tree mirroring the witness dataclasses.
 
+Each reader decodes its file in one step: a path that cannot be read, text
+that is not UTF-8 JSON (or nests too deep for the JSON reader) and JSON of
+the wrong shape each raise one InputError that names the path once.
+
 Reports are serialized with sorted keys and a fixed separator so identical
 inputs produce byte-identical output; wall-clock timings live under a single
 "timings" key that comparisons are expected to strip.
@@ -34,19 +38,16 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
 
 
-def _load(path: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:  # missing, a directory, unreadable
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON ({exc})") from exc
-
-
 def _decode(path: str, kind: str, decode):
     try:
-        return decode(_load(path))
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as exc:  # missing, a directory, unreadable
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
+        raise InputError(f"{path}: invalid JSON ({exc})") from exc
+    try:
+        return decode(obj)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise InputError(f"{path}: not a {kind} file ({exc})") from exc
 

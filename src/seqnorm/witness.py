@@ -73,18 +73,37 @@ Witness = Union[SupWitness, PartitionWitness, FamilyWitness, QuadraticWitness]
 
 def evaluate_witness(w: Witness, x: FiniteVector) -> float:
     """Recompute the witness value bottom-up against x, checking the tree on
-    the way: at most m ordered partition pieces, admissible families with one
-    child per pair, each a partition whose m and divisor are its pair's scale,
-    and square sums whose head scales n increase, end before the tail and
-    are each 2**k - 1, with a partition child of m = n and divisor f(n).
-    A tree holds one space: `family` nodes (x2) or `l2sum` nodes (x1), never
-    both.  A malformed tree raises ValueError.
+    the way: admissible families with one child per pair, each a partition
+    whose m and divisor are its pair's scale, and square sums whose head
+    scales n increase, end before the tail and are each 2**k - 1, each head a
+    partition of m = n and divisor f(n); a partition holds at most m ordered
+    pieces, and a bare partition root is checked by its own m and divisor.
+    A piece is certified by a `sup`, `family` or `l2sum` node.  A tree holds
+    one space: `family` nodes (x2) or `l2sum` nodes (x1), never both.  A
+    malformed tree raises ValueError.
 
     Each child is evaluated against x restricted to its set, read by index
     lookups into x: a sup index counts only if every enclosing set holds it.
     Each term is divided before the terms are summed, so a value near the
     top of the double range re-evaluates without overflowing."""
-    return _evaluate(w, dict(zip(x.indices, x.coefficients)), ())
+    coef = dict(zip(x.indices, x.coefficients))
+    if isinstance(w, PartitionWitness):
+        return _partition(w, w.m, w.divisor, coef, (), None)
+    return _evaluate(w, coef, ())
+
+
+def _partition(w: Witness, m: int, divisor: float, coef: dict[int, float],
+               within: tuple[IndexSet, ...], space: str | None) -> float:
+    """The value of w, a partition whose m and divisor the node above it fixes
+    (a bare root's are its own)."""
+    if not (isinstance(w, PartitionWitness) and w.m == m and w.divisor == divisor):
+        raise ValueError(f"child of scale {m} is not a partition divided by {divisor}")
+    nonempty = [E for E, _ in w.pieces if not E.is_empty]
+    if len(nonempty) > m:
+        raise ValueError(f"partition has {len(nonempty)} pieces, allows {m}")
+    if not all(a.precedes(b) for a, b in zip(nonempty, nonempty[1:])):
+        raise ValueError("partition pieces are not in increasing order")
+    return sum(_evaluate(child, coef, (*within, E), space) / divisor for E, child in w.pieces)
 
 
 def _evaluate(w: Witness, coef: dict[int, float], within: tuple[IndexSet, ...],
@@ -98,36 +117,22 @@ def _evaluate(w: Witness, coef: dict[int, float], within: tuple[IndexSet, ...],
         if w.index is None or not all(w.index in E for E in within):
             return 0.0
         return abs(coef.get(w.index, 0.0))
-    if isinstance(w, PartitionWitness):
-        nonempty = [E for E, _ in w.pieces if not E.is_empty]
-        if len(nonempty) > w.m:
-            raise ValueError(f"partition has {len(nonempty)} pieces, allows {w.m}")
-        if not all(a.precedes(b) for a, b in zip(nonempty, nonempty[1:])):
-            raise ValueError("partition pieces are not in increasing order")
-        return sum(_evaluate(child, coef, (*within, E), space) / w.divisor
-                   for E, child in w.pieces)
     if isinstance(w, FamilyWitness):
         AdmissibleFamily(w.pairs).validate()
         if len(w.children) != len(w.pairs):
             raise ValueError("family witness needs one child per pair")
-        for (m, _), child in zip(w.pairs, w.children):
-            if not (isinstance(child, PartitionWitness) and child.m == m and child.divisor == m):
-                raise ValueError(f"family child of scale {m} is not a partition divided by {m}")
         div = f(len(w.pairs))
-        return sum(
-            _evaluate(child, coef, (*within, E), space) / div
-            for (_, E), child in zip(w.pairs, w.children)
-        )
+        return sum(_partition(child, m, m, coef, (*within, E), space) / div
+                   for (m, E), child in zip(w.pairs, w.children))
     if isinstance(w, QuadraticWitness):
         keys = [n for n, _ in w.head]
-        if not (all(a < b for a, b in zip(keys, keys[1:])) and w.tail_start > len(keys)):
-            raise ValueError("l2sum head scales must increase and end before its tail")
-        for n, child in w.head:
-            if not (n > 0 and n & (n + 1) == 0 and isinstance(child, PartitionWitness)
-                    and child.m == n and child.divisor == f(n)):
-                raise ValueError(f"head child of scale {n} is not a partition divided by f({n})")
-        return math.hypot(*(_evaluate(child, coef, within, space) for _, child in w.head),
-                          w.tail_l2)
+        if not (all(n > 0 and n & (n + 1) == 0 for n in keys)
+                and all(a < b for a, b in zip(keys, keys[1:])) and w.tail_start > len(keys)):
+            raise ValueError("l2sum head scales must be 2**k - 1, increase and end before its tail")
+        return math.hypot(*(_partition(child, n, f(n), coef, within, space)
+                            for n, child in w.head), w.tail_l2)
+    if isinstance(w, PartitionWitness):
+        raise ValueError("a partition certifies a family pair or an l2sum head, not a piece")
     raise TypeError(f"not a witness: {w!r}")
 
 

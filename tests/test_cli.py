@@ -149,6 +149,28 @@ def test_unreadable_or_unwritable_path_exits_2(capsys, tmp_path, vec_file, args,
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("args, bad", [
+    (["norm", "x2", "{deep}"], "deep"),
+    (["seminorm", "triple", "{deep}"], "deep"),
+    (["norm", "x1", "{vec}", "--config", "{deep}"], "deep"),
+    (["construct", "lp-average", "--blocks", "{deep}", "--out-dir", "{dir}/avg"], "deep"),
+    (["norm", "x2", "{bytes}"], "bytes"),
+    (["norm", "x2", "{dir}"], "dir"),
+], ids=["deep-vector", "deep-seminorm", "deep-config", "deep-block", "not-utf8", "directory"])
+def test_malformed_input_file_exits_2_naming_its_path_once(capsys, tmp_path, vec_file, args, bad):
+    # a 3,000-deep nested array overflows the JSON reader's recursion limit
+    paths = {"deep": tmp_path / "deep.json", "bytes": tmp_path / "bytes.json",
+             "dir": tmp_path / "dir", "vec": vec_file}
+    paths["deep"].write_text("[" * 3000 + "]" * 3000)
+    paths["bytes"].write_bytes(b"\xff\xfe\xfd")
+    paths["dir"].mkdir()
+    paths = {k: str(p) for k, p in paths.items()}
+    assert main([a.format(**paths) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count(paths[bad]) == 1
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("pairs", [
     [[2, [1.5, 3.7]]],
     [[2, {"set": [1.2, 2]}]],

@@ -542,6 +542,30 @@ def test_witness_rejects_a_piece_from_the_other_space():
         evaluate_witness(forged, x)
 
 
+@pytest.mark.parametrize("make_engine", [
+    lambda: FamilyEngine(SegmentDP()), lambda: QSumEngine(QSumConfig.small()),
+], ids=["x2-segment", "x1-small"])
+def test_witness_rejects_a_partition_as_a_piece(make_engine):
+    # the witness of a 40-point vector (x2 3.528, x1 33.248), the first piece of its
+    # first family child or l2sum head certified by a one-point partition divided by
+    # 1e-9: valued with its own divisor, it would validate at 7.76e8 and 4.87e8
+    x = FiniteVector.from_dense(np.random.default_rng(0).uniform(0.1, 3.0, 40))
+    w = make_engine().norm(x, with_witness=True)[1]
+    validate_witness(w, x)
+    child = w.children[0] if isinstance(w, FamilyWitness) else w.head[0][1]
+    E = child.pieces[0][0]
+    i = E.min
+    v = abs(x.coefficients[x.indices.index(i)])
+    forged_piece = PartitionWitness(v, 2, 1e-9, ((IndexSet.of([i]), SupWitness(v, i)),))
+    forged_child = replace(child, pieces=((E, forged_piece), *child.pieces[1:]))
+    if isinstance(w, FamilyWitness):
+        forged = replace(w, children=(forged_child, *w.children[1:]))
+    else:
+        forged = replace(w, head=((w.head[0][0], forged_child), *w.head[1:]))
+    with pytest.raises(ValueError, match="not a piece"):
+        validate_witness(replace(forged, value=evaluate_witness(forged, x)), x)
+
+
 def test_witness_rejects_a_family_inside_an_l2sum():
     # a family node in a head partition piece of a hand-built l2sum tree
     x = FiniteVector.ones(2)

@@ -413,8 +413,9 @@ def test_run_sums_accumulate_in_sequence():
 
 
 def test_residual_while_threads_add_counts():
-    # residuals refill a shared root while other threads add counts to its
-    # tables and read the states of its right end: every answer as on a fresh engine
+    # residuals, each mapped on a fresh root, run beside threads that add counts to
+    # the tables of a kept root and read the states of its right end: every
+    # answer as on a fresh engine
     x = FiniteVector.from_dense(np.random.default_rng(41).uniform(0.1, 3.0, 40).tolist())
     jobs = [("w", 0)] * 2 + [("r", 0)] * 6 + [("e", m) for m in (3, 5, 7, 9)]
     np.random.default_rng(1).shuffle(jobs)
