@@ -42,7 +42,32 @@ supremum is a function of the pattern (the norm is 1-unconditional and
 1-subsymmetric, both under test): norms are memoised by pattern in one dict the
 engine shares across roots and reads before it builds a root, and by index, with
 partition sums and family search states, in the root's own, so only the last
-root's are kept.  An engine of either mode also keeps its last `MAX_ANSWERS`
+root's are kept.
+
+A root of at least `WAVE_MIN_INDICES` sub-patterns whose tables fit `WAVE_BYTES`
+(`_waves_fit`, counted from its run lengths before any allocation) is filled instead
+in waves of equal point count r = 0 .. n (`_Waves`), each one batch of numpy gathers
+over the indices of r points.  With P_t the first t points of I and S_t = I - P_t:
+the partition sums SP[m, I] = max_t NV[P_t] + SP[m-1, S_t] for 1 < m < r (SP = l1
+once m >= r, and the norm NV at m = 1); the cover states at each floor row c with
+fl(c) < r, COV[c, I, k] = max_t of tn = SP[fl(c), P_t] / fl(c) alone (t = r, k = 1),
+plus l1(S_t) / fl(c+t) (a merged rest, k = 2), or plus COV[c+t, S_t, k-1]; then
+FAM[I] = max(COV[0, I], FAM[I - w] over the points of I) and NV.  Each candidate is
+the float sum the search forms, its terms added and divided in the search's order,
+and max is exact, so every table holds the search's bits; a witness takes each
+state's first maximal t from the same candidates, as the search's strict `>` does,
+so witnesses are equal too.  The set count stays below KA = (n-1).bit_length() + 2:
+after its first set a family's searched states have increasing c >= 1 with 2**c =
+fl(c) < (points left) <= n - c <= n - 1, so at most floor(log2(n - 2)) of them, and
+with the first set and a last one (whole or merged) it has at most that + 2 <=
+(n-1).bit_length() + 1 sets.  Only the first fill writes the tables, and only the
+root's own norm enters the engine's memo (a 17-point root has 131,072 sub-patterns,
+the memo `MAX_NORMS`); a raised first floor m0 is one more pass at c = 0 over every
+index, as the root's family states are the best over all its sub-patterns.  A
+smaller root keeps the search, cheaper there and sharing its sub-pattern norms
+through the memo; a larger one too, so no table of 2**n rows is allocated.
+
+An engine of either mode also keeps its last `MAX_ANSWERS`
 seminorm answers (`triple_norm`'s C_m sum, `norm_ell_m0`'s root row) by scaled
 pattern and question, least recently used out.  One walker over root positions,
 which both modes answer with the sets, scales and pieces attaining each maximum,
@@ -73,16 +98,52 @@ _NEG = float("-inf")
 # Floors beyond this many bits overflow floats; the contribution is zero.
 _FLOOR_BITS_CAP = 1020
 # The default support limit of exhaustive mode: a cold U(0.1, 3) 12 / 14-point norm takes about
-# 0.13 / 0.6 s on a 2-vCPU Xeon (BENCH_29.json), but the limit decides which suite instances
-# run exhaustively, and the frozen suite reports and benchmark references were taken at 12.
+# 0.006-0.009 / 0.02 s on a 2-vCPU Xeon (BENCH_33.json; 0.13-0.22 / 0.7 s on the search), but
+# the limit decides which suite instances run exhaustively, and the frozen suite reports and
+# benchmark references were taken at 12.
 MAX_EXHAUSTIVE_SUPPORT = 12
 # The most norms exhaustive mode keeps by pattern (about 13 MB); an insert past it clears them.
 # After its warm-up, a seed-1 `suites-warm` benchmark run of 6,000 operations peaks at 30,842.
 MAX_NORMS = 1 << 17
+# A root of at least this many sub-patterns takes the wave fill (`_Waves`), a smaller one the
+# search (`_Pieces`).  Cold (2-vCPU Xeon, fresh engine per root) the waves win from about 64 on
+# generic roots (6 points: 0.57 against 0.92 ms; 10 points, 1,024: 1.8 against 24 ms) and near
+# 100 on run roots ((6, 6), 49: 1.8 against 1.0 ms; (4, 4, 4), 125: 1.8 against 2.6 ms).  The
+# suites' roots, at most about 125, run as fast either way (seed-1 instances 600-2,399 with the
+# limit at 64 or 1,024); the limit is the power of two past a 9-point root's 512, so roots of
+# 9 points and fewer, those the search's own tests read, stay on the search.
+WAVE_MIN_INDICES = 1024
+# The most bytes a wave root's tables may take as `_waves_fit` counts them; a larger root takes
+# the search.  Generic 19 points count 392 MiB and peaked 390 MiB above the interpreter's RSS,
+# in 1.4 s; 20 points count 808 MiB (802 MiB, 2.6 s), so from 20 points no 2**n-row table is
+# allocated.  The search needs more at those sizes: 19 points took 35 s and 756 MiB.
+WAVE_BYTES = 512 << 20
 # The most seminorm answers an engine keeps, least recently used out.  On seed-1 `suites-warm`
 # instances 600-2,399, run once after the warm-up, 256 answers 1,603 of 3,298 calls, and no
 # bound more than 1,775; each key holds its scaled pattern, n floats for an n-point root.
 MAX_ANSWERS = 256
+
+
+def _wave_shape(n: int) -> tuple[int, int]:
+    """(KA, rows) of an n-point wave root: the set counts k < KA a family reaches (module
+    docstring), and the floor rows c < rows: 0, and those with fl(c) < n - c."""
+    rows = 1
+    while min_m_for_budget(rows) < n - rows:
+        rows += 1
+    return max(3, (n - 1).bit_length() + 2), rows
+
+
+def _waves_fit(p: CoefficientPattern) -> bool:
+    """Whether the exhaustive root of p takes the wave fill: at least `WAVE_MIN_INDICES`
+    sub-patterns and at most `WAVE_BYTES` of tables, as counted from the lengths of its
+    maximal runs before anything is allocated."""
+    if 1 << len(p) < WAVE_MIN_INDICES:  # at most 2**n sub-patterns
+        return False
+    size, n = math.prod(len(list(run)) + 1 for _, run in groupby(_scaled(p)[0])), len(p)
+    ka, rows = _wave_shape(n)
+    # by index: NV, l1, sup, count and order, SP and P (n + 1 and n rows), COV and FAM
+    # (rows + 1 rows of KA), and the wave's temporaries, at most about n more
+    return WAVE_MIN_INDICES <= size and 8 * size * (3 * n + 6 + (rows + 1) * ka) <= WAVE_BYTES
 
 
 class SupportLimitError(ValueError):
@@ -132,18 +193,24 @@ class _Pieces:
     def __init__(self, p: CoefficientPattern, norms: dict):
         self.p, self._norm = p, norms
         self.q, self.exp = _scaled(p)
-        # (value, weight, length + 1) of each maximal run of q; by index, sum(pattern) and len
-        self._runs, self._l1, self._r = [], [0], [0]
+        self._runs, self.size = [], 1  # (value, weight, length + 1) of each maximal run of q
         for v, run in groupby(self.q):
-            m, a, b = len(list(run)) + 1, self._l1, self._r
-            self._runs.append((v, len(a), m))
+            m = len(list(run)) + 1
+            self._runs.append((v, self.size, m))
+            self.size *= m
+        self.K, self.key = len(p) + 1, self.size - 1
+        self._w = [w for _, w, m in self._runs for _ in range(1, m)]  # by position
+        self._div = [_div(min_m_for_budget(c)) for c in range(self.K)]  # the floor after c points
+        self._start()
+
+    def _start(self) -> None:
+        """The search's tables: by index, sum(pattern) and len, and empty memos."""
+        self._l1, self._r = [0], [0]
+        for v, _, m in self._runs:
+            a, b = self._l1, self._r
             for _ in range(1, m):  # the indices with one more point of the run, v added last
                 a, b = [s + v for s in a], [k + 1 for k in b]
                 self._l1, self._r = self._l1 + a, self._r + b
-        self.size, self.K = len(self._l1), len(p) + 1
-        self.key = self.size - 1
-        self._w = [w for _, w, m in self._runs for _ in range(1, m)]  # by position
-        self._div = [_div(min_m_for_budget(c)) for c in range(self.K)]  # the floor after c points
         self._nv: list = [None] * self.size  # norms by index
         self._split: dict[int, tuple[float, int]] = {}  # J * K + m: (best, first-run width)
         self._cover: dict[int, tuple[list, list]] = {}  # I * K + c: `cover` at the floor rule
@@ -305,6 +372,158 @@ class _Pieces:
             out.append(pos[a : a + t])
             a += t
         return out
+
+
+class _Waves(_Pieces):
+    """`_Pieces` on tables its first fill writes in waves of equal point count (module
+    docstring): by index, norms `NV`, partition sums `SP[m, I]` (l1 once m >= |I|), family
+    states `FAM[I, k]`, and cover states `COV[c, I, k]` for the floor rows c; k < `KA`.
+    Every query reads them; a witness re-derives the first maximal argument of each
+    state it visits from the same candidates."""
+
+    def _start(self) -> None:
+        self._ix, (self.KA, self.rows) = None, _wave_shape(self.K - 1)
+
+    def _index(self) -> tuple:
+        """(l1, sup, cnt, P, waves): sum, max and count of the points of each index; P[t-1, I]
+        the index of its first t points; waves[r] the indices of r points."""
+        if self._ix is None:
+            size = self.size
+            l1, sup, cnt = np.zeros(size), np.zeros(size), np.zeros(size, np.intp)
+            P = np.zeros((max(1, self.K - 1), size), np.intp)
+            for v, w, m in self._runs:
+                for d in range(1, m):  # the indices with one more point of the run, v added last
+                    a, b = slice(w * (d - 1), w * d), slice(w * d, w * (d + 1))
+                    l1[b], sup[b], cnt[b], P[:, b] = l1[a] + v, np.maximum(sup[a], v), cnt[a] + 1, P[:, a]
+                    J = np.arange(w * d, w * (d + 1))
+                    P[cnt[J] - 1, J] = J
+            cut = np.cumsum(np.bincount(cnt, minlength=self.K))[:-1]
+            self._ix = l1, sup, cnt, P, np.split(np.argsort(cnt, kind="stable"), cut)
+        return self._ix
+
+    def _wave(self, r: int) -> tuple:
+        """(I, P, S): the indices of r points, and by t = 1..r (rows) their first t points
+        and the rest."""
+        I = self._index()[4][r]
+        P = self._ix[3][:r, I]
+        return I, P, I - P
+
+    def _cands(self, SP, COV, P, S, c: int, fl: int):
+        """(t, k, cand) by t = 1..r: cand[b, j] is the best sum of `_Pieces.cover` over the
+        families of k + j sets covering index b of the batch whose first set is its first
+        t points, at floor fl, c points consumed before it; in `_Pieces.cover`'s order."""
+        r, div = len(S), self._div
+        tnv = SP[min(fl, self.K - 1)][P] / _div(fl)
+        for t in range(1, r):
+            if div[c + t] < r - t:  # the rest's searched state
+                yield t, 2, tnv[t - 1, :, None] + np.take(COV[c + t], S[t - 1], axis=0)[:, 1:-1]
+            else:  # one merged set
+                yield t, 2, (tnv[t - 1] + self._ix[0][S[t - 1]] / div[c + t])[:, None]
+        yield r, 1, tnv[r - 1, :, None]
+
+    def _covering(self, SP, COV, P, S, c: int, fl: int) -> np.ndarray:
+        """best[b, k] of `_Pieces.cover` for each index of the batch."""
+        best = np.full((S.shape[1], self.KA), _NEG)
+        for _, k, cand in self._cands(SP, COV, P, S, c, fl):
+            np.maximum(best[:, k : k + cand.shape[1]], cand, out=best[:, k : k + cand.shape[1]])
+        return best
+
+    def _waves(self, piece: np.ndarray | None = None) -> tuple:
+        """(values, SP, COV, FAM): the norms, or with `piece` the map at every index on
+        those piece values, and the tables, filled by increasing point count."""
+        l1, sup, cnt, _, waves = self._index()
+        n, size, KA = self.K - 1, self.size, self.KA
+        NV = np.zeros(size) if piece is None else piece
+        out = NV if piece is None else np.zeros(size)
+        SP = l1[None].repeat(n + 1, axis=0)
+        COV, FAM = np.full((self.rows, size, KA), _NEG), np.full((size, KA), _NEG)
+        COV[0, 0, 0] = FAM[0, 0] = 0.0  # the empty family
+        fk = np.array([f(k) for k in range(1, KA)])
+        for r in range(1, n + 1):
+            I, P, S = self._wave(r)
+            if r >= 3:  # C_m for 1 < m < r: a first piece of t points, then m - 1 pieces
+                best, nv = np.full((r - 2, len(I)), _NEG), NV[P]
+                for t in range(1, r):
+                    np.maximum(best, np.take(SP[1 : r - 1], S[t - 1], axis=1) + nv[t - 1], out=best)
+                SP[2:r, I] = best
+            for c in range(min(self.rows, n - r + 1)):
+                fl = min_m_for_budget(c)
+                if fl < r:
+                    COV[c, I] = self._covering(SP, COV, P, S, c, fl)
+                elif c == 0:  # one merged set
+                    COV[0, I, 1] = l1[I] / 2.0
+            fam = COV[0, I]
+            for drop in I - np.diff(P, axis=0, prepend=0):  # I without one of its points
+                np.maximum(fam, np.take(FAM, drop, axis=0), out=fam)
+            FAM[I] = fam
+            value = np.maximum(sup[I], (fam[:, 1:] / fk).max(axis=1))
+            if piece is not None:
+                out[I] = value
+            else:  # closed form below 3 points, as `norm_of`
+                NV[I] = value if r >= 3 else sup[I]
+            if r >= 2:
+                SP[1, I] = NV[I]
+        return out, SP, COV, FAM
+
+    def fill(self, piece: np.ndarray | None = None) -> np.ndarray | None:
+        """All tables, and the root's norm into the engine's memo; with `piece`, the map at
+        every index, on new tables."""
+        if piece is not None:
+            return self._waves(piece)[0]
+        self.NV, self.SP, self.COV, self.FAM = self._waves()
+        if self.K > 3 and self.q not in self._norm:
+            if len(self._norm) >= MAX_NORMS:
+                self._norm.clear()
+            self._norm[self.q] = float(self.NV[self.key])
+
+    @property
+    def sup(self) -> np.ndarray:
+        return self._index()[1].copy()
+
+    def remap(self, fresh: _Pieces) -> float:
+        return float(fresh.fill(piece=self.NV)[self.key])
+
+    def norm_of(self, I: int) -> float:
+        return float(self.NV[I])
+
+    def split(self, J: int, m: int) -> tuple[float, int]:
+        l1, _, cnt, P, _ = self._ix
+        r = int(cnt[J])
+        if m >= r:
+            return float(l1[J]), 1
+        if m == 1:
+            return float(self.NV[J]), r
+        Pt = P[: r - 1, J]
+        return float(self.SP[m, J]), int((self.NV[Pt] + self.SP[m - 1, J - Pt]).argmax()) + 1
+
+    def cover(self, I: int, c: int, first_floor: int) -> tuple[list, list]:
+        ff = first_floor if c == 0 else 2
+        r, fl = int(self._ix[2][I]), max(ff, min_m_for_budget(c))
+        if r == 0:
+            return [0.0], [0]
+        if fl >= r and ff <= 2:
+            return [_NEG, float(self._ix[0][I]) / _div(fl)], [0, r]
+        P = self._ix[3][:r, I : I + 1]
+        cand = np.full((r, self.KA), _NEG)  # by first-set size t and set count k
+        for t, k, v in self._cands(self.SP, self.COV, P, I - P, c, fl):
+            cand[t - 1, k : k + v.shape[1]] = v[0]
+        return cand.max(axis=0).tolist(), (cand.argmax(axis=0) + 1).tolist()
+
+    def family(self, I: int, first_floor: int) -> list:
+        if first_floor != 2:
+            raise ValueError("a wave root answers a raised first floor at its root: `root_best`")
+        return self.FAM[I].tolist()
+
+    def root_best(self, m0: int) -> list:
+        """best[k]: the best over every index of its covering families, the first set's
+        floor raised to m0 and no merged-tail leaf (`_Pieces.cover`): one more pass."""
+        if m0 == 2:
+            return self.FAM[self.key].tolist()
+        best = self.FAM[0].copy()
+        for r in range(1, self.K):
+            I, P, S = self._wave(r)
+            np.maximum(best, self._covering(self.SP, self.COV, P, S, 0, m0).max(axis=0), out=best)
+        return best.tolist()
 
 
 def _diagonal(a: np.ndarray, step: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
@@ -547,13 +766,14 @@ class FamilyEngine(Engine):
         return hit, e
 
     def _build(self, p: CoefficientPattern) -> _Pieces | _Segment:
-        """A new root object of pattern p for this engine's mode, not filled."""
+        """A new root object of pattern p for this engine's mode, not filled: exhaustive,
+        the wave tables if they fit (`_waves_fit`), else the search."""
         if self.mode.kind == "segment":
             return _Segment(p)
         if len(p) > self.mode.max_support:
             raise SupportLimitError(f"support {len(p)} exceeds exhaustive limit "
                                     f"{self.mode.max_support}; use segment mode")
-        return _Pieces(p, self._norms)
+        return (_Waves if _waves_fit(p) else _Pieces)(p, self._norms)
 
     def _node(self, x: FiniteVector, S: _Pieces | _Segment, pos: Sequence[int]) -> Witness:
         """Certificate for the norm of x on the support positions pos."""

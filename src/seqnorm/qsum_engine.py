@@ -163,9 +163,8 @@ class _Tables(RunTables):
     """Run tables of an x1 root, with C_m for the scales that split it."""
 
     def __init__(self, engine: "QSumEngine", p: CoefficientPattern):
-        self.scales = engine._scales(len(p))
+        self.scales, self.tails = engine._scales(len(p))
         self.nks = [nk for nk, _ in self.scales]
-        self.tails = [engine.cfg.tail(c + 1) for c in range(len(self.scales) + 1)]
         super().__init__(p, self.nks)
 
     def outer(self, C, values):
@@ -182,6 +181,7 @@ class QSumEngine(Engine):
 
     def __init__(self, config: QSumConfig):
         self.cfg = config
+        self._known: tuple[list, list] = ([], [])  # `_scales` past the largest support asked
 
     # -- public ----------------------------------------------------------
 
@@ -214,7 +214,7 @@ class QSumEngine(Engine):
     def block_sum_lower_bound(self, blocks: list[FiniteVector]) -> float:
         """Margin ||sum y_j|| - count/f(count) for count = some n_i, blocks normalized."""
         count = len(blocks)
-        k = len(self._scales(count)) + 1
+        k = len(self._scales(count)[0]) + 1
         if self.cfg.n_at(k) != count:
             raise ValueError(
                 f"block count {count} is not one of the configured scales "
@@ -226,12 +226,21 @@ class QSumEngine(Engine):
 
     # -- tables and witnesses ----------------------------------------------
 
-    def _scales(self, n: int) -> list[tuple[int, float]]:
-        """(n_k, f(n_k)) for k = 1, 2, ... while n_k < n: the scales that split n points."""
-        out = []
-        while self.cfg.n_at(len(out) + 1) < n:
-            out.append((self.cfg.n_at(len(out) + 1), self.cfg.f_nk(len(out) + 1)))
-        return out
+    def _scales(self, n: int) -> tuple[list[tuple[int, float]], list[float]]:
+        """(scales, tails): (n_k, f(n_k)) for k = 1, 2, ... while n_k < n, the scales that
+        split n points, and `cfg.tail(c + 1)` for c = 0 .. len(scales).  Both are functions
+        of the config, kept on the engine up to the first scale n_k >= the largest n asked
+        (at most the scales below 2**63); a longer pair replaces the kept one, never changes
+        it, so threads read a whole pair."""
+        scales, tails = self._known
+        if not scales or scales[-1][0] < n:
+            scales = scales.copy()
+            while not scales or scales[-1][0] < n:
+                scales.append((self.cfg.n_at(len(scales) + 1), self.cfg.f_nk(len(scales) + 1)))
+            tails = tails + [self.cfg.tail(c + 1) for c in range(len(tails), len(scales))]
+            self._known = scales, tails
+        c = bisect_left(scales, n, key=lambda s: s[0])
+        return scales[:c], tails[: c + 1]
 
     def _build(self, p: CoefficientPattern) -> _Tables:
         return _Tables(self, p)

@@ -799,6 +799,7 @@ def test_exhaustive_witnesses_match_frozen():
 def test_witness_after_norm_walks_the_same_memo(monkeypatch):
     # a witness on the root a norm just searched reads that root's states: it adds
     # none, and makes a few calls where the search made thousands
+    monkeypatch.setattr(family_engine, "WAVE_MIN_INDICES", 1 << 60)  # the search's memo
     calls = [0]
     for name in ("family", "cover"):
         def counted(self, *args, search=getattr(_Pieces, name)):
@@ -858,6 +859,7 @@ def test_exhaustive_search_calls_bounded(monkeypatch):
     # a cold 12-point root: one `family` state per subset pattern and one `cover` state
     # per subset and count; a search that enumerates the first sets of every state
     # makes 222,690 `family` calls here
+    monkeypatch.setattr(family_engine, "WAVE_MIN_INDICES", 1 << 60)  # the search's calls
     calls = [0]
     for name in ("family", "cover"):
         def counted(self, *args, search=getattr(_Pieces, name)):
@@ -867,6 +869,113 @@ def test_exhaustive_search_calls_bounded(monkeypatch):
     x = FiniteVector.from_dense(np.random.default_rng(12).uniform(0.1, 3.0, 12).tolist())
     FamilyEngine(Exhaustive()).norm(x)
     assert 0 < calls[0] <= 100_000
+
+
+def exhaustive_answers(x):
+    """`float.hex` of every exhaustive answer on x, and its witness JSON, on a fresh engine,
+    with the kind of root it filled."""
+    engine = FamilyEngine(Exhaustive(max_support=16))
+    value, w = engine.norm(x, with_witness=True)
+    validate_witness(w, x)
+    kind = type(engine._last)
+    out = [value, *(engine.norm_ell_m0(x, ell, m0) for m0 in (2, 3, 4, 8) for ell in (1, 2, 3, 6)),
+           *(engine.triple_norm(x, m) for m in range(2, x.support_size + 2)),
+           engine.fixed_point_residual(x), *engine.iterate_levels(x)]
+    return [v.hex() for v in out] + [json.dumps(witness_to_json(w))], kind
+
+
+def wave_roots(group):
+    if group == "corpus":
+        return [FiniteVector.from_dense(e["pattern"])
+                for e in json.loads(EXHAUSTIVE_CORPUS.read_text())["entries"]]
+    if group == "witnesses":
+        return make_x2_exhaustive_witnesses.roots()
+    rng = np.random.default_rng(33)
+    return [FiniteVector.from_dense(rng.uniform(0.1, 3.0, n).tolist()) for n in (11, 12, 13)]
+
+
+@pytest.mark.parametrize("group", ["corpus", "witnesses", "generic"])
+def test_wave_fill_matches_the_search(monkeypatch, group):
+    # every root on both paths: the same float sums, maxima and first maxima, so the
+    # same bits and witnesses
+    for x in wave_roots(group):
+        monkeypatch.setattr(family_engine, "WAVE_MIN_INDICES", 0)
+        waves, kind = exhaustive_answers(x)
+        assert kind is family_engine._Waves
+        monkeypatch.setattr(family_engine, "WAVE_MIN_INDICES", 1 << 60)
+        search, kind = exhaustive_answers(x)
+        assert kind is _Pieces and waves == search, x.pattern()
+
+
+def wave_arrays(root):
+    return [root.NV, root.SP, root.COV, root.FAM, *root._ix[:4], *root._ix[4]]
+
+
+def test_wave_root_is_read_only_after_its_fill(monkeypatch):
+    # every later question reads the tables of the root's first fill: none writes them
+    x = FiniteVector.from_dense(np.random.default_rng(34).uniform(0.1, 3.0, 12).tolist())
+    engine = FamilyEngine(Exhaustive())
+    value = engine.norm(x)
+    root = engine._last
+    assert type(root) is family_engine._Waves and root.size == 4096
+    for a in wave_arrays(root):
+        a.setflags(write=False)
+    got = [engine.triple_norm(x, 7), engine.norm_ell_m0(x, 2, 5), engine.fixed_point_residual(x),
+           *engine.iterate_levels(x)]
+    v, w = engine.norm(x, with_witness=True)
+    validate_witness(w, x)
+    assert engine._last is root and v == w.value == value
+    monkeypatch.setattr(family_engine, "WAVE_MIN_INDICES", 1 << 60)
+    search = FamilyEngine(Exhaustive())
+    want = [search.triple_norm(x, 7), search.norm_ell_m0(x, 2, 5), search.fixed_point_residual(x),
+            *search.iterate_levels(x)]
+    assert got == want and witness_to_json(w) == witness_to_json(search.norm(x, True)[1])
+
+
+def test_wave_budget_counts_before_it_allocates(monkeypatch):
+    # the budget is read from the run lengths: a 40-point root (2**40 sub-patterns) is
+    # refused without a table, and a root over a patched budget takes the search
+    tracemalloc.start()
+    try:
+        assert not family_engine._waves_fit(tuple(np.linspace(1.0, 2.0, 40).tolist()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000
+    x = FiniteVector.from_dense(np.random.default_rng(35).uniform(0.1, 3.0, 12).tolist())
+    assert family_engine._waves_fit(x.pattern())
+    monkeypatch.setattr(family_engine, "WAVE_BYTES", 1 << 20)
+    monkeypatch.setattr(family_engine._Waves, "_index", None)  # a table would fail to start
+    engine = FamilyEngine(Exhaustive())
+    value, w = engine.norm(x, with_witness=True)
+    assert type(engine._last) is _Pieces and value == w.value
+
+
+def test_witness_after_norm_on_a_wave_root_searches_nothing(monkeypatch):
+    # a witness reads the tables of the norm's fill: no new fill, no memo entry, no
+    # recursive search, and a few state reads
+    calls = []
+    for name in ("family", "cover", "split"):
+        monkeypatch.setattr(_Pieces, name, None)  # the search
+        def counted(self, *args, read=getattr(family_engine._Waves, name), name=name):
+            calls.append(name)
+            return read(self, *args)
+        monkeypatch.setattr(family_engine._Waves, name, counted)
+    rng = np.random.default_rng(29)
+    for x in [FiniteVector.from_dense(rng.uniform(0.1, 3.0, 10).tolist()),
+              FiniteVector.from_dense([1.0, 1.5, 1.0, 1.5, 1.0, 1.0, 1.5, 1.0, 1.5, 1.0, 1.5])]:
+        engine = FamilyEngine(Exhaustive())
+        value = engine.norm(x)
+        root, memo = engine._last, dict(engine._norms)
+        assert type(root) is family_engine._Waves and root.size >= 1024
+        for a in wave_arrays(root):
+            a.setflags(write=False)
+        monkeypatch.setattr(root, "_waves", None)
+        calls.clear()
+        got, w = engine.norm(x, with_witness=True)
+        validate_witness(w, x)
+        assert isinstance(w, FamilyWitness) and engine._last is root and got == w.value == value
+        assert engine._norms == memo and 0 < len(calls) <= 60
 
 
 def test_exhaustive_engine_shared_across_threads():

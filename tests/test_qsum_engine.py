@@ -167,6 +167,22 @@ def test_tables_match_first_piece_recursion(rng):
                 assert got == pytest.approx(ref.bps(0, n, m), rel=EQ_TOL)
 
 
+@pytest.mark.parametrize("cfg", [TINY, QSumConfig.small(), QSumConfig.paper_faithful()],
+                         ids=["tiny", "small", "paper"])
+def test_scales_and_tails_kept_per_engine(monkeypatch, cfg):
+    # both depend on the config alone: 300 builds on one engine read what a fresh
+    # engine computes, and each tail sum is computed once per scale index
+    sizes = np.random.default_rng(17).integers(1, 601, 300).tolist()
+    want = [QSumEngine(cfg)._scales(n) for n in sizes]
+    calls, tail = [], QSumConfig.tail
+    monkeypatch.setattr(QSumConfig, "tail", lambda self, start: calls.append(start) or tail(self, start))
+    engine = QSumEngine(cfg)
+    for n, (scales, tails) in zip(sizes, want, strict=True):
+        T = engine._build(tuple(np.linspace(0.5, 1.5, n).tolist()))
+        assert (T.scales, T.tails) == (scales, tails)
+    assert sorted(calls) == list(range(1, 1 + max(len(tails) for _, tails in want)))
+
+
 def test_partition_machinery_activates(small_engine):
     # above n_1 = 15 the first scale genuinely splits the vector
     x30 = FiniteVector.ones(30)
